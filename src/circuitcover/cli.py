@@ -31,6 +31,7 @@ from .graphio import (
     cut_result,
     infeasible_result,
     read_graph,
+    result_ints,
     trail_from_result,
     write_instance,
 )
@@ -135,21 +136,47 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_graph(args.graph)
-    s = _parse_edges(args.edges, g.m) if args.edges else frozenset()
+    s = _parse_edges(args.edges, g.m) if args.edges else None
     raw = sys.stdin.read() if args.result == "-" else Path(args.result).read_text()
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("result must be a JSON object")
     if data.get("status") == "odd-cut":
-        cert = CutCertificate(frozenset(data["side"]), frozenset(data["boundary"]))
-        ok = cert.is_valid_for(g) and cert.odd
-        reason = "" if ok else "boundary or parity mismatch"
+        reason = _cut_fault(g, data, None if s is None else len(s))
+        ok = not reason
     elif data.get("status") == "circuit":
-        res = verify_circuit(g, trail_from_result(data), s)
+        res = verify_circuit(g, trail_from_result(data), s or frozenset())
         ok, reason = res.ok, res.reason
     else:
         print("nothing to verify: status is not circuit/odd-cut", file=sys.stderr)
         return EXIT_ERROR
     print(json.dumps({"verified": ok, "reason": reason}, sort_keys=True))
     return EXIT_OK if ok else EXIT_CERTIFICATE
+
+
+def _cut_fault(g, data: dict, bound: int | None) -> str:
+    """Why an odd-cut result certifies nothing, or "" when it holds.
+
+    Everything the result claims is recomputed from the graph: the side's
+    boundary, its odd size, the stated `size` and `odd`, and, when the
+    prescribed set is known, size <= |S|.
+    """
+    side = frozenset(result_ints(data, "side"))
+    cert = CutCertificate(side, frozenset(result_ints(data, "boundary")))
+    size, odd = data.get("size"), data.get("odd")
+    if type(size) is not int or type(odd) is not bool:
+        raise ValueError("result fields 'size' and 'odd' must be an integer and a boolean")
+    if not all(0 <= v < g.n for v in side):
+        return "side has a vertex out of range"
+    if not cert.is_valid_for(g):
+        return "boundary mismatch"
+    if not cert.odd:
+        return "boundary is not odd"
+    if size != cert.size or odd != cert.odd:
+        return f"claimed size {size} / odd {odd} do not match the boundary"
+    if bound is not None and cert.size > bound:
+        return f"cut size {cert.size} exceeds |S| = {bound}"
+    return ""
 
 
 def cmd_generate(args) -> int:
@@ -200,6 +227,7 @@ def _experiment_ladder(args) -> int:
         inst = ladder(r)
         g = inst.graph
         rungs = list(range(r))
+        failures_r = 0
         for size in range(3, r):
             for s in combinations(rungs, size):
                 s_set = frozenset(s)
@@ -213,8 +241,9 @@ def _experiment_ladder(args) -> int:
                     and outcome.size == 3
                 )
                 if not ok:
-                    failures += 1
-        report["verdicts"][f"r={r}"] = "ok" if failures == 0 else "FAIL"
+                    failures_r += 1
+        report["verdicts"][f"r={r}"] = "ok" if failures_r == 0 else "FAIL"
+        failures += failures_r
     report["verdicts"]["failures"] = failures
     _report(args, report)
     return EXIT_OK if failures == 0 else EXIT_CERTIFICATE
@@ -259,11 +288,11 @@ def _experiment_corollary(args) -> int:
         if g.m > 12:
             continue
         for k in (1, 2):
-            checked += 1
             try:
                 ok = check_parity_monotonicity(g, k)
             except TooLarge:
                 continue
+            checked += 1
             if not ok:
                 failures += 1
                 report["verdicts"][f"{Path(path).stem}-k{k}"] = "FAIL"

@@ -8,10 +8,17 @@ attained among the fundamental cuts of a Gomory-Hu tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .errors import DisconnectedInput, TooLarge
-from .graphs import FlowNetwork, Graph, edge_boundary, is_connected
+from .errors import CoherenceViolated, DisconnectedInput, TooLarge
+from .graphs import (
+    FlowNetwork,
+    Graph,
+    edge_boundary,
+    is_connected,
+    vertex_components_avoiding,
+)
 
 
 @dataclass(frozen=True)
@@ -92,111 +99,55 @@ class GomoryHuTree:
                 depth[u] = d
         return depth
 
+    @cached_property
+    def _children(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex children, each in increasing vertex order."""
+        out: list[list[int]] = [[] for _ in self.parent]
+        for u, p in enumerate(self.parent):
+            if p != -1:
+                out[p].append(u)
+        return tuple(tuple(c) for c in out)
+
     def subtree(self, v: int) -> frozenset:
         """Vertices on v's side of the tree edge (v, parent[v])."""
-        n = len(self.parent)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            if self.parent[u] != -1:
-                children[self.parent[u]].append(u)
         out = set()
         stack = [v]
         while stack:
             u = stack.pop()
             out.add(u)
-            stack.extend(children[u])
+            stack.extend(self._children[u])
         return frozenset(out)
 
 
-def _min_cut_between(g: Graph, vertex_groups: list[list[int]], s_group: int, t_group: int):
-    """Min cut between two groups after contracting each group to a point."""
-    net = FlowNetwork(len(vertex_groups))
-    gid = {}
-    for i, grp in enumerate(vertex_groups):
-        for v in grp:
-            gid[v] = i
-    caps: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        a, b = gid[u], gid[v]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        caps[key] = caps.get(key, 0) + 1
-    for (a, b), c in sorted(caps.items()):
-        net.add_undirected(a, b, c)
-    value = net.max_flow(s_group, t_group)
-    return value, net.source_side(s_group)
-
-
 def gomory_hu_tree(g: Graph) -> GomoryHuTree:
-    """Contraction-based Gomory-Hu construction (unit edge capacities)."""
+    """Gusfield's cut tree (unit edge capacities), rooted at vertex 0.
+
+    Gusfield, "Very simple methods for all pairs network flow analysis",
+    SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction.
+    All flows share one residual network, reset to the capacities each time.
+    """
     if not is_connected(g):
         raise DisconnectedInput("Gomory-Hu tree requires a connected graph")
-    if g.n == 1:
-        return GomoryHuTree((-1,), (0,))
-    nodes: list[list[int]] = [sorted(range(g.n))]
-    tree: list[dict[int, int]] = [dict()]  # node id -> {neighbor id: capacity}
-    pending = [0]
-    while pending:
-        i = pending.pop(0)
-        if len(nodes[i]) < 2:
-            continue
-        s, t = nodes[i][0], nodes[i][1]
-        # contract every subtree hanging off node i into one auxiliary group
-        comp_of: dict[int, int] = {}
-        groups: list[list[int]] = [[v] for v in nodes[i]]
-        own = {v: k for k, v in enumerate(nodes[i])}
-        for nb in tree[i]:
-            if nb in comp_of:
-                continue
-            stack = [nb]
-            members = []
-            seen = {i, nb}
-            while stack:
-                x = stack.pop()
-                members.append(x)
-                for y in tree[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            gidx = len(groups)
-            groups.append(sorted(v for x in members for v in nodes[x]))
-            for x in members:
-                comp_of[x] = gidx
-        value, side = _min_cut_between(g, groups, own[s], own[t])
-        s_part = sorted(v for v in nodes[i] if own[v] in side)
-        t_part = sorted(v for v in nodes[i] if own[v] not in side)
-        j = len(nodes)
-        nodes[i] = s_part
-        nodes.append(t_part)
-        tree.append({i: value})
-        old = tree[i]
-        tree[i] = {j: value}
-        for nb, cap in old.items():
-            if comp_of[nb] in side:
-                tree[i][nb] = cap
-                tree[nb][i] = cap
-            else:
-                tree[j][nb] = cap
-                del tree[nb][i]
-                tree[nb][j] = cap
-        pending.extend([i, j])
-    vertex_of_node = {k: nodes[k][0] for k in range(len(nodes))}
-    parent = [-1] * g.n
+    net = FlowNetwork(g.n)
+    for u, v in g.edges:
+        net.add_undirected(u, v, 1)
+    parent = [0] * g.n
+    parent[0] = -1
     capacity = [0] * g.n
-    root = vertex_of_node[0]
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for nb, cap in tree[k].items():
-            if nb in seen:
-                continue
-            seen.add(nb)
-            parent[vertex_of_node[nb]] = vertex_of_node[k]
-            capacity[vertex_of_node[nb]] = cap
-            stack.append(nb)
-    assert parent[root] == -1
+    for s in range(1, g.n):
+        t = parent[s]
+        net.res[:] = net.cap
+        value = net.max_flow(s, t)
+        side = net.source_side(s)
+        capacity[s] = value
+        for i in side:
+            if i != s and parent[i] == t:
+                parent[i] = s
+        if parent[t] in side:
+            parent[s], parent[t] = parent[t], s
+            capacity[s], capacity[t] = capacity[t], value
+    if parent[0] != -1:
+        raise CoherenceViolated("Gomory-Hu tree lost its root at vertex 0")
     return GomoryHuTree(tuple(parent), tuple(capacity))
 
 
@@ -204,39 +155,35 @@ def _odd_degree_vertices(g: Graph) -> frozenset:
     return frozenset(v for v in range(g.n) if g.degree(v) % 2 == 1)
 
 
-def _normalized_side(g: Graph, side: frozenset) -> frozenset:
-    """Report the side not containing vertex 0 (both sides bound the same cut)."""
-    if 0 in side:
-        return frozenset(range(g.n)) - side
-    return side
-
-
 def min_odd_cut(g: Graph) -> CutCertificate | None:
     """A minimum-cardinality odd cut, or None when all vertex degrees are even.
 
     Scans the fundamental cuts of a Gomory-Hu tree for sides containing an
     odd number of odd-degree vertices; the minimum T-cut is attained there.
+    Among equally small T-odd fundamental cuts, the one whose side without
+    vertex 0, sorted, is lexicographically smallest is reported.
     """
     if not is_connected(g):
         raise DisconnectedInput("min_odd_cut requires a connected graph")
-    t_set = _odd_degree_vertices(g)
-    if not t_set:
+    if not _odd_degree_vertices(g):
         return None
     tree = gomory_hu_tree(g)
-    best: tuple[int, tuple, frozenset] | None = None
-    for v in range(g.n):
-        if tree.parent[v] == -1:
-            continue
-        side = tree.subtree(v)
-        if len(side & t_set) % 2 == 0:
-            continue
-        norm = _normalized_side(g, side)
-        key = (tree.capacity[v], tuple(sorted(norm)))
-        if best is None or key < best[:2]:
-            best = (*key, norm)
-    assert best is not None, "T nonempty implies some fundamental cut is T-odd"
-    cert = certify(g, best[2])
-    assert cert.size == best[0] and cert.odd, "Gomory-Hu cut property violated"
+    order = [tree.root]
+    for v in order:  # breadth-first: every parent precedes its children
+        order.extend(tree._children[v])
+    # odd[v]: number of odd-degree vertices in the subtree under v
+    odd = [g.degree(v) % 2 for v in range(g.n)]
+    for v in reversed(order[1:]):
+        odd[tree.parent[v]] += odd[v]
+    t_odd = [v for v in order[1:] if odd[v] % 2 == 1]
+    if not t_odd:
+        raise CoherenceViolated("odd-degree vertices exist, yet no fundamental cut is T-odd")
+    size = min(tree.capacity[v] for v in t_odd)
+    # the root is vertex 0, so no subtree contains it
+    side = min(tuple(sorted(tree.subtree(v))) for v in t_odd if tree.capacity[v] == size)
+    cert = certify(g, side)
+    if cert.size != size or not cert.odd:
+        raise CoherenceViolated("Gomory-Hu cut property violated")
     return cert
 
 
@@ -263,7 +210,8 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
         key = (size, side)
         if best is None or key < best[:2]:
             best = (size, side, a)
-    assert best is not None
+    if best is None:
+        raise CoherenceViolated("an odd-degree vertex exists, yet no bipartition is odd")
     return certify(g, best[1])
 
 
@@ -284,8 +232,6 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
     bounds an odd cut exactly when it contains an odd number of vertices of
     odd degree in (V, S).
     """
-    from .graphs import vertex_components_avoiding
-
     s_set = frozenset(s)
     t_deg = [0] * g.n
     for eid in s_set:
@@ -295,23 +241,14 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
     for comp in vertex_components_avoiding(g, s_set):
         if sum(t_deg[v] % 2 for v in comp) % 2 == 1:
             cert = certify(g, comp)
-            assert cert.boundary <= s_set and cert.odd
+            if not (cert.boundary <= s_set and cert.odd):
+                raise CoherenceViolated("component of G-S bounds no odd cut inside S")
             return cert
     return None
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global edge connectivity via n-1 max-flow computations."""
-    if g.n <= 1:
+    """Global edge connectivity: the smallest capacity of the Gomory-Hu tree."""
+    if g.n <= 1 or not is_connected(g):
         return 0
-    if not is_connected(g):
-        return 0
-    best = None
-    for v in range(1, g.n):
-        net = FlowNetwork(g.n)
-        for u, w in g.edges:
-            net.add_undirected(u, w, 1)
-        val = net.max_flow(0, v, limit=best)
-        if best is None or val < best:
-            best = val
-    return best
+    return min(gomory_hu_tree(g).capacity[1:])  # vertex 0 is the root

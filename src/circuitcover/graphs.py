@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import BadEdgeId, CutTooSmall, NotConnected, NotEven
+from .errors import BadEdgeId, BadParam, CutTooSmall, NotConnected, NotEven
 
 EdgeIds = frozenset  # edge sets are frozensets of edge ids
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from circuitcover import cli
 from circuitcover.cli import main
+from circuitcover.errors import TooLarge
 from circuitcover.generators import ladder
 from circuitcover.graphio import format_graph, parse_graph, read_instance, write_instance
 from circuitcover.errors import ParseError
@@ -62,6 +68,19 @@ class TestCheck:
     def test_ladder_k2_holds(self, ladder4_file):
         assert main(["check", str(ladder4_file), "--k", "2", "--quiet"]) == 0
 
+    def test_certificate_under_python_optimize(self, ladder4_file):
+        # -O strips assert statements; the soundness checks must not depend on them
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "circuitcover.cli", "check", str(ladder4_file),
+             "--k", "3", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["min_odd_cut"]["size"] == 3
+
 
 class TestFind:
     def test_circuit_json_and_exit_code(self, c6_file, capsys):
@@ -115,6 +134,61 @@ class TestOracleAndVerify:
         assert code == 2 and payload["verified"] is False
 
 
+class TestVerifyCut:
+    @pytest.fixture
+    def cut_result(self, ladder4_file, tmp_path, capsys):
+        assert main(["find", str(ladder4_file), "--edges", "0,1,2"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "odd-cut" and data["size"] == 3
+        return data
+
+    def _verify(self, graph, tmp_path, capsys, data, edges):
+        result = tmp_path / "cut.json"
+        result.write_text(json.dumps(data))
+        code = main(["verify", str(graph), "--edges", edges, "--result", str(result)])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_cut_within_bound_verifies(self, ladder4_file, tmp_path, capsys, cut_result):
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0,1,2")
+        assert code == 0 and payload["verified"] is True
+
+    def test_cut_larger_than_s_rejected(self, ladder4_file, tmp_path, capsys, cut_result):
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0")
+        assert code == 2 and payload["verified"] is False
+        assert "exceeds" in payload["reason"]
+
+    @pytest.mark.parametrize("field, value", [("size", 1), ("odd", False)])
+    def test_claims_must_match_boundary(
+        self, ladder4_file, tmp_path, capsys, cut_result, field, value
+    ):
+        cut_result[field] = value
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0,1,2")
+        assert code == 2 and payload["verified"] is False
+
+
+class TestVerifyMalformed:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"status": "circuit"}',
+            "[1]",
+            '"circuit"',
+            '{"status": "circuit", "walk": [0, "1", 0], "edge_walk": [0, 0]}',
+            '{"status": "circuit", "walk": 5, "edge_walk": []}',
+            '{"status": "odd-cut", "side": {"0": 1}, "boundary": [], "size": 0, "odd": false}',
+            '{"status": "odd-cut", "side": [1], "boundary": [0, 1, 2], "size": "3", "odd": true}',
+            '{"status": "odd-cut", "side": [1], "boundary": [0, 1, 2]}',
+        ],
+    )
+    def test_one_line_error(self, c6_file, tmp_path, capsys, text):
+        result = tmp_path / "bad.json"
+        result.write_text(text)
+        code = main(["verify", str(c6_file), "--result", str(result)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestGenerate:
     def test_ladder_files_are_byte_stable(self, tmp_path, capsys):
         code = main(["generate", "ladder", "4", "--out", str(tmp_path), "--quiet"])
@@ -157,6 +231,19 @@ class TestExperiments:
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["verdicts"]["failures"] == 0
 
+    def test_ladder_verdicts_are_per_r(self, capsys, monkeypatch):
+        real = cli.find_circuit
+
+        def broken_on_four_rungs(g, s):
+            return None if g.n == 8 else real(g, s)
+
+        monkeypatch.setattr(cli, "find_circuit", broken_on_four_rungs)
+        code = main(["experiment", "ladder", "--r", "4", "5", "--json"])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert code == 2
+        assert verdicts["r=4"] == "FAIL" and verdicts["r=5"] == "ok"
+        assert verdicts["failures"] == 4  # the four 3-sets of ladder-4's rungs
+
     def test_corollary_experiment(self, tmp_path, capsys):
         paths = []
         for n in (5, 6):
@@ -166,3 +253,17 @@ class TestExperiments:
         code = main(["experiment", "corollary", "--graphs", *paths, "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["verdicts"]["failures"] == 0
+        assert report["verdicts"]["checked"] == 4
+
+    def test_corollary_counts_only_cases_that_ran(self, c6_file, capsys, monkeypatch):
+        real = cli.check_parity_monotonicity
+
+        def too_large_for_k2(g, k):
+            if k == 2:
+                raise TooLarge("guard")
+            return real(g, k)
+
+        monkeypatch.setattr(cli, "check_parity_monotonicity", too_large_for_k2)
+        code = main(["experiment", "corollary", "--graphs", str(c6_file), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["verdicts"]["checked"] == 1

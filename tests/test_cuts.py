@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from circuitcover.cuts import (
     odd_cut_within,
 )
 from circuitcover.errors import DisconnectedInput
-from circuitcover.generators import double_clique, ladder, two_cycles_bridge
+from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary
 
 from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
@@ -146,3 +147,44 @@ class TestCertificateJson:
         data = json.loads(json.dumps(cert.to_json()))
         assert set(data) == {"side", "boundary", "size", "odd"}
         assert data["odd"] is True and data["size"] == len(data["boundary"])
+
+
+def _nx_tree_and_min_odd_cut(nx, g):
+    """networkx's Gomory-Hu tree and the minimum odd cut size its parity scan finds."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges, capacity=1)
+    tree = nx.gomory_hu_tree(h)
+    parent = dict(nx.bfs_predecessors(tree, 0))
+    odd = {v: g.degree(v) % 2 for v in range(g.n)}
+    for v in reversed(list(nx.bfs_tree(tree, 0))[1:]):
+        odd[parent[v]] += odd[v]
+    size = min(tree[v][parent[v]]["weight"] for v in parent if odd[v] % 2 == 1)
+    return tree, size
+
+
+class TestAgainstNetworkx:
+    """Differential test against an independent Gomory-Hu implementation."""
+
+    GRAPHS = [
+        random_connected(n, 4 * n, 1, seed=n).graph
+        for n in (20 + 100 * i // 29 for i in range(30))
+    ]
+
+    def test_corpus_has_odd_vertices(self):
+        assert [g.n for g in self.GRAPHS][::29] == [20, 120]
+        assert all(any(g.degree(v) % 2 for v in range(g.n)) for g in self.GRAPHS)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_cut_values_agree(self, g):
+        nx = pytest.importorskip("networkx")
+        nx_tree, nx_size = _nx_tree_and_min_odd_cut(nx, g)
+        assert min_odd_cut(g).size == nx_size
+        tree = gomory_hu_tree(g)
+        rng = random.Random(g.n)
+        for _ in range(10):
+            s, t = rng.sample(range(g.n), 2)
+            path = nx.shortest_path(nx_tree, s, t)
+            want = min(nx_tree[a][b]["weight"] for a, b in zip(path, path[1:]))
+            assert tree.min_cut_value(s, t) == want
+        assert edge_connectivity(g) == min(_flow_value(g, 0, v) for v in range(1, g.n))

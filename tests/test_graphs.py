@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover.errors import CutTooSmall, NotConnected, NotEven
+from circuitcover.errors import BadParam, CutTooSmall, NotConnected, NotEven
 from circuitcover.graphs import (
     Graph,
     Trail,
@@ -245,6 +245,10 @@ class TestContraction:
     def test_disconnected_set_rejected(self):
         with pytest.raises(NotConnected):
             contract_subgraph(path_graph(3), {0, 2})
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(BadParam):
+            contract_subgraph(cycle_graph(4), [])
 
     @given(connected_graphs(min_n=3), st.data())
     @settings(max_examples=60)
