@@ -165,14 +165,14 @@ def min_odd_cut(g: Graph) -> CutCertificate | None:
     """
     if not is_connected(g):
         raise DisconnectedInput("min_odd_cut requires a connected graph")
-    if not _odd_degree_vertices(g):
+    odd = [g.degree(v) % 2 for v in range(g.n)]
+    if not any(odd):
         return None
     tree = gomory_hu_tree(g)
     order = [tree.root]
     for v in order:  # breadth-first: every parent precedes its children
         order.extend(tree._children[v])
-    # odd[v]: number of odd-degree vertices in the subtree under v
-    odd = [g.degree(v) % 2 for v in range(g.n)]
+    # leaves first, odd[v] becomes the number of odd-degree vertices under v
     for v in reversed(order[1:]):
         odd[tree.parent[v]] += odd[v]
     t_odd = [v for v in order[1:] if odd[v] % 2 == 1]
