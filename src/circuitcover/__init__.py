@@ -36,7 +36,6 @@ from .graphs import (
     edge_boundary,
     euler_circuit,
     is_even_subgraph,
-    two_edge_disjoint_paths,
     verify_circuit,
 )
 from .hopping import (
@@ -87,6 +86,5 @@ __all__ = [
     "reroute_descent",
     "segment",
     "two_cycles_bridge",
-    "two_edge_disjoint_paths",
     "verify_circuit",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import CoherenceViolated, DisconnectedInput, TooLarge
+from .errors import BadParam, CoherenceViolated, DisconnectedInput, TooLarge
 from .graphs import (
     FlowNetwork,
     Graph,
@@ -126,6 +126,8 @@ def gomory_hu_tree(g: Graph) -> GomoryHuTree:
     SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction.
     All flows share one residual network, reset to the capacities each time.
     """
+    if g.n == 0:
+        raise BadParam("a Gomory-Hu tree needs a root vertex; the graph is empty")
     if not is_connected(g):
         raise DisconnectedInput("Gomory-Hu tree requires a connected graph")
     net = FlowNetwork(g.n)

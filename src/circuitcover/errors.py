@@ -33,14 +33,6 @@ class NotConnected(ValueError):
     """Edge set or vertex set is not connected where connectivity is required."""
 
 
-class CutTooSmall(Exception):
-    """Fewer edge-disjoint paths than requested exist; carries a witness cut."""
-
-    def __init__(self, witness: frozenset):
-        super().__init__(f"witness cut of size {len(witness)}: {sorted(witness)}")
-        self.witness = witness
-
-
 class SegmentNotPath(ValueError):
     """A segment of the circuit repeats a vertex; normalize the circuit first."""
 

@@ -1,128 +1,124 @@
 """Build a circuit through prescribed edges, or certify an odd cut.
 
 The construction is inductive: start from a circuit through the first edge
-and fold the remaining edges in one at a time.  An edge already on the
-circuit is free; an edge in a 2-edge-connected component of the leftover
-graph splices in via two edge-disjoint paths; an edge that is a bridge of
-the leftover graph goes through the rerouting machinery, which either
-succeeds or emits an odd cut of size at most the number of edges placed so
-far.  Certificates therefore always have odd size at most |S|.
+uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
+the remaining edges in one at a time.  An edge already on the circuit is
+free; an edge in a 2-edge-connected component of the leftover graph splices
+in through a trail that one unit-capacity flow yields; an edge that is a
+bridge of the leftover graph goes through the rerouting machinery, which
+either succeeds or emits an odd cut of size at most the number of edges
+placed so far.  Certificates therefore always have odd size at most |S|.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable
 
 from .cuts import CutCertificate, certify
-from .errors import CoherenceViolated, CutTooSmall, DisconnectedInput, EmptyPrescribed
+from .errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from .graphs import (
     FlowNetwork,
     Graph,
     Trail,
-    _bfs_component,
     bridges_and_2ec_components,
     contract_subgraph,
     edge_boundary,
     euler_circuit,
     is_connected,
-    subdivide_edge,
     trail_concat,
-    two_edge_disjoint_paths,
     validate_trail,
 )
 from .hopping import bridge_case
 from .segments import normalize_circuit
 
 
-def _contract_subdivision(walk: Trail, w: int, halves: tuple[int, int], eid: int) -> Trail:
-    """Map a walk of the subdivided graph back, fusing the halves into eid."""
-    half_set = set(halves)
-    verts = []
-    edges = []
-    for i, e in enumerate(walk.edges):
-        if walk.vertices[i] != w:
-            verts.append(walk.vertices[i])
-        if e in half_set:
-            if walk.vertices[i + 1] == w:
-                edges.append(eid)  # emit once, on entering the subdivider
-        else:
-            edges.append(e)
-    verts.append(walk.vertices[-1])
-    return Trail(tuple(verts), tuple(edges))
-
-
 def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
-    """Circuit through a single edge, or the bridge certificate.
+    """Circuit (u, v, ..., u) through the edge eid = uv, or the bridge
+    certificate.
 
-    Subdivides the edge and asks for two edge-disjoint paths from the new
-    vertex; failure means the edge is a bridge, an odd cut of size one.
+    The path back from v to u is a BFS path in G - eid that scans each
+    adjacency in edge-id order.  When u is unreachable, eid is a bridge and
+    v's component is an odd cut of size one.
     """
     u, v = g.endpoints(eid)
-    g2, w, halves = subdivide_edge(g, eid)
-    try:
-        p1, p2 = two_edge_disjoint_paths(g2, w, u)
-    except CutTooSmall:
-        side = _bfs_component(g, v, None, banned=frozenset({eid}))
-        cert = certify(g, side)
-        assert cert.boundary == frozenset({eid})
+    parent = {v: None}  # vertex -> (previous vertex, edge id) on the BFS tree
+    queue = deque([v])
+    while queue and u not in parent:
+        x = queue.popleft()
+        for y, e in g.adjacency[x]:
+            if e != eid and y not in parent:
+                parent[y] = (x, e)
+                queue.append(y)
+    if u not in parent:
+        cert = certify(g, parent.keys())
+        if cert.boundary != frozenset({eid}):
+            raise CoherenceViolated("an unreachable endpoint must mean a bridge")
         return cert
-    walk = trail_concat(p1.reverse(), p2)  # u .. w .. u through both halves
-    circuit = _contract_subdivision(walk, w, halves, eid)
-    validate_trail(g, circuit)
-    assert circuit.is_closed and eid in circuit.edges
-    return circuit
+    # walk the tree from u back to v, then close through eid
+    verts = [u]
+    edges = []
+    x = u
+    while parent[x] is not None:
+        x, e = parent[x]
+        verts.append(x)
+        edges.append(e)
+    edges.append(eid)
+    verts.append(u)
+    return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
 def _trail_through_edge(g: Graph, eid: int, s: int, t: int) -> Trail:
-    """s-t trail through edge eid inside a 2-edge-connected graph g.
+    """s-t trail through the edge eid = xy inside a 2-edge-connected graph g
+    (a closed trail through eid when s == t).
 
-    Subdivides eid and routes two edge-disjoint paths from the subdivision
-    vertex, one to s and one to t (a closed trail through eid when s == t).
+    One unit-capacity flow of value 2 on G - eid, from a source with arcs to
+    x and y to a sink fed once by s and once by t, splits into a walk from x
+    and a walk from y; the trail is the x-walk reversed, eid, then the
+    y-walk, oriented to start at s.
     """
-    g2, w, halves = subdivide_edge(g, eid)
-    if s == t:
-        p1, p2 = two_edge_disjoint_paths(g2, w, s)
-    else:
-        # unit sink arcs force one path to each target
-        net = FlowNetwork(g2.n + 1)
-        sink = g2.n
-        for e2, (x, y) in enumerate(g2.edges):
-            net.add_undirected(x, y, 1, tag=e2)
-        net.add_directed(s, sink, 1)
-        net.add_directed(t, sink, 1)
-        value = net.max_flow(w, sink)
-        assert value == 2, "2-edge-connected graph must route to both targets"
-        p1, p2 = _two_walks_to_sink(g2, net, w, sink)
-    walk = trail_concat(p1.reverse(), p2)  # one target .. w .. other target
-    if walk.vertices[0] != s:
+    x, y = g.endpoints(eid)
+    source, sink = g.n, g.n + 1
+    net = FlowNetwork(g.n + 2)
+    for e, (a, b) in enumerate(g.edges):
+        if e != eid:
+            net.add_undirected(a, b, 1, tag=e)
+    # negative tags put the source arcs first, x's before y's; the sink
+    # arcs' tag exceeds every edge id, so walks leave a vertex by an edge
+    # before they stop there
+    net.add_directed(source, x, 1, tag=-2)
+    net.add_directed(source, y, 1, tag=-1)
+    net.add_directed(s, sink, 1, tag=g.m)
+    net.add_directed(t, sink, 1, tag=g.m)
+    if net.max_flow(source, sink) != 2:
+        raise CoherenceViolated("2-edge-connected graph must route to both targets")
+    p1, p2 = _two_walks_to_sink(net, source, sink)
+    walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
+    if walk.start != s:
         walk = walk.reverse()
-    out = _contract_subdivision(walk, w, halves, eid)
-    validate_trail(g, out)
-    assert out.start == s and out.end == t and eid in out.edges
-    return out
+    validate_trail(g, walk)
+    if walk.start != s or walk.end != t:
+        raise CoherenceViolated("flow walks do not end at the requested targets")
+    return walk
 
 
-def _two_walks_to_sink(g2: Graph, net: FlowNetwork, w: int, sink: int):
-    """Decompose a 2-unit flow from w into two sink-terminating walks."""
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(g2.n + 1)]
+def _two_walks_to_sink(net: FlowNetwork, source: int, sink: int) -> tuple[Trail, Trail]:
+    """Split a 2-unit flow into two walks from the source's neighbours to
+    the sink's feeders; each walk leaves a vertex by its smallest-tag flow
+    arc, and the source and sink arcs are left out of the walks."""
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
     for arc in range(0, len(net.to), 2):
-        tag = net.tag[arc]
-        if tag is None:  # directed sink arc
-            if net.res[arc] < net.cap[arc]:
-                succ[net.to[arc ^ 1]].append((g2.m, sink))
-            continue
+        a, b = net.to[arc ^ 1], net.to[arc]
         if net.res[arc] < net.cap[arc] and net.res[arc ^ 1] > net.cap[arc ^ 1]:
-            u, v = g2.edges[tag]
-            succ[u].append((tag, v))
+            succ[a].append((net.tag[arc], b))
         elif net.res[arc ^ 1] < net.cap[arc ^ 1] and net.res[arc] > net.cap[arc]:
-            u, v = g2.edges[tag]
-            succ[v].append((tag, u))
+            succ[b].append((net.tag[arc], a))
     for lst in succ:
         lst.sort()
     walks = []
     for _ in range(2):
-        verts = [w]
+        _, v = succ[source].pop(0)
+        verts = [v]
         edges = []
-        v = w
         while True:
             tag, nxt = succ[v].pop(0)
             if nxt == sink:
@@ -177,18 +173,21 @@ def extend_circuit(
         star = _lift_trail(local, verts, eids)
         union = h_edges | star.edge_set()
         out = euler_circuit(g, union, start=h.vertices[0])
-        assert s_set <= out.edge_set() and e_next in out.edges
+        if not s_set <= out.edge_set() or e_next not in out.edges:
+            raise CoherenceViolated("splice lost a prescribed edge")
         return out
     # detached component: contract it, extend through one of its boundary
     # bridges, then open the contracted vertex into a trail through e_next
     boundary = edge_boundary(g, comp.vertices)
-    assert boundary and boundary <= bridges
+    if not boundary or not boundary <= bridges:
+        raise CoherenceViolated("a detached component must hang on bridges")
     e_f = min(boundary)
     contraction = contract_subgraph(g, comp.vertices)
-    assert all(len(c) == 1 for c in contraction.edge_classes), (
-        "boundary bridges of a detached 2-edge-connected component cannot "
-        "share outside endpoints"
-    )
+    if any(len(c) != 1 for c in contraction.edge_classes):
+        raise CoherenceViolated(
+            "boundary bridges of a detached 2-edge-connected component cannot "
+            "share outside endpoints"
+        )
     new_of_old = {c[0]: i for i, c in enumerate(contraction.edge_classes)}
     vmap_c = contraction.vertex_map
     h_c = Trail(
@@ -215,7 +214,8 @@ def _open_contracted_vertex(g, contraction, circuit_c, comp, e_next) -> Trail:
     e_next inside the component."""
     vd = contraction.contracted_vertex
     occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == vd]
-    assert len(occurrences) == 1, "contracted vertex must be passed exactly once"
+    if len(occurrences) != 1:
+        raise CoherenceViolated("contracted vertex must be passed exactly once")
     rotated = _rotate_closed_trail(circuit_c, occurrences[0])
     old_vertex = {}
     for old, new in enumerate(contraction.vertex_map):
@@ -238,7 +238,8 @@ def _open_contracted_vertex(g, contraction, circuit_c, comp, e_next) -> Trail:
     inner = _lift_trail(local, verts, eids)
     out = trail_concat(outer, inner)
     validate_trail(g, out)
-    assert out.is_closed
+    if not out.is_closed:
+        raise CoherenceViolated("opened circuit is not closed")
     return out
 
 
@@ -272,8 +273,10 @@ def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:
         h = normalize_circuit(g, result, placed)
         result = extend_circuit(g, h, placed, e_next)
         if isinstance(result, CutCertificate):
-            assert result.odd and result.size <= len(s_list)
+            if not result.odd or result.size > len(s_list):
+                raise CoherenceViolated("certificate is not an odd cut of size <= |S|")
             return result
         placed.add(e_next)
-    assert frozenset(s_list) <= result.edge_set()
+    if not frozenset(s_list) <= result.edge_set():
+        raise CoherenceViolated("circuit misses a prescribed edge")
     return result

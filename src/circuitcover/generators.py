@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cuts import min_odd_cut
-from .errors import BadParam, Exhausted
+from .errors import BadParam, CoherenceViolated, Exhausted
 from .graphs import Graph
 
 
@@ -90,7 +90,8 @@ def gk_lower_witness(k: int) -> NamedInstance:
         raise BadParam("witness construction needs k >= 4")
     ell = _greatest_odd_ell(k)
     inst = double_clique(ell)
-    assert len(inst.prescribed) == ell * (ell - 1) // 2 + 1 <= k
+    if not len(inst.prescribed) == ell * (ell - 1) // 2 + 1 <= k:
+        raise CoherenceViolated("witness needs l(l-1)/2 + 1 <= k prescribed edges")
     return NamedInstance(
         graph=inst.graph,
         prescribed=inst.prescribed,

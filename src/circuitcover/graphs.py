@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import BadEdgeId, BadParam, CutTooSmall, NotConnected, NotEven
+from .errors import BadEdgeId, BadParam, NotConnected, NotEven
 
 EdgeIds = frozenset  # edge sets are frozensets of edge ids
 
@@ -291,7 +291,7 @@ def bridges_and_2ec_components(
 
 
 # ---------------------------------------------------------------------------
-# unit-capacity flow (augmenting paths) and edge-disjoint paths
+# unit-capacity flow (augmenting paths)
 
 
 class FlowNetwork:
@@ -368,75 +368,6 @@ class FlowNetwork:
                     seen.add(w)
                     queue.append(w)
         return frozenset(seen)
-
-
-def two_edge_disjoint_paths(g: Graph, s: int, t: int) -> tuple[Trail, Trail]:
-    """Two edge-disjoint s-t paths via unit-capacity max flow.
-
-    Raises CutTooSmall with a witness edge set of size <= 1 when they do
-    not exist.
-    """
-    if s == t:
-        raise ValueError("endpoints must differ")
-    net = FlowNetwork(g.n)
-    for eid, (u, v) in enumerate(g.edges):
-        net.add_undirected(u, v, 1, tag=eid)
-    value = net.max_flow(s, t, limit=2)
-    if value < 2:
-        side = net.source_side(s)
-        witness = frozenset(
-            eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
-        )
-        raise CutTooSmall(witness)
-    walks = _decompose_unit_flow(g, net, s, t, 2)
-    return walks[0], walks[1]
-
-
-def _decompose_unit_flow(g: Graph, net: FlowNetwork, s: int, t: int, count: int) -> list[Trail]:
-    # orientation of each saturated undirected edge, smallest edge id first
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in range(g.m):
-        a = 2 * eid  # forward arc of edge eid
-        if net.res[a] < net.cap[a] and net.res[a ^ 1] > net.cap[a ^ 1]:
-            u, v = g.edges[eid]
-            succ[u].append((eid, v))
-        elif net.res[a ^ 1] < net.cap[a ^ 1] and net.res[a] > net.cap[a]:
-            u, v = g.edges[eid]
-            succ[v].append((eid, u))
-    for lst in succ:
-        lst.sort()
-    out = []
-    for _ in range(count):
-        verts = [s]
-        edges = []
-        v = s
-        while v != t:
-            eid, w = succ[v].pop(0)
-            edges.append(eid)
-            verts.append(w)
-            v = w
-        out.append(_shortcut_to_path(verts, edges))
-    return out
-
-
-def _shortcut_to_path(verts: list[int], edges: list[int]) -> Trail:
-    """Drop closed detours so the walk becomes a simple path."""
-    pos: dict[int, int] = {}
-    out_v: list[int] = []
-    out_e: list[int] = []
-    for i, v in enumerate(verts):
-        if v in pos:
-            k = pos[v]
-            for dropped in out_v[k + 1:]:
-                del pos[dropped]
-            del out_v[k + 1:]
-            del out_e[k:]
-        else:
-            pos[v] = len(out_v)
-            out_v.append(v)
-            if i > 0:
-                out_e.append(edges[i - 1])
-    return Trail(tuple(out_v), tuple(out_e))
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +492,6 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
         contracted_vertex=vd,
         edge_classes=tuple(tuple(c) for c in classes),
     )
-
-
-def subdivide_edge(g: Graph, eid: int) -> tuple[Graph, int, tuple[int, int]]:
-    """Replace edge eid=(u,v) by u-w and w-v through a new vertex w=n.
-
-    Returns (new graph, w, (id of u-w half, id of w-v half)); the u-w half
-    reuses eid and the w-v half is appended.
-    """
-    u, v = g.endpoints(eid)
-    w = g.n
-    edges = list(g.edges)
-    edges[eid] = (u, w)
-    edges.append((w, v))
-    return Graph(g.n + 1, tuple(edges)), w, (eid, len(edges) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -637,5 +637,6 @@ def bridge_case(
         Trail((b, a), (e_next,)), p_a, q.trail(), p_b.reverse()
     )
     validate_trail(g, circuit)
-    assert circuit.is_closed
+    if not circuit.is_closed:
+        raise CoherenceViolated("rerouted circuit is not closed")
     return circuit

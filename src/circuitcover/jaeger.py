@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cuts import CutCertificate, odd_cut_within
-from .errors import NotExtendable, TooLarge
+from .errors import CoherenceViolated, NotExtendable, TooLarge
 from .graphs import Graph, connected_components, is_even_subgraph
 
 
@@ -46,15 +46,16 @@ def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCe
         for v in order:
             seen[v] = True
         odd = [v for v in order if t_deg[v] % 2 == 1]
-        assert len(odd) % 2 == 0, "component parity already certified even"
+        if len(odd) % 2:
+            raise CoherenceViolated("component parity already certified even")
         depth = {root: 0}
         for v in order[1:]:
             depth[v] = depth[parent[v]] + 1
         for a, b in zip(odd[::2], odd[1::2]):
             join ^= _tree_path_edges(a, b, parent, parent_edge, depth)
     even = s_set | frozenset(join)
-    assert not (s_set & join)
-    assert is_even_subgraph(g, even)
+    if s_set & join or not is_even_subgraph(g, even):
+        raise CoherenceViolated("parity join is not an even extension of the set")
     comps = connected_components(g, even)
     return EvenExtension(even, len(comps))
 
@@ -99,7 +100,7 @@ def _tree_path_edges(a: int, b: int, parent, parent_edge, depth) -> set:
 def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
     """Minimum component count over all even supersets of s, by enumerating
     the cycle space (desk-scale guard)."""
-    from .oracle import cycle_space_basis
+    from .oracle import _mask_to_edges, cycle_space_basis, even_set_masks
 
     s_set = frozenset(s)
     basis = cycle_space_basis(g)
@@ -109,13 +110,10 @@ def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
     for eid in s_set:
         s_mask |= 1 << eid
     best: int | None = None
-    f = 0
-    for step in range(1 << basis.dim):
-        if step:
-            f ^= basis.masks[(step & -step).bit_length() - 1]
+    for f in even_set_masks(basis):
         if s_mask & ~f:
             continue
-        edges = frozenset(eid for eid in range(g.m) if f >> eid & 1)
+        edges = _mask_to_edges(f)
         comps = len(connected_components(g, edges)) if edges else 0
         if best is None or comps < best:
             best = comps

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import TooLarge
 from .graphs import Graph, Trail, connected_components, euler_circuit
@@ -71,6 +71,16 @@ def cycle_space_basis(g: Graph) -> CycleSpaceBasis:
     return CycleSpaceBasis(tuple(masks), frozenset(forest))
 
 
+def even_set_masks(basis: CycleSpaceBasis) -> Iterator[int]:
+    """Every even edge set as a bitmask, in Gray-code order from the empty
+    set: each differs from the one before by a single basis cycle."""
+    f = 0
+    yield f
+    for step in range(1, 1 << basis.dim):
+        f ^= basis.masks[(step & -step).bit_length() - 1]
+        yield f
+
+
 def _mask_to_edges(mask: int) -> frozenset:
     out = []
     while mask:
@@ -96,10 +106,7 @@ def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
         if not (0 <= eid < g.m):
             raise ValueError(f"edge id {eid} out of range")
         s_mask |= 1 << eid
-    f = 0
-    for step in range(1 << basis.dim):
-        if step:
-            f ^= basis.masks[(step & -step).bit_length() - 1]
+    for f in even_set_masks(basis):
         if s_mask & ~f:
             continue
         edges = _mask_to_edges(f)
@@ -114,10 +121,7 @@ def enumerate_connected_even_sets(g: Graph) -> list[int]:
     if basis.dim > _DIM_GUARD:
         raise TooLarge(f"cycle-space dimension {basis.dim} exceeds guard {_DIM_GUARD}")
     out = []
-    f = 0
-    for step in range(1 << basis.dim):
-        if step:
-            f ^= basis.masks[(step & -step).bit_length() - 1]
+    for f in even_set_masks(basis):
         if f and _is_connected_edge_set(g, _mask_to_edges(f)):
             out.append(f)
     out.sort(key=lambda mask: -mask.bit_count())

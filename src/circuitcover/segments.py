@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import SegmentNotPath
+from .errors import CoherenceViolated, SegmentNotPath
 from .graphs import Graph, Trail, validate_trail
 
 
@@ -95,9 +95,6 @@ class SegmentedCircuit:
     def h_edges(self) -> frozenset:
         return frozenset(self.trail.edges)
 
-    def segments_containing(self, v: int) -> list[int]:
-        return [j for j in range(self.k) if v in self.pos_in_seg[j]]
-
     def ins(self, j: int, vertices: frozenset) -> frozenset:
         """Vertices of the given set lying on segment j."""
         return frozenset(v for v in self.seg_paths[j] if v in vertices)
@@ -150,7 +147,8 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
         sep_slots=tuple(slots),
         sep_ids=tuple(rotated.edges[i] for i in slots),
     )
-    assert seg.sep_slots[-1] == len(rotated.edges) - 1
+    if seg.sep_slots[-1] != len(rotated.edges) - 1:
+        raise CoherenceViolated("canonical rotation must end on a separator")
     for j, path in enumerate(seg.seg_paths):
         if len(set(path)) != len(path):
             raise SegmentNotPath(j)

@@ -73,13 +73,19 @@ class TestCheck:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "circuitcover.cli", "check", str(ladder4_file),
-             "--k", "3", "--json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert json.loads(proc.stdout)["min_odd_cut"]["size"] == 3
+
+        def run_optimized(*args):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "circuitcover.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2, proc.stderr
+            return json.loads(proc.stdout)
+
+        checked = run_optimized("check", str(ladder4_file), "--k", "3", "--json")
+        assert checked["min_odd_cut"]["size"] == 3
+        found = run_optimized("find", str(ladder4_file), "--edges", "0,1,2")
+        assert found["status"] == "odd-cut" and found["odd"] and found["size"] <= 3
 
 
 class TestFind:

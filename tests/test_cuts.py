@@ -13,7 +13,7 @@ from circuitcover.cuts import (
     min_odd_cut,
     odd_cut_within,
 )
-from circuitcover.errors import DisconnectedInput
+from circuitcover.errors import BadParam, DisconnectedInput
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary
 
@@ -28,6 +28,10 @@ def _flow_value(g, s, t):
 
 
 class TestGomoryHu:
+    def test_empty_graph_rejected(self):
+        with pytest.raises(BadParam):
+            gomory_hu_tree(Graph(0, ()))
+
     @given(connected_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_tree_answers_all_pairs(self, g):

@@ -1,16 +1,70 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitcover.cuts import CutCertificate, min_odd_cut
 from circuitcover.errors import DisconnectedInput, EmptyPrescribed
-from circuitcover.finder import extend_circuit, find_circuit
-from circuitcover.generators import double_clique, ladder, two_cycles_bridge
-from circuitcover.graphs import Graph, Trail, verify_circuit
+from circuitcover.finder import (
+    _subgraph_from_edges,
+    _trail_through_edge,
+    extend_circuit,
+    find_circuit,
+)
+from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
+from circuitcover.graphs import (
+    Graph,
+    Trail,
+    bridges_and_2ec_components,
+    validate_trail,
+    verify_circuit,
+)
 from circuitcover.oracle import feasible_by_bruteforce
 from circuitcover.segments import normalize_circuit
 
 from conftest import bowtie, complete_graph, connected_graphs, cycle_graph
+
+
+def _sparse_random_graphs(count=30):
+    # m between n - 1 and 2n, so that many graphs have bridges and several
+    # 2-edge-connected components
+    rng = random.Random(2024)
+    out = []
+    for seed in range(count):
+        n = rng.randint(4, 30)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+        out.append(random_connected(n, m, 1, seed=seed).graph)
+    return out
+
+
+class TestBaseCircuit:
+    def test_unit_cut_exactly_on_bridges(self):
+        for g in _sparse_random_graphs():
+            bridges, _ = bridges_and_2ec_components(g, g.all_edges())
+            for eid in range(g.m):
+                out = find_circuit(g, [eid])
+                if eid in bridges:
+                    assert isinstance(out, CutCertificate)
+                    assert out.boundary == frozenset({eid}) and out.is_valid_for(g)
+                else:
+                    assert isinstance(out, Trail) and out.edges[0] == eid
+                    assert verify_circuit(g, out, {eid})
+
+
+class TestTrailThroughEdge:
+    def test_s_t_trails_in_every_component(self):
+        rng = random.Random(7)
+        for g in _sparse_random_graphs():
+            _, components = bridges_and_2ec_components(g, g.all_edges())
+            for comp in components:
+                sub, _, _, _ = _subgraph_from_edges(g, comp.edges)
+                for eid in range(sub.m):
+                    s = rng.randrange(sub.n)
+                    for t in (s, rng.choice([v for v in range(sub.n) if v != s])):
+                        out = _trail_through_edge(sub, eid, s, t)
+                        validate_trail(sub, out)
+                        assert (out.start, out.end) == (s, t) and eid in out.edges
 
 
 class TestExtendCircuit:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover.errors import BadParam, CutTooSmall, NotConnected, NotEven
+from circuitcover.errors import BadParam, NotConnected, NotEven
 from circuitcover.graphs import (
     Graph,
     Trail,
@@ -12,9 +12,7 @@ from circuitcover.graphs import (
     edge_boundary,
     euler_circuit,
     is_even_subgraph,
-    subdivide_edge,
     trail_concat,
-    two_edge_disjoint_paths,
     validate_trail,
     verify_circuit,
 )
@@ -146,39 +144,6 @@ class TestBridges:
             assert not any(u in c and v in c for c in comps)
 
 
-class TestTwoEdgeDisjointPaths:
-    def test_cycle_splits_in_two(self):
-        g = cycle_graph(4)
-        p1, p2 = two_edge_disjoint_paths(g, 0, 2)
-        assert not (p1.edge_set() & p2.edge_set())
-        assert {p1.start, p1.end} == {0, 2} and {p2.start, p2.end} == {0, 2}
-
-    def test_path_endpoints_fail_with_bridge_witness(self):
-        g = path_graph(4)
-        with pytest.raises(CutTooSmall) as exc:
-            two_edge_disjoint_paths(g, 0, 3)
-        assert len(exc.value.witness) == 1
-
-    def test_k4_any_pair(self):
-        g = complete_graph(4)
-        p1, p2 = two_edge_disjoint_paths(g, 0, 3)
-        assert not (p1.edge_set() & p2.edge_set())
-
-    @given(connected_graphs(min_n=3))
-    @settings(max_examples=60)
-    def test_concatenation_is_a_circuit(self, g):
-        s, t = 0, g.n - 1
-        try:
-            p1, p2 = two_edge_disjoint_paths(g, s, t)
-        except CutTooSmall as exc:
-            assert len(exc.witness) <= 1
-            return
-        circuit = trail_concat(p1, p2.reverse())
-        validate_trail(g, circuit)
-        assert circuit.is_closed
-        assert s in circuit.vertices and t in circuit.vertices
-
-
 class TestEulerCircuit:
     def test_triangle(self):
         g = cycle_graph(3)
@@ -269,16 +234,6 @@ class TestContraction:
         assert lifted == frozenset(
             orig for eid in new_cut for orig in c.edge_classes[eid]
         )
-
-
-class TestSubdivide:
-    def test_halves_reconnect(self):
-        g = cycle_graph(3)
-        g2, w, halves = subdivide_edge(g, 1)
-        assert g2.n == 4 and g2.m == 4
-        u, v = g.endpoints(1)
-        assert set(g2.endpoints(halves[0])) == {u, w}
-        assert set(g2.endpoints(halves[1])) == {w, v}
 
 
 class TestVerifyCircuit:
