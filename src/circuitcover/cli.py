@@ -75,6 +75,8 @@ def _run_report(command: str, label: str, seed=None) -> dict:
 
 
 def cmd_check(args) -> int:
+    if args.k < 0:
+        raise BadParam(f"--k must be nonnegative, got {args.k}")
     g = read_graph(args.graph)
     t0 = time.perf_counter()
     cert = min_odd_cut(g)

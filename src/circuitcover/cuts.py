@@ -101,22 +101,30 @@ class GomoryHuTree:
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex children, each in increasing vertex order."""
-        out: list[list[int]] = [[] for _ in self.parent]
-        for u, p in enumerate(self.parent):
-            if p != -1:
-                out[p].append(u)
-        return tuple(tuple(c) for c in out)
+        return _child_lists(self.parent)
 
     def subtree(self, v: int) -> frozenset:
         """Vertices on v's side of the tree edge (v, parent[v])."""
-        out = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(self._children[u])
-        return frozenset(out)
+        return _subtree(self._children, v)
+
+
+def _child_lists(parent) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex children, each in increasing vertex order."""
+    out: list[list[int]] = [[] for _ in parent]
+    for u, p in enumerate(parent):
+        if p != -1:
+            out[p].append(u)
+    return tuple(tuple(c) for c in out)
+
+
+def _subtree(children, v: int) -> frozenset:
+    out = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        out.add(u)
+        stack.extend(children[u])
+    return frozenset(out)
 
 
 def gomory_hu_tree(g: Graph) -> GomoryHuTree:
@@ -130,6 +138,20 @@ def gomory_hu_tree(g: Graph) -> GomoryHuTree:
         raise BadParam("a Gomory-Hu tree needs a root vertex; the graph is empty")
     if not is_connected(g):
         raise DisconnectedInput("Gomory-Hu tree requires a connected graph")
+    parent, capacity = _gusfield(g)
+    return GomoryHuTree(tuple(parent), tuple(capacity))
+
+
+def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]:
+    """Parent and capacity arrays of Gusfield's tree of a connected graph.
+
+    With a bound, every flow stops once it reaches the bound (the k-partial
+    tree of Bhalgat, Hariharan, Kavitha & Panigrahi, STOC 2007).  A pair s, t
+    whose flow reaches it is separated by no cut below the bound, so s is in
+    effect contracted into t: it stays a leaf under t with capacity = bound,
+    without a source side or relabelling.  Tree edges below the bound are
+    exact; an edge at the bound means "at least the bound".
+    """
     net = FlowNetwork(g.n)
     for u, v in g.edges:
         net.add_undirected(u, v, 1)
@@ -139,9 +161,12 @@ def gomory_hu_tree(g: Graph) -> GomoryHuTree:
     for s in range(1, g.n):
         t = parent[s]
         net.res[:] = net.cap
-        value = net.max_flow(s, t)
-        side = net.source_side(s)
+        value = net.max_flow(s, t, limit=bound)
+        if bound is not None and value >= bound:
+            capacity[s] = bound
+            continue
         capacity[s] = value
+        side = net.source_side(s)
         for i in side:
             if i != s and parent[i] == t:
                 parent[i] = s
@@ -150,7 +175,7 @@ def gomory_hu_tree(g: Graph) -> GomoryHuTree:
             capacity[s], capacity[t] = capacity[t], value
     if parent[0] != -1:
         raise CoherenceViolated("Gomory-Hu tree lost its root at vertex 0")
-    return GomoryHuTree(tuple(parent), tuple(capacity))
+    return parent, capacity
 
 
 def _odd_degree_vertices(g: Graph) -> frozenset:
@@ -160,29 +185,57 @@ def _odd_degree_vertices(g: Graph) -> frozenset:
 def min_odd_cut(g: Graph) -> CutCertificate | None:
     """A minimum-cardinality odd cut, or None when all vertex degrees are even.
 
-    Scans the fundamental cuts of a Gomory-Hu tree for sides containing an
-    odd number of odd-degree vertices; the minimum T-cut is attained there.
-    Among equally small T-odd fundamental cuts, the one whose side without
-    vertex 0, sorted, is lexicographically smallest is reported.
+    Let d be the smallest odd degree: that vertex alone is an odd cut of size
+    d, and an odd cut below d has size at most d - 2.  So every flow of the
+    Gomory-Hu construction stops at d - 1, and only the fundamental cuts
+    below it are scanned for sides containing an odd number of odd-degree
+    vertices; the minimum T-cut below d is attained there.
+    Among equally small T-odd cuts below d, the one whose sorted side is
+    lexicographically smallest is reported.  Otherwise the answer has size d
+    and its side is the smallest odd vertex of degree d.  No reported side
+    contains vertex 0: when vertex 0 is the only such vertex, the side is
+    V minus vertex 0.
     """
     if not is_connected(g):
         raise DisconnectedInput("min_odd_cut requires a connected graph")
-    odd = [g.degree(v) % 2 for v in range(g.n)]
-    if not any(odd):
+    degree = [g.degree(v) for v in range(g.n)]
+    d = min((x for x in degree if x % 2 == 1), default=None)
+    if d is None:
         return None
-    tree = gomory_hu_tree(g)
-    order = [tree.root]
+    cert = _odd_cut_below(g, d - 1)
+    if cert is not None:
+        return cert
+    v = next((v for v in range(1, g.n) if degree[v] == d), None)
+    return _checked_cut(g, range(1, g.n) if v is None else (v,), d)
+
+
+def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
+    """The minimum odd cut of a connected graph if it is below bound, else None.
+
+    Parity scan over the Gusfield tree whose flows stop at bound: a cut below
+    bound separates no pair the tree joined, so it is a cut of the graph with
+    those pairs contracted, whose tree is exact, and its minimum T-cut is
+    attained at a T-odd tree edge (Padberg & Rao 1982).
+    """
+    parent, capacity = _gusfield(g, bound)
+    children = _child_lists(parent)
+    order = [0]
     for v in order:  # breadth-first: every parent precedes its children
-        order.extend(tree._children[v])
+        order.extend(children[v])
+    odd = [g.degree(v) % 2 for v in range(g.n)]
     # leaves first, odd[v] becomes the number of odd-degree vertices under v
     for v in reversed(order[1:]):
-        odd[tree.parent[v]] += odd[v]
-    t_odd = [v for v in order[1:] if odd[v] % 2 == 1]
+        odd[parent[v]] += odd[v]
+    t_odd = [v for v in order[1:] if odd[v] % 2 == 1 and capacity[v] < bound]
     if not t_odd:
-        raise CoherenceViolated("odd-degree vertices exist, yet no fundamental cut is T-odd")
-    size = min(tree.capacity[v] for v in t_odd)
+        return None
+    size = min(capacity[v] for v in t_odd)
     # the root is vertex 0, so no subtree contains it
-    side = min(tuple(sorted(tree.subtree(v))) for v in t_odd if tree.capacity[v] == size)
+    side = min(tuple(sorted(_subtree(children, v))) for v in t_odd if capacity[v] == size)
+    return _checked_cut(g, side, size)
+
+
+def _checked_cut(g: Graph, side: Iterable[int], size: int) -> CutCertificate:
     cert = certify(g, side)
     if cert.size != size or not cert.odd:
         raise CoherenceViolated("Gomory-Hu cut property violated")
@@ -218,13 +271,23 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
 
 
 def has_odd_cut_leq(g: Graph, k: int) -> CutCertificate | None:
-    """An odd cut of size at most k, or None."""
+    """An odd cut of size at most k, or None.
+
+    An odd-degree vertex of degree at most k is returned alone, without any
+    flow.  Otherwise the Gomory-Hu flows stop at the even number k + k % 2:
+    every odd size up to k is below it.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cert = min_odd_cut(g)
-    if cert is not None and cert.size <= k:
-        return cert
-    return None
+    if not is_connected(g):
+        raise DisconnectedInput("has_odd_cut_leq requires a connected graph")
+    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
+    if not odd:
+        return None
+    low = next((v for v in odd if g.degree(v) <= k), None)
+    if low is not None:
+        return certify(g, (low,))
+    return _odd_cut_below(g, k + k % 2)
 
 
 def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
@@ -250,7 +313,11 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global edge connectivity: the smallest capacity of the Gomory-Hu tree."""
+    """Global edge connectivity: the smallest capacity of the Gomory-Hu tree.
+
+    It is at most the minimum degree, so every flow stops there.
+    """
     if g.n <= 1 or not is_connected(g):
         return 0
-    return min(gomory_hu_tree(g).capacity[1:])  # vertex 0 is the root
+    min_degree = min(g.degree(v) for v in range(g.n))
+    return min(_gusfield(g, min_degree)[1][1:])  # vertex 0 is the root

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -161,10 +162,17 @@ def _uniform_tree_plus_edges(n: int, m: int, rng: random.Random) -> Graph:
                 heapq.heappush(leaves, v)
         u, v = sorted(leaves)
         edges.add((u, v))
-    spare = [
-        (u, v) for u, v in combinations(range(n), 2) if (u, v) not in edges
-    ]
-    extra = rng.sample(spare, m - len(edges))
+    # sample ranks among the non-edges in combinations() order without
+    # listing them: the same draws as sampling from that list
+    row_start = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    tree = sorted(row_start[u] + v - u - 1 for u, v in edges)
+    # non-edges ranked before tree edge j: its rank minus the j tree edges before it
+    skip = [r - j for j, r in enumerate(tree)]
+    extra = []
+    for i in rng.sample(range(n * (n - 1) // 2 - len(tree)), m - len(tree)):
+        r = i + bisect_right(skip, i)
+        u = bisect_right(row_start, r) - 1
+        extra.append((u, r - row_start[u] + u + 1))
     ordered = sorted(edges) + sorted(extra)
     return Graph.from_edges(n, ordered)
 

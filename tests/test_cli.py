@@ -68,6 +68,12 @@ class TestCheck:
     def test_ladder_k2_holds(self, ladder4_file):
         assert main(["check", str(ladder4_file), "--k", "2", "--quiet"]) == 0
 
+    def test_negative_k_is_an_error(self, ladder4_file, capsys):
+        code = main(["check", str(ladder4_file), "--k", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_certificate_under_python_optimize(self, ladder4_file):
         # -O strips assert statements; the soundness checks must not depend on them
         src = Path(__file__).resolve().parent.parent / "src"

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from circuitcover.cuts import (
 )
 from circuitcover.errors import BadParam, DisconnectedInput
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
-from circuitcover.graphs import FlowNetwork, Graph, edge_boundary
+from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
 from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
 
@@ -75,6 +76,16 @@ class TestMinOddCut:
         for g in (cycle_graph(5), complete_graph(5), complete_graph(4)):
             expect_none = all(g.degree(v) % 2 == 0 for v in range(g.n))
             assert (min_odd_cut(g) is None) == expect_none
+
+    def test_only_vertex_zero_at_smallest_odd_degree(self):
+        # vertex 0 is the one vertex of degree 1, so the side is V minus 0
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+        cert = min_odd_cut(g)
+        assert cert.size == 1 and cert.side == frozenset({1, 2, 3})
+
+    def test_smallest_odd_vertex_at_smallest_odd_degree(self):
+        # K4: no cut is below the degree 3, so the side is the vertex 1
+        assert min_odd_cut(complete_graph(4)).side == frozenset({1})
 
     @given(connected_graphs(min_n=3))
     @settings(max_examples=80, deadline=None)
@@ -192,3 +203,94 @@ class TestAgainstNetworkx:
             want = min(nx_tree[a][b]["weight"] for a, b in zip(path, path[1:]))
             assert tree.min_cut_value(s, t) == want
         assert edge_connectivity(g) == min(_flow_value(g, 0, v) for v in range(1, g.n))
+
+
+def _full_tree_min_odd_cut_size(g):
+    """The parity scan over the full, exact Gomory-Hu tree."""
+    tree = gomory_hu_tree(g)
+    return min(
+        tree.capacity[v]
+        for v in range(1, g.n)
+        if sum(g.degree(u) % 2 for u in tree.subtree(v)) % 2 == 1
+    )
+
+
+def _smallest_odd_degree(g):
+    return min(g.degree(v) for v in range(g.n) if g.degree(v) % 2 == 1)
+
+
+def _blocks_graph(rng):
+    """2-4 dense blocks of 2-5 vertices, consecutive blocks joined by 0-3
+    edges; at most 16 vertices, for the brute force."""
+    while True:
+        blocks, edges = [], set()
+        for _ in range(rng.randint(2, 4)):
+            start = blocks[-1].stop if blocks else 0
+            block = range(start, start + rng.randint(2, 5))
+            edges.update(e for e in combinations(block, 2) if rng.random() < 0.8)
+            blocks.append(block)
+        for a, b in zip(blocks, blocks[1:]):
+            edges.update((rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 3)))
+        g = Graph.from_edges(blocks[-1].stop, sorted(edges))
+        if g.n <= 16 and is_connected(g) and any(g.degree(v) % 2 for v in range(g.n)):
+            return g
+
+
+def _two_halves(n, rng):
+    """Two random halves of minimum degree 5 joined by 3 edges, so the
+    minimum odd cut (3) is below every odd degree."""
+    h = n // 2
+    edges = []
+    for base in (0, h):
+        adj = [set() for _ in range(h)]
+        for u, v in random_connected(h, 4 * h, 1, seed=rng.randrange(1 << 30)).graph.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        for u in range(h):
+            while len(adj[u]) < 5:
+                v = rng.randrange(h)
+                if v != u:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        edges += [(base + u, base + v) for u in range(h) for v in adj[u] if u < v]
+    edges += zip(rng.sample(range(h), 3), rng.sample(range(h, 2 * h), 3))
+    return Graph.from_edges(2 * h, edges)
+
+
+_rng = random.Random(2024)
+BLOCK_GRAPHS = [_blocks_graph(_rng) for _ in range(300)]
+HALVES_GRAPHS = [_two_halves(n, _rng) for n in range(40, 121, 10)]
+
+
+class TestBelowSmallestOddDegree:
+    """Minimum odd cuts smaller than every odd degree, where the bounded
+    Gomory-Hu flows must not stop too early."""
+
+    def test_blocks_agree_with_brute_force(self):
+        below = 0
+        for g in BLOCK_GRAPHS:
+            cert, brute = min_odd_cut(g), brute_force_min_odd_cut(g)
+            assert cert.size == brute.size and cert.odd and cert.is_valid_for(g)
+            assert 0 not in cert.side
+            below += brute.size < _smallest_odd_degree(g)
+        assert below >= 30, "the corpus must reach below the smallest odd degree"
+
+    @pytest.mark.parametrize("g", HALVES_GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_two_halves_agree_with_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        cert = min_odd_cut(g)
+        assert cert.size == _nx_tree_and_min_odd_cut(nx, g)[1] == 3
+        assert cert.size < _smallest_odd_degree(g) and cert.is_valid_for(g)
+
+    @pytest.mark.parametrize(
+        "graphs", [BLOCK_GRAPHS[:100], HALVES_GRAPHS], ids=["blocks", "halves"]
+    )
+    def test_bounded_answers_match_the_full_tree(self, graphs):
+        for g in graphs:
+            full = _full_tree_min_odd_cut_size(g)
+            for k in range(_smallest_odd_degree(g) + 2):
+                cert = has_odd_cut_leq(g, k)
+                assert (cert is None) == (full > k)
+                if cert is not None:
+                    assert cert.size <= k and cert.odd and cert.is_valid_for(g)
+            assert edge_connectivity(g) == min(gomory_hu_tree(g).capacity[1:])

@@ -1,5 +1,10 @@
+import heapq
+import random
+from itertools import combinations
+
 import pytest
 
+from circuitcover import generators
 from circuitcover.cuts import (
     brute_force_min_odd_cut,
     edge_connectivity,
@@ -13,7 +18,7 @@ from circuitcover.generators import (
     random_connected,
     two_cycles_bridge,
 )
-from circuitcover.graphs import is_connected
+from circuitcover.graphs import Graph, is_connected
 
 
 class TestLadder:
@@ -127,3 +132,53 @@ class TestRandomConnected:
     def test_infeasible_params_rejected(self):
         with pytest.raises(BadParam):
             random_connected(5, 3, 1, seed=0)
+
+
+def _listed_tree_plus_edges(n, m, rng):
+    """Reference proposal: a Pruefer-sequence tree plus a sample of the list of
+    every non-edge in combinations() order."""
+    edges = set()
+    if n == 2:
+        edges.add((0, 1))
+    else:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        leaves = [v for v in range(n) if degree[v] == 1]
+        heapq.heapify(leaves)
+        for v in seq:
+            leaf = heapq.heappop(leaves)
+            edges.add((min(leaf, v), max(leaf, v)))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(leaves, v)
+        edges.add(tuple(sorted(leaves)))
+    spare = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in edges]
+    extra = rng.sample(spare, m - len(edges))
+    return Graph.from_edges(n, sorted(edges) + sorted(extra))
+
+
+def _proposal_cases():
+    """About 200 seeded (n, m), the extremes m = n - 1 and m = n(n-1)/2 included."""
+    rng = random.Random(17)
+    out = [(2, 1), (3, 2), (3, 3), (12, 11), (12, 66), (40, 780)]
+    while len(out) < 200:
+        n = rng.randint(2, 60)
+        out.append((n, rng.randint(n - 1, n * (n - 1) // 2)))
+    return out
+
+
+class TestUniformTreePlusEdges:
+    """Sampling non-edge ranks draws the same graphs as listing the non-edges."""
+
+    def test_same_edges_and_random_state_as_listing(self):
+        for i, (n, m) in enumerate(_proposal_cases()):
+            ours, ref = random.Random(i), random.Random(i)
+            assert generators._uniform_tree_plus_edges(n, m, ours) == _listed_tree_plus_edges(n, m, ref)
+            assert ours.getstate() == ref.getstate()
+
+    def test_criterion_nine_call_unchanged(self, monkeypatch):
+        ours = random_connected(200, 800, 9, seed=11)
+        monkeypatch.setattr(generators, "_uniform_tree_plus_edges", _listed_tree_plus_edges)
+        assert random_connected(200, 800, 9, seed=11) == ours
