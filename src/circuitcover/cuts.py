@@ -101,30 +101,22 @@ class GomoryHuTree:
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
-        return _child_lists(self.parent)
+        """Per-vertex children, each in increasing vertex order."""
+        out: list[list[int]] = [[] for _ in self.parent]
+        for u, p in enumerate(self.parent):
+            if p != -1:
+                out[p].append(u)
+        return tuple(tuple(c) for c in out)
 
     def subtree(self, v: int) -> frozenset:
         """Vertices on v's side of the tree edge (v, parent[v])."""
-        return _subtree(self._children, v)
-
-
-def _child_lists(parent) -> tuple[tuple[int, ...], ...]:
-    """Per-vertex children, each in increasing vertex order."""
-    out: list[list[int]] = [[] for _ in parent]
-    for u, p in enumerate(parent):
-        if p != -1:
-            out[p].append(u)
-    return tuple(tuple(c) for c in out)
-
-
-def _subtree(children, v: int) -> frozenset:
-    out = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        out.add(u)
-        stack.extend(children[u])
-    return frozenset(out)
+        out = set()
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            out.add(u)
+            stack.extend(self._children[u])
+        return frozenset(out)
 
 
 def gomory_hu_tree(g: Graph) -> GomoryHuTree:
@@ -218,10 +210,11 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     attained at a T-odd tree edge (Padberg & Rao 1982).
     """
     parent, capacity = _gusfield(g, bound)
-    children = _child_lists(parent)
+    # capped edges mean "at least bound": this tree never leaves the function
+    tree = GomoryHuTree(tuple(parent), tuple(capacity))
     order = [0]
     for v in order:  # breadth-first: every parent precedes its children
-        order.extend(children[v])
+        order.extend(tree._children[v])
     odd = [g.degree(v) % 2 for v in range(g.n)]
     # leaves first, odd[v] becomes the number of odd-degree vertices under v
     for v in reversed(order[1:]):
@@ -231,7 +224,7 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
         return None
     size = min(capacity[v] for v in t_odd)
     # the root is vertex 0, so no subtree contains it
-    side = min(tuple(sorted(_subtree(children, v))) for v in t_odd if capacity[v] == size)
+    side = min(tuple(sorted(tree.subtree(v))) for v in t_odd if capacity[v] == size)
     return _checked_cut(g, side, size)
 
 
@@ -271,23 +264,13 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
 
 
 def has_odd_cut_leq(g: Graph, k: int) -> CutCertificate | None:
-    """An odd cut of size at most k, or None.
-
-    An odd-degree vertex of degree at most k is returned alone, without any
-    flow.  Otherwise the Gomory-Hu flows stop at the even number k + k % 2:
-    every odd size up to k is below it.
-    """
+    """An odd cut of size at most k, or None."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not is_connected(g):
-        raise DisconnectedInput("has_odd_cut_leq requires a connected graph")
-    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
-    if not odd:
-        return None
-    low = next((v for v in odd if g.degree(v) <= k), None)
-    if low is not None:
-        return certify(g, (low,))
-    return _odd_cut_below(g, k + k % 2)
+    cert = min_odd_cut(g)
+    if cert is not None and cert.size <= k:
+        return cert
+    return None
 
 
 def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:

@@ -326,37 +326,33 @@ class FlowNetwork:
         self.tag.append(tag)
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Edmonds-Karp from s to t on the residual capacities; with a limit,
-        stops once the value reaches it (the last path may overshoot it)."""
-        head, to, res = self.head, self.to, self.res
         value = 0
         while limit is None or value < limit:
             parent_arc = [-1] * self.n
             parent_arc[s] = -2
-            queue = [s]
-            for v in queue:  # breadth-first; stops at the first arc into t
-                for a in head[v]:
-                    w = to[a]
-                    if res[a] > 0 and parent_arc[w] == -1:
+            queue = deque([s])
+            while queue and parent_arc[t] == -1:
+                v = queue.popleft()
+                for a in self.head[v]:
+                    w = self.to[a]
+                    if self.res[a] > 0 and parent_arc[w] == -1:
                         parent_arc[w] = a
                         queue.append(w)
-                if parent_arc[t] != -1:
-                    break
-            else:
+            if parent_arc[t] == -1:
                 break
             # bottleneck along the BFS path
             bottleneck = None
             v = t
             while v != s:
                 a = parent_arc[v]
-                bottleneck = res[a] if bottleneck is None else min(bottleneck, res[a])
-                v = to[a ^ 1]
+                bottleneck = self.res[a] if bottleneck is None else min(bottleneck, self.res[a])
+                v = self.to[a ^ 1]
             v = t
             while v != s:
                 a = parent_arc[v]
-                res[a] -= bottleneck
-                res[a ^ 1] += bottleneck
-                v = to[a ^ 1]
+                self.res[a] -= bottleneck
+                self.res[a ^ 1] += bottleneck
+                v = self.to[a ^ 1]
             value += bottleneck
         return value
 

@@ -292,5 +292,5 @@ class TestBelowSmallestOddDegree:
                 cert = has_odd_cut_leq(g, k)
                 assert (cert is None) == (full > k)
                 if cert is not None:
-                    assert cert.size <= k and cert.odd and cert.is_valid_for(g)
+                    assert cert.size == full and cert.odd and cert.is_valid_for(g)
             assert edge_connectivity(g) == min(gomory_hu_tree(g).capacity[1:])
