@@ -4,7 +4,8 @@ The construction is inductive: start from a circuit through the first edge
 uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
 the remaining edges in one at a time.  An edge already on the circuit is
 free; an edge in a 2-edge-connected component of the leftover graph splices
-in through a trail that one unit-capacity flow yields; an edge that is a
+in through a trail that one unit-capacity flow over the component's edges
+yields, in G's own vertex and edge ids; an edge that is a
 bridge of the leftover graph goes through the rerouting machinery, which
 either succeeds or emits an odd cut of size at most the number of edges
 placed so far.  Certificates therefore always have odd size at most |S|.
@@ -29,7 +30,7 @@ from .graphs import (
     validate_trail,
 )
 from .hopping import bridge_case
-from .segments import normalize_circuit
+from .segments import normalize_circuit, rotate_closed
 
 
 def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
@@ -67,20 +68,23 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
     return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
-def _trail_through_edge(g: Graph, eid: int, s: int, t: int) -> Trail:
-    """s-t trail through the edge eid = xy inside a 2-edge-connected graph g
-    (a closed trail through eid when s == t).
+def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int) -> Trail:
+    """s-t trail of g through the edge eid = xy that uses only `edges`, a
+    2-edge-connected edge set containing eid and touching s and t (a closed
+    trail through eid when s == t).
 
-    One unit-capacity flow of value 2 on G - eid, from a source with arcs to
-    x and y to a sink fed once by s and once by t, splits into a walk from x
-    and a walk from y; the trail is the x-walk reversed, eid, then the
-    y-walk, oriented to start at s.
+    One unit-capacity flow of value 2 on (V, edges - eid), from a source
+    with arcs to x and y to a sink fed once by s and once by t, splits into
+    a walk from x and a walk from y; the trail is the x-walk reversed, eid,
+    then the y-walk, oriented to start at s.  The network keeps g's vertex
+    and edge ids, with the edges added in id order.
     """
     x, y = g.endpoints(eid)
     source, sink = g.n, g.n + 1
     net = FlowNetwork(g.n + 2)
-    for e, (a, b) in enumerate(g.edges):
+    for e in sorted(edges):
         if e != eid:
+            a, b = g.edges[e]
             net.add_undirected(a, b, 1, tag=e)
     # negative tags put the source arcs first, x's before y's; the sink
     # arcs' tag exceeds every edge id, so walks leave a vertex by an edge
@@ -90,7 +94,7 @@ def _trail_through_edge(g: Graph, eid: int, s: int, t: int) -> Trail:
     net.add_directed(s, sink, 1, tag=g.m)
     net.add_directed(t, sink, 1, tag=g.m)
     if net.max_flow(source, sink) != 2:
-        raise CoherenceViolated("2-edge-connected graph must route to both targets")
+        raise CoherenceViolated("2-edge-connected edge set must route to both targets")
     p1, p2 = _two_walks_to_sink(net, source, sink)
     walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
     if walk.start != s:
@@ -130,22 +134,6 @@ def _two_walks_to_sink(net: FlowNetwork, source: int, sink: int) -> tuple[Trail,
     return walks[0], walks[1]
 
 
-def _subgraph_from_edges(g: Graph, edge_ids: frozenset):
-    verts = sorted({v for eid in edge_ids for v in g.endpoints(eid)})
-    vmap = {v: i for i, v in enumerate(verts)}
-    eids = sorted(edge_ids)
-    pairs = tuple((vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in eids)
-    sub = Graph(len(verts), pairs)
-    return sub, vmap, verts, eids
-
-
-def _lift_trail(t: Trail, verts: list[int], eids: list[int]) -> Trail:
-    return Trail(
-        tuple(verts[v] for v in t.vertices),
-        tuple(eids[e] for e in t.edges),
-    )
-
-
 def extend_circuit(
     g: Graph, h: Trail, s_prefix: Iterable[int], e_next: int
 ) -> Trail | CutCertificate:
@@ -168,9 +156,7 @@ def extend_circuit(
         # splice: a closed trail inside the component through e_next and a
         # shared vertex, merged with h by an Euler tour of the union
         v = min(shared)
-        sub, vmap, verts, eids = _subgraph_from_edges(g, comp.edges)
-        local = _trail_through_edge(sub, eids.index(e_next), vmap[v], vmap[v])
-        star = _lift_trail(local, verts, eids)
+        star = _trail_through_edge(g, comp.edges, e_next, v, v)
         union = h_edges | star.edge_set()
         out = euler_circuit(g, union, start=h.vertices[0])
         if not s_set <= out.edge_set() or e_next not in out.edges:
@@ -216,7 +202,7 @@ def _open_contracted_vertex(g, contraction, circuit_c, comp, e_next) -> Trail:
     occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == vd]
     if len(occurrences) != 1:
         raise CoherenceViolated("contracted vertex must be passed exactly once")
-    rotated = _rotate_closed_trail(circuit_c, occurrences[0])
+    rotated = rotate_closed(circuit_c, occurrences[0])
     old_vertex = {}
     for old, new in enumerate(contraction.vertex_map):
         if new != vd:
@@ -231,24 +217,12 @@ def _open_contracted_vertex(g, contraction, circuit_c, comp, e_next) -> Trail:
     outer_verts.append(d_last)
     outer = Trail(tuple(outer_verts), tuple(outer_edges))
     validate_trail(g, outer)
-    sub, vmap, verts, eids = _subgraph_from_edges(g, comp.edges)
-    local = _trail_through_edge(
-        sub, eids.index(e_next), vmap[d_last], vmap[d_first]
-    )
-    inner = _lift_trail(local, verts, eids)
+    inner = _trail_through_edge(g, comp.edges, e_next, d_last, d_first)
     out = trail_concat(outer, inner)
     validate_trail(g, out)
     if not out.is_closed:
         raise CoherenceViolated("opened circuit is not closed")
     return out
-
-
-def _rotate_closed_trail(t: Trail, start_index: int) -> Trail:
-    if start_index == 0:
-        return t
-    verts = t.vertices[start_index:-1] + t.vertices[: start_index + 1]
-    edges = t.edges[start_index:] + t.edges[:start_index]
-    return Trail(verts, edges)
 
 
 def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:

@@ -29,6 +29,8 @@ def parse_graph(text: str) -> Graph:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError("header values must be integers", lineno) from None
+            if min(header) < 0:
+                raise ParseError("header values must be non-negative", lineno)
             continue
         if len(parts) != 2:
             raise ParseError("expected edge line `u v`", lineno)

@@ -25,6 +25,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         seen = set()
         for eid, (u, v) in enumerate(self.edges):
             if u == v:
@@ -280,13 +282,16 @@ def bridges_and_2ec_components(
                 if low[v] > disc[pv]:
                     bridges.add(in_eid)
     non_bridge = allowed - bridges
-    comps = []
-    for verts in connected_components(g, non_bridge):
-        edges = frozenset(
-            eid for eid in non_bridge
-            if g.edges[eid][0] in verts and g.edges[eid][1] in verts
-        )
-        comps.append(TwoEdgeConnectedComponent(verts, edges))
+    vertex_sets = connected_components(g, non_bridge)
+    label = {v: i for i, verts in enumerate(vertex_sets) for v in verts}
+    edge_sets: list[list[int]] = [[] for _ in vertex_sets]
+    for eid in non_bridge:
+        # both ends of a non-bridge edge lie in its component
+        edge_sets[label[g.edges[eid][0]]].append(eid)
+    comps = [
+        TwoEdgeConnectedComponent(verts, frozenset(edges))
+        for verts, edges in zip(vertex_sets, edge_sets)
+    ]
     return frozenset(bridges), comps
 
 
@@ -379,20 +384,17 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
     allowed = frozenset(f)
     if not allowed:
         return Trail((start if start is not None else 0,), ())
-    deg = [0] * g.n
-    for eid in allowed:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in sorted(allowed):
         u, v = g.endpoints(eid)
-        deg[u] += 1
-        deg[v] += 1
-    if any(d % 2 for d in deg):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    if any(len(lst) % 2 for lst in adj):
         raise NotEven("some vertex has odd degree in the edge set")
-    if len(connected_components(g, allowed)) != 1:
-        raise NotConnected("edge set is not connected")
     if start is None:
-        start = min(v for v in range(g.n) if deg[v] > 0)
-    elif deg[start] == 0:
+        start = min(v for v in range(g.n) if adj[v])
+    elif not adj[start]:
         raise NotConnected(f"start vertex {start} is isolated in the edge set")
-    adj = [[(w, eid) for w, eid in g.adjacency[v] if eid in allowed] for v in range(g.n)]
     ptr = [0] * g.n
     used = set()
     stack: list[tuple[int, int]] = [(start, -1)]
@@ -414,6 +416,8 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
             out_v.append(v)
             if e_in != -1:
                 out_e.append(e_in)
+    if len(out_e) != len(allowed):
+        raise NotConnected("edge set is not connected")
     out_v.reverse()
     out_e.reverse()
     return Trail(tuple(out_v), tuple(out_e))

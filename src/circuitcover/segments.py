@@ -24,12 +24,11 @@ def _separator_slots(h: Trail, s_prefix: frozenset) -> list[int]:
     return slots
 
 
-def _rotate_closed(h: Trail, last_slot: int) -> Trail:
-    """Rotate a closed trail so the edge at last_slot becomes its final edge."""
+def rotate_closed(h: Trail, cut: int) -> Trail:
+    """Rotate a closed trail so that it starts at vertex position cut,
+    0 <= cut < len(h.edges)."""
     if not h.is_closed:
         raise ValueError("can only rotate a closed trail")
-    w = len(h.edges)
-    cut = (last_slot + 1) % w
     if cut == 0:
         return h
     verts = h.vertices[cut:-1] + h.vertices[: cut + 1]
@@ -45,7 +44,7 @@ def canonical_rotation(h: Trail, s_prefix: Iterable[int]) -> Trail:
     first = min(slots, key=lambda i: h.edges[i])
     idx = slots.index(first)
     prev = slots[idx - 1]  # cyclic predecessor separator becomes the last edge
-    return _rotate_closed(h, prev)
+    return rotate_closed(h, (prev + 1) % len(h.edges))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,11 @@ class TestGraphFormat:
             parse_graph("3 2\n0 1\n0 x\n")
         assert exc.value.line == 3
 
+    def test_negative_vertex_count_names_the_header(self):
+        with pytest.raises(ParseError) as exc:
+            parse_graph("# no vertices\n-1 0\n")
+        assert exc.value.line == 2
+
     def test_instance_sidecar_round_trip(self, tmp_path):
         inst = ladder(4)
         write_instance(inst, tmp_path)
@@ -70,6 +75,14 @@ class TestCheck:
 
     def test_negative_k_is_an_error(self, ladder4_file, capsys):
         code = main(["check", str(ladder4_file), "--k", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_negative_vertex_count_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "negative.graph"
+        path.write_text("-1 0\n")
+        code = main(["check", str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,13 +1,15 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitcover import finder
 from circuitcover.cuts import CutCertificate, min_odd_cut
 from circuitcover.errors import DisconnectedInput, EmptyPrescribed
 from circuitcover.finder import (
-    _subgraph_from_edges,
     _trail_through_edge,
     extend_circuit,
     find_circuit,
@@ -58,13 +60,14 @@ class TestTrailThroughEdge:
         for g in _sparse_random_graphs():
             _, components = bridges_and_2ec_components(g, g.all_edges())
             for comp in components:
-                sub, _, _, _ = _subgraph_from_edges(g, comp.edges)
-                for eid in range(sub.m):
-                    s = rng.randrange(sub.n)
-                    for t in (s, rng.choice([v for v in range(sub.n) if v != s])):
-                        out = _trail_through_edge(sub, eid, s, t)
-                        validate_trail(sub, out)
+                verts = sorted(comp.vertices)
+                for eid in sorted(comp.edges):
+                    s = rng.choice(verts)
+                    for t in (s, rng.choice([v for v in verts if v != s])):
+                        out = _trail_through_edge(g, comp.edges, eid, s, t)
+                        validate_trail(g, out)
                         assert (out.start, out.end) == (s, t) and eid in out.edges
+                        assert set(out.edges) <= comp.edges
 
 
 class TestExtendCircuit:
@@ -203,3 +206,47 @@ class TestNormalizeBeforeExtend:
         h = Trail((0, 1, 2, 0, 3, 4, 0), (0, 2, 1, 3, 5, 4))
         norm = normalize_circuit(g, h, {5})
         assert {5} <= norm.edge_set()
+
+
+class TestPinnedAnswers:
+    # SHA-256 over every answer of the corpus below, as the finder gave them
+    # when each splice still ran on a renumbered copy of its component
+    PINNED = "07c1878321a04b1afc8f6734ab55d915bb1f3d50b6035d422615c43bf6a17f50"
+
+    @staticmethod
+    def _corpus():
+        # every set of size <= 3 on the sparse graphs with m <= 15, single
+        # edges and sampled pairs and triples on the others, and larger sets
+        # on four dense graphs
+        rng = random.Random(5)
+        for g in _sparse_random_graphs():
+            if g.m <= 15:
+                sets = [c for k in (1, 2, 3) for c in combinations(range(g.m), k)]
+            else:
+                sets = [(e,) for e in range(g.m)]
+            sets += [tuple(sorted(rng.sample(range(g.m), k))) for k in (2, 3) for _ in range(60)]
+            yield g, sets
+        for seed in range(4):
+            g = random_connected(60, 240, 1, seed=seed).graph
+            yield g, [tuple(sorted(rng.sample(range(g.m), k))) for k in (4, 8, 16)]
+
+    def test_answers_match_the_pinned_digest(self, monkeypatch):
+        # the splice ends in euler_circuit, the bridge case in bridge_case and
+        # the detached case in contract_subgraph; each must be reached
+        reached = dict.fromkeys(("euler_circuit", "bridge_case", "contract_subgraph"), 0)
+        for name in reached:
+            def counted(*args, _name=name, _fn=getattr(finder, name), **kwargs):
+                reached[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(finder, name, counted)
+        digest = hashlib.sha256()
+        for g, sets in self._corpus():
+            for s in sets:
+                out = find_circuit(g, s)
+                if isinstance(out, Trail):
+                    key = ("T", out.vertices, out.edges)
+                else:
+                    key = ("C", sorted(out.side), sorted(out.boundary), out.size)
+                digest.update(repr(key).encode())
+        assert all(reached.values()), reached
+        assert digest.hexdigest() == self.PINNED

@@ -33,6 +33,10 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError):
+            Graph(-1, ())
+
     def test_adjacency_inverts_edge_list(self):
         g = complete_graph(4)
         for v in range(4):
@@ -108,6 +112,20 @@ class TestComponents:
         assert comps == [frozenset({0, 1})]
 
 
+@st.composite
+def _chained_graphs(draw):
+    """One to three connected graphs, each joined to the next by one edge,
+    so that (V, f) often has several 2-edge-connected components."""
+    parts = draw(st.lists(connected_graphs(min_n=3, max_n=6, max_extra=6), min_size=1, max_size=3))
+    edges, base = [], 0
+    for p in parts:
+        if base:
+            edges.append((base - 1, base))
+        edges += [(base + u, base + v) for u, v in p.edges]
+        base += p.n
+    return Graph.from_edges(base, edges)
+
+
 class TestBridges:
     def test_tree_is_all_bridges(self):
         g = path_graph(5)
@@ -142,6 +160,25 @@ class TestBridges:
                 frozenset({w}) for w in (u, v) if all(e == eid for _, e in g.adjacency[w])
             ]
             assert not any(u in c and v in c for c in comps)
+
+    @given(_chained_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_components_partition_the_non_bridges(self, g, data):
+        f = g.all_edges() - data.draw(st.sets(st.integers(0, g.m - 1)))
+        bridges, comps = bridges_and_2ec_components(g, f)
+        parts = [bridges] + [c.edges for c in comps]
+        assert sum(len(p) for p in parts) == len(f)
+        assert frozenset().union(*parts) == f
+        non_bridge = f - bridges
+        for c in comps:
+            # the definition the labelling replaced: the non-bridge edges
+            # with both ends in the component's vertex set
+            assert c.edges == frozenset(
+                eid for eid in non_bridge
+                if g.edges[eid][0] in c.vertices and g.edges[eid][1] in c.vertices
+            )
+        smallest = [min(c.vertices) for c in comps]
+        assert smallest == sorted(smallest)
 
 
 class TestEulerCircuit:
