@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .cuts import CutCertificate, edge_connectivity, min_odd_cut
-from .errors import BadEdgeId, BadParam, ParseError, TooLarge
+from .errors import BadEdgeId, BadParam, Exhausted, TooLarge
 from .finder import find_circuit
 from .generators import (
     NamedInstance,
@@ -67,11 +67,8 @@ def _report(args, payload: dict) -> None:
         print(f"{key}: {value}")
 
 
-def _run_report(command: str, label: str, seed=None) -> dict:
-    report = {"command": command, "label": label, "verdicts": {}, "timings": {}}
-    if seed is not None:
-        report["seed"] = seed
-    return report
+def _run_report(command: str, label: str) -> dict:
+    return {"command": command, "label": label, "verdicts": {}, "timings": {}}
 
 
 def cmd_check(args) -> int:
@@ -190,24 +187,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# family -> generator and the names of its integer parameters
+_FAMILIES = {
+    "ladder": (ladder, ("r",)),
+    "double-clique": (double_clique, ("l",)),
+    "two-cycles-bridge": (two_cycles_bridge, ("p", "q")),
+    "gk-witness": (gk_lower_witness, ("k",)),
+    "random": (random_connected, ("n", "m")),
+}
+
+
 def _build_instance(args) -> NamedInstance:
-    if args.family == "ladder":
-        return ladder(args.params[0])
-    if args.family == "double-clique":
-        return double_clique(args.params[0])
-    if args.family == "two-cycles-bridge":
-        return two_cycles_bridge(args.params[0], args.params[1])
-    if args.family == "gk-witness":
-        return gk_lower_witness(args.params[0])
+    make, names = _FAMILIES[args.family]
+    if len(args.params) != len(names):
+        raise BadParam(f"{args.family} needs params: {' '.join(names)}")
     if args.family == "random":
         if args.seed is None:
             raise BadParam("random generation requires --seed")
-        if len(args.params) < 2:
-            raise BadParam("random needs params: n m")
-        return random_connected(
-            args.params[0], args.params[1], args.min_odd_cut, args.seed
-        )
-    raise BadParam(f"unknown family {args.family}")
+        return make(*args.params, args.min_odd_cut, args.seed)
+    return make(*args.params)
 
 
 def cmd_experiment(args) -> int:
@@ -348,10 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="write an instance family to files")
-    p.add_argument(
-        "family",
-        choices=["ladder", "double-clique", "two-cycles-bridge", "gk-witness", "random"],
-    )
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=None)
@@ -378,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, BadParam, BadEdgeId, TooLarge, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError, Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

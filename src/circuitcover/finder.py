@@ -140,7 +140,11 @@ def extend_circuit(
     """Circuit through s_prefix plus e_next, or an odd-cut certificate.
 
     h must be a circuit through s_prefix with every segment a path (run
-    normalize_circuit first).
+    normalize_circuit first).  When e_next lies in a 2-edge-connected
+    component of G - E(h) that shares no vertex with h, the component is
+    contracted to the new vertex g.n (`contract_subgraph`): h keeps its
+    vertices, its edges are renumbered into the contraction, and the
+    extension through a boundary bridge maps back through `edge_ids`.
     """
     s_set = frozenset(s_prefix)
     if e_next in h.edge_set():
@@ -167,56 +171,48 @@ def extend_circuit(
     boundary = edge_boundary(g, comp.vertices)
     if not boundary or not boundary <= bridges:
         raise CoherenceViolated("a detached component must hang on bridges")
-    e_f = min(boundary)
-    contraction = contract_subgraph(g, comp.vertices)
-    if any(len(c) != 1 for c in contraction.edge_classes):
+    # distinct outside ends, or the contraction would have parallel edges
+    outside_ends = {
+        u if v in comp.vertices else v for u, v in (g.edges[e] for e in boundary)
+    }
+    if len(outside_ends) != len(boundary):
         raise CoherenceViolated(
             "boundary bridges of a detached 2-edge-connected component cannot "
             "share outside endpoints"
         )
-    new_of_old = {c[0]: i for i, c in enumerate(contraction.edge_classes)}
-    vmap_c = contraction.vertex_map
-    h_c = Trail(
-        tuple(vmap_c[v] for v in h.vertices),
-        tuple(new_of_old[e] for e in h.edges),
-    )
-    s_c = frozenset(new_of_old[e] for e in s_set)
-    outcome = bridge_case(contraction.graph, h_c, s_c, new_of_old[e_f])
+    contraction = contract_subgraph(g, comp.vertices)
+    new_id = {e: i for i, e in enumerate(contraction.edge_ids)}
+    h_c = Trail(h.vertices, tuple(new_id[e] for e in h.edges))
+    s_c = frozenset(new_id[e] for e in s_set)
+    outcome = bridge_case(contraction.graph, h_c, s_c, new_id[min(boundary)])
     if isinstance(outcome, CutCertificate):
-        lifted_side = contraction.lift_side(outcome.side)
-        cert = certify(g, lifted_side)
+        side = outcome.side
+        if g.n in side:
+            side = (side - {g.n}) | comp.vertices
+        cert = certify(g, side)
         if cert.boundary != frozenset(
-            contraction.representative(e) for e in outcome.boundary
+            contraction.edge_ids[e] for e in outcome.boundary
         ) or not cert.odd:
             raise CoherenceViolated("contracted certificate did not lift cleanly")
         return cert
-    return _open_contracted_vertex(
-        g, contraction, outcome, comp, e_next
-    )
+    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, e_next)
 
 
-def _open_contracted_vertex(g, contraction, circuit_c, comp, e_next) -> Trail:
-    """Replace the single visit of the contracted vertex by a trail through
-    e_next inside the component."""
-    vd = contraction.contracted_vertex
-    occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == vd]
+def _open_contracted_vertex(g, edge_ids, circuit_c, comp, e_next) -> Trail:
+    """Replace the single visit of the contracted vertex g.n by a trail
+    through e_next inside the component.
+
+    circuit_c is a circuit of the contraction: its vertices other than g.n
+    are g's, and its edges map back to g through edge_ids.
+    """
+    occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == g.n]
     if len(occurrences) != 1:
         raise CoherenceViolated("contracted vertex must be passed exactly once")
     rotated = rotate_closed(circuit_c, occurrences[0])
-    old_vertex = {}
-    for old, new in enumerate(contraction.vertex_map):
-        if new != vd:
-            old_vertex[new] = old
-    outer_edges = [contraction.representative(e) for e in rotated.edges]
-    first_orig = outer_edges[0]
-    last_orig = outer_edges[-1]
-    d_first = next(v for v in g.endpoints(first_orig) if v in comp.vertices)
-    d_last = next(v for v in g.endpoints(last_orig) if v in comp.vertices)
-    outer_verts = [d_first]
-    outer_verts += [old_vertex[v] for v in rotated.vertices[1:-1]]
-    outer_verts.append(d_last)
-    outer = Trail(tuple(outer_verts), tuple(outer_edges))
-    validate_trail(g, outer)
+    outer_edges = tuple(edge_ids[e] for e in rotated.edges)
+    d_first = next(v for v in g.endpoints(outer_edges[0]) if v in comp.vertices)
+    d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp.vertices)
+    outer = Trail((d_first, *rotated.vertices[1:-1], d_last), outer_edges)
     inner = _trail_through_edge(g, comp.edges, e_next, d_last, d_first)
     out = trail_concat(outer, inner)
     validate_trail(g, out)

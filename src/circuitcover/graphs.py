@@ -63,14 +63,6 @@ class Graph:
             raise BadEdgeId(f"edge id {eid} out of range (m={self.m})")
         return self.edges[eid]
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
-
     def all_edges(self) -> EdgeIds:
         return frozenset(range(self.m))
 
@@ -427,36 +419,23 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
 # contraction
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Result of contracting a connected vertex set W to one vertex.
+class Contraction(NamedTuple):
+    """g with a connected vertex set w contracted to the new vertex g.n.
 
-    Parallel edges created by the contraction are merged; each surviving edge
-    records the full class of original edges it stands for (representative
-    first) so cuts and trails can be lifted back.
+    Every vertex keeps its id, and those of w stay behind as isolated
+    vertices.  Edge i of `graph` is edge edge_ids[i] of g, with each end in
+    w moved to g.n; the edges inside w are dropped.
     """
 
     graph: Graph
-    vertex_map: tuple[int, ...]  # old vertex -> new vertex
-    contracted_vertex: int
-    edge_classes: tuple[tuple[int, ...], ...]  # new edge id -> original ids
-
-    def representative(self, new_eid: int) -> int:
-        return self.edge_classes[new_eid][0]
-
-    def lift_side(self, new_side: Iterable[int]) -> frozenset:
-        """Preimage of a vertex side of the contracted graph."""
-        side = set(new_side)
-        return frozenset(
-            v for v in range(len(self.vertex_map)) if self.vertex_map[v] in side
-        )
+    edge_ids: tuple[int, ...]
 
 
 def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
-    """Contract the connected vertex set w into a single vertex.
+    """Contract the connected vertex set w into the new vertex g.n.
 
-    The contracted vertex takes the index rank of min(w); other vertices keep
-    their relative order, so contracting a singleton is the identity.
+    The other edges keep their order.  Two edges from w to the same outside
+    vertex would become parallel, which `Graph` rejects with ValueError.
     """
     wset = frozenset(w)
     if not wset:
@@ -471,31 +450,14 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
         comp = _bfs_component(g, min(wset), inside)
         if comp != wset:
             raise NotConnected("vertex set to contract is not connected")
-    anchor = min(wset)
-    kept = sorted((set(range(g.n)) - wset) | {anchor})
-    new_id = {v: i for i, v in enumerate(kept)}
-    vmap = tuple(new_id[v] if v not in wset else new_id[anchor] for v in range(g.n))
-    vd = new_id[anchor]
-    pair_to_new: dict[tuple[int, int], int] = {}
     new_edges: list[tuple[int, int]] = []
-    classes: list[list[int]] = []
+    edge_ids: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
         if eid in inside:
             continue
-        a, b = vmap[u], vmap[v]
-        key = (a, b) if a < b else (b, a)
-        if key in pair_to_new:
-            classes[pair_to_new[key]].append(eid)
-        else:
-            pair_to_new[key] = len(new_edges)
-            new_edges.append((a, b))
-            classes.append([eid])
-    return Contraction(
-        graph=Graph(len(kept), tuple(new_edges)),
-        vertex_map=vmap,
-        contracted_vertex=vd,
-        edge_classes=tuple(tuple(c) for c in classes),
-    )
+        new_edges.append((g.n if u in wset else u, g.n if v in wset else v))
+        edge_ids.append(eid)
+    return Contraction(Graph(g.n + 1, tuple(new_edges)), tuple(edge_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +478,10 @@ def verify_circuit(g: Graph, t: Trail, s: Iterable[int]) -> VerifyResult:
     want = frozenset(s)
     if len(set(t.edges)) != len(t.edges):
         return VerifyResult(False, "duplicate edge in walk")
+    # each step below matches its two vertices to an edge of g, so only a
+    # walk without edges can hold a vertex that does not exist
+    if not t.edges and not (0 <= t.start < g.n):
+        return VerifyResult(False, f"vertex {t.start} out of range")
     for i, eid in enumerate(t.edges):
         if not (0 <= eid < g.m):
             return VerifyResult(False, f"edge id {eid} out of range")

@@ -63,9 +63,6 @@ class ReachState:
     def witness(self, side: str, v: int) -> Trail:
         return (self.a_witness if side == "A" else self.b_witness)[v]
 
-    def endpoint(self, side: str) -> int:
-        return self.a if side == "A" else self.b
-
     def swapped(self) -> "ReachState":
         return ReachState(
             graph=self.graph,
@@ -331,7 +328,7 @@ def initial_coherent_trail(
     big_l = len(seg.trail.edges)
     ga, gb = vs + alpha, vs + beta
 
-    if beta < alpha:
+    if beta <= alpha:
         direction = 1
         verts = seg.trail.vertices[ga : big_l + 1] + seg.trail.vertices[1 : gb + 1]
         edges = seg.trail.edges[ga:] + seg.trail.edges[:gb]
@@ -339,7 +336,7 @@ def initial_coherent_trail(
         def qpos(gidx: int) -> int:
             return gidx - ga if gidx >= ga else (big_l - ga) + gidx
 
-    elif beta > alpha:
+    else:
         direction = -1
         verts = tuple(reversed(seg.trail.vertices[: ga + 1])) + tuple(
             reversed(seg.trail.vertices[gb:big_l])
@@ -350,14 +347,6 @@ def initial_coherent_trail(
 
         def qpos(gidx: int) -> int:
             return ga - gidx if gidx <= ga else ga + (big_l - gidx)
-
-    else:
-        direction = 1
-        verts = seg.trail.vertices[ga : big_l + 1] + seg.trail.vertices[1 : ga + 1]
-        edges = seg.trail.edges[ga:] + seg.trail.edges[:ga]
-
-        def qpos(gidx: int) -> int:
-            return gidx - ga if gidx >= ga else (big_l - ga) + gidx
 
     intervals = {}
     for side, lvl in (("A", n), ("B", m)):

@@ -56,7 +56,6 @@ class SegmentedCircuit:
     segments may share vertices.
     """
 
-    graph: Graph
     trail: Trail
     sep_slots: tuple[int, ...]  # edge-slot positions of e_1..e_k
     sep_ids: tuple[int, ...]  # edge ids of e_1..e_k in circuit order
@@ -141,7 +140,6 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     rotated = canonical_rotation(h, s_set)
     slots = _separator_slots(rotated, s_set)
     seg = SegmentedCircuit(
-        graph=g,
         trail=rotated,
         sep_slots=tuple(slots),
         sep_ids=tuple(rotated.edges[i] for i in slots),

@@ -158,6 +158,15 @@ class TestOracleAndVerify:
         payload = json.loads(capsys.readouterr().out)
         assert code == 2 and payload["verified"] is False
 
+    @pytest.mark.parametrize("walk", [[99], [-1]])
+    def test_verify_rejects_vertex_out_of_range(self, ladder4_file, tmp_path, capsys, walk):
+        result = tmp_path / "bad.json"
+        result.write_text(json.dumps({"status": "circuit", "walk": walk, "edge_walk": []}))
+        code = main(["verify", str(ladder4_file), "--result", str(result)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2 and payload["verified"] is False
+        assert "out of range" in payload["reason"]
+
 
 class TestVerifyCut:
     @pytest.fixture
@@ -240,6 +249,24 @@ class TestGenerate:
         )
         assert code == 0
         assert (tmp_path / "random-n8-m12-c1-s5.graph").exists()
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{dir}"],
+            ["experiment", "corollary", "--graphs", "{dir}"],
+            ["generate", "ladder", "--out", "{dir}"],
+            ["generate", "two-cycles-bridge", "3", "--out", "{dir}"],
+            ["generate", "random", "5", "4", "--seed", "1", "--min-odd-cut", "3", "--out", "{dir}"],
+        ],
+    )
+    def test_exit_one_with_one_error_line(self, tmp_path, capsys, argv):
+        code = main([arg.format(dir=tmp_path) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExperiments:

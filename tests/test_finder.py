@@ -94,6 +94,24 @@ class TestExtendCircuit:
         assert isinstance(out, Trail)
         assert verify_circuit(g, out, {0, 4})
 
+    def test_detached_certificate_lifts_the_contracted_vertex(self, monkeypatch):
+        # two triangles joined by the bridge 6: the far triangle holding edge
+        # 3 is contracted to vertex g.n, and bridge_case's cut is that vertex
+        g = two_cycles_bridge(3, 3).graph
+        sides = []
+
+        def spy(*args, _real=finder.bridge_case):
+            out = _real(*args)
+            if isinstance(out, CutCertificate):
+                sides.append(out.side)
+            return out
+
+        monkeypatch.setattr(finder, "bridge_case", spy)
+        out = find_circuit(g, {0, 3})
+        assert isinstance(out, CutCertificate)
+        assert out.side == {3, 4, 5} and out.boundary == {6}
+        assert len(sides) == 1 and g.n in sides[0]
+
     def test_bridge_goes_to_hopping(self):
         g = complete_graph(4)
         h = Trail((0, 1, 2, 0), (0, 3, 1))

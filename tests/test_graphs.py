@@ -224,25 +224,34 @@ class TestEulerCircuit:
 
 
 class TestContraction:
-    def test_singleton_contraction_is_identity(self):
+    def test_singleton_moves_to_the_new_vertex(self):
         g = complete_graph(4)
         c = contract_subgraph(g, {2})
-        assert c.graph == g
-        assert c.vertex_map == (0, 1, 2, 3)
+        assert c.graph.n == 5 and c.graph.degree(2) == 0
+        assert c.edge_ids == tuple(range(g.m))
+        moved = tuple(tuple(4 if x == 2 else x for x in e) for e in g.edges)
+        assert c.graph.edges == moved
 
     def test_prism_triangle_contracts_to_k4(self):
         from circuitcover.generators import double_clique
 
         g = double_clique(3).graph
         c = contract_subgraph(g, {3, 4, 5})
-        assert c.graph.n == 4 and c.graph.m == 6
-        degs = sorted(c.graph.degree(v) for v in range(4))
-        assert degs == [3, 3, 3, 3]
+        assert c.graph.n == 7 and c.graph.m == 6
+        assert [c.graph.degree(v) for v in (3, 4, 5)] == [0, 0, 0]
+        assert connected_components(c.graph, c.graph.all_edges()) == [
+            frozenset({0, 1, 2, 6})
+        ]
+        assert all(c.graph.degree(v) == 3 for v in (0, 1, 2, 6))
+        for i, eid in enumerate(c.edge_ids):
+            assert len(set(g.edges[eid]) & {3, 4, 5}) <= 1
+            assert set(c.graph.edges[i]) - {6} == set(g.edges[eid]) - {3, 4, 5}
 
     def test_contract_everything(self):
         g = cycle_graph(5)
         c = contract_subgraph(g, range(5))
-        assert c.graph.n == 1 and c.graph.m == 0
+        assert c.graph.n == 6 and c.graph.m == 0
+        assert c.edge_ids == ()
 
     def test_disconnected_set_rejected(self):
         with pytest.raises(NotConnected):
@@ -258,18 +267,17 @@ class TestContraction:
         v0 = data.draw(st.integers(0, g.n - 1))
         radius = data.draw(st.integers(0, 1))
         w = {v0} | ({x for x, _ in g.adjacency[v0]} if radius else set())
+        outside = [u if v in w else v for u, v in g.edges if (u in w) != (v in w)]
+        if len(set(outside)) < len(outside):
+            # two edges from w to one outside vertex would become parallel
+            with pytest.raises(ValueError, match="duplicates"):
+                contract_subgraph(g, w)
+            return
         c = contract_subgraph(g, w)
-        if c.graph.n < 2:
-            return
-        side = data.draw(
-            st.sets(st.integers(0, c.graph.n - 1), min_size=1, max_size=c.graph.n - 1)
-        )
-        if len(side) == c.graph.n:
-            return
-        new_cut = edge_boundary(c.graph, side)
-        lifted = edge_boundary(g, c.lift_side(side))
-        assert lifted == frozenset(
-            orig for eid in new_cut for orig in c.edge_classes[eid]
+        side = data.draw(st.sets(st.integers(0, c.graph.n - 1)))
+        lifted = (side - w - {g.n}) | (w if g.n in side else set())
+        assert edge_boundary(g, lifted) == frozenset(
+            c.edge_ids[eid] for eid in edge_boundary(c.graph, side)
         )
 
 
@@ -290,6 +298,12 @@ class TestVerifyCircuit:
         t = Trail((0, 1, 2, 0), (0, 2, 1))
         res = verify_circuit(g, t, {5})
         assert not res and "not covered" in res.reason
+
+    def test_vertex_out_of_range_rejected(self):
+        g = cycle_graph(4)
+        for v in (99, -1):
+            res = verify_circuit(g, Trail((v,)), set())
+            assert not res and "out of range" in res.reason
 
     def test_open_walk_rejected(self):
         g = path_graph(3)
