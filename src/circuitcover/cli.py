@@ -302,8 +302,17 @@ def _experiment_corollary(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CERTIFICATE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise BadParam, so `main` reports them as one error line
+    with exit code 1; exit code 2 stays the certificate's.  Subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        raise BadParam(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circuitcover",
         description=(
             "Find a circuit through prescribed edges or certify an odd cut; "
@@ -369,9 +378,8 @@ def _output_flags(p) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, Exhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)

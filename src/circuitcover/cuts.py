@@ -17,7 +17,7 @@ from .graphs import (
     Graph,
     edge_boundary,
     is_connected,
-    vertex_components_avoiding,
+    spanning_forest,
 )
 
 
@@ -286,7 +286,7 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
         u, v = g.endpoints(eid)
         t_deg[u] += 1
         t_deg[v] += 1
-    for comp in vertex_components_avoiding(g, s_set):
+    for comp in spanning_forest(g, g.all_edges() - s_set).trees():
         if sum(t_deg[v] % 2 for v in comp) % 2 == 1:
             cert = certify(g, comp)
             if not (cert.boundary <= s_set and cert.odd):

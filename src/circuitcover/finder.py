@@ -82,20 +82,19 @@ def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int
     x, y = g.endpoints(eid)
     source, sink = g.n, g.n + 1
     net = FlowNetwork(g.n + 2)
-    for e in sorted(edges):
-        if e != eid:
-            a, b = g.edges[e]
-            net.add_undirected(a, b, 1, tag=e)
-    # negative tags put the source arcs first, x's before y's; the sink
-    # arcs' tag exceeds every edge id, so walks leave a vertex by an edge
-    # before they stop there
-    net.add_directed(source, x, 1, tag=-2)
-    net.add_directed(source, y, 1, tag=-1)
-    net.add_directed(s, sink, 1, tag=g.m)
-    net.add_directed(t, sink, 1, tag=g.m)
+    # arcs 2i and 2i + 1 carry edge_ids[i]; the source and sink arcs come
+    # after every edge arc, x's source arc before y's
+    edge_ids = [e for e in sorted(edges) if e != eid]
+    for e in edge_ids:
+        a, b = g.edges[e]
+        net.add_undirected(a, b, 1)
+    net.add_directed(source, x, 1)
+    net.add_directed(source, y, 1)
+    net.add_directed(s, sink, 1)
+    net.add_directed(t, sink, 1)
     if net.max_flow(source, sink) != 2:
         raise CoherenceViolated("2-edge-connected edge set must route to both targets")
-    p1, p2 = _two_walks_to_sink(net, source, sink)
+    p1, p2 = _two_walks_to_sink(net, source, sink, edge_ids)
     walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
     if walk.start != s:
         walk = walk.reverse()
@@ -105,29 +104,35 @@ def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int
     return walk
 
 
-def _two_walks_to_sink(net: FlowNetwork, source: int, sink: int) -> tuple[Trail, Trail]:
+def _two_walks_to_sink(
+    net: FlowNetwork, source: int, sink: int, edge_ids: list[int]
+) -> tuple[Trail, Trail]:
     """Split a 2-unit flow into two walks from the source's neighbours to
-    the sink's feeders; each walk leaves a vertex by its smallest-tag flow
-    arc, and the source and sink arcs are left out of the walks."""
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
-    for arc in range(0, len(net.to), 2):
-        a, b = net.to[arc ^ 1], net.to[arc]
-        if net.res[arc] < net.cap[arc] and net.res[arc ^ 1] > net.cap[arc ^ 1]:
-            succ[a].append((net.tag[arc], b))
-        elif net.res[arc ^ 1] < net.cap[arc ^ 1] and net.res[arc] > net.cap[arc]:
-            succ[b].append((net.tag[arc], a))
-    for lst in succ:
-        lst.sort()
+    the sink's feeders, with arcs 2i and 2i + 1 mapped to edge_ids[i].
+
+    Each walk leaves a vertex by its first unused flow arc in head order,
+    so by an edge, in id order, before it stops at the sink; the source and
+    sink arcs are left out of the walks.
+    """
+    unused = [iter(arcs) for arcs in net.head]  # per vertex, its arcs not yet scanned
+
+    def leave(v: int) -> int:
+        for arc in unused[v]:
+            if net.res[arc] < net.cap[arc]:
+                return arc
+        raise CoherenceViolated("flow walk is stuck at a vertex")
+
     walks = []
     for _ in range(2):
-        _, v = succ[source].pop(0)
+        v = net.to[leave(source)]
         verts = [v]
         edges = []
         while True:
-            tag, nxt = succ[v].pop(0)
+            arc = leave(v)
+            nxt = net.to[arc]
             if nxt == sink:
                 break
-            edges.append(tag)
+            edges.append(edge_ids[arc >> 1])
             verts.append(nxt)
             v = nxt
         walks.append(Trail(tuple(verts), tuple(edges)))

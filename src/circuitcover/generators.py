@@ -17,6 +17,8 @@ from .cuts import min_odd_cut
 from .errors import BadParam, CoherenceViolated, Exhausted
 from .graphs import Graph
 
+_ATTEMPTS = 100  # rejection-sampling proposals before random_connected falls back
+
 
 @dataclass(frozen=True)
 class NamedInstance:
@@ -105,7 +107,6 @@ def random_connected(
     m: int,
     min_odd_cut_at_least: int = 1,
     seed: int = 0,
-    attempts: int = 100,
 ) -> NamedInstance:
     """Seeded connected random graph accepted once its minimum odd cut is
     absent or at least the threshold.
@@ -120,14 +121,14 @@ def random_connected(
     threshold = max(min_odd_cut_at_least, 0)
     rng = random.Random(seed)
     label = f"random-n{n}-m{m}-c{threshold}-s{seed}"
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         g = _uniform_tree_plus_edges(n, m, rng)
         if _passes_threshold(g, threshold):
             return NamedInstance(g, frozenset(), label)
     g = _even_connected(n, m, rng)
     if g is None or not _passes_threshold(g, threshold):
         raise Exhausted(
-            f"no graph with min odd cut >= {threshold} found in {attempts} attempts"
+            f"no graph with min odd cut >= {threshold} found in {_ATTEMPTS} attempts"
         )
     return NamedInstance(g, frozenset(), label)
 

@@ -100,11 +100,8 @@ def circuit_result(t: Trail, method: str | None = None) -> dict:
     return out
 
 
-def cut_result(cert: CutCertificate, method: str | None = None) -> dict:
-    out = {"status": "odd-cut", **cert.to_json()}
-    if method:
-        out["method"] = method
-    return out
+def cut_result(cert: CutCertificate) -> dict:
+    return {"status": "odd-cut", **cert.to_json()}
 
 
 def infeasible_result(method: str) -> dict:

@@ -155,6 +155,87 @@ def is_even_subgraph(g: Graph, f: Iterable[int]) -> bool:
     return all(d % 2 == 0 for d in deg)
 
 
+class SpanningForest(NamedTuple):
+    """Depth-first spanning forest of (V, edges), one tree per component.
+
+    Roots are taken in increasing order, so each tree's root is its
+    smallest vertex.  A root has parent and parent edge -1 and depth 0.
+    `order` lists the vertices in discovery order; each tree is a
+    contiguous run of it that starts at its root.
+    """
+
+    parent: list[int]
+    parent_edge: list[int]
+    depth: list[int]
+    order: list[int]
+
+    def trees(self) -> list[list[int]]:
+        """Each tree's vertices in discovery order, by increasing root."""
+        out: list[list[int]] = []
+        parent = self.parent
+        for v in self.order:
+            if parent[v] == -1:
+                out.append([])
+            out[-1].append(v)
+        return out
+
+    def path_edges(self, a: int, b: int) -> list[int]:
+        """Edges of the tree path between a and b."""
+        parent, parent_edge, depth = self.parent, self.parent_edge, self.depth
+        out = []
+        while depth[a] > depth[b]:
+            out.append(parent_edge[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            out.append(parent_edge[b])
+            b = parent[b]
+        while a != b:
+            out.append(parent_edge[a])
+            out.append(parent_edge[b])
+            a = parent[a]
+            b = parent[b]
+        if a == -1:  # both walks left their roots: two different trees
+            raise ValueError("vertices lie in different trees")
+        return out
+
+
+def spanning_forest(g: Graph, edges: Iterable[int] | None = None) -> SpanningForest:
+    """Spanning forest of (V, edges), or of g itself when edges is None.
+
+    Each vertex is marked, and joins `order`, when it is pushed; a vertex's
+    unmarked neighbours are pushed in reverse edge-id order.
+    """
+    if edges is None:
+        allowed = range(g.m)  # every edge id, with a constant-time `in`
+    else:
+        allowed = frozenset(edges)
+        if allowed and (min(allowed) < 0 or max(allowed) >= g.m):
+            bad = min(allowed) if min(allowed) < 0 else max(allowed)
+            raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
+    adjacency = g.adjacency
+    parent = [-1] * g.n
+    parent_edge = [-1] * g.n
+    depth = [-1] * g.n
+    order = []
+    for root in range(g.n):
+        if depth[root] != -1:
+            continue
+        depth[root] = 0
+        order.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            d = depth[v] + 1
+            for w, eid in reversed(adjacency[v]):
+                if depth[w] == -1 and eid in allowed:
+                    depth[w] = d
+                    parent[w] = v
+                    parent_edge[w] = eid
+                    order.append(w)
+                    stack.append(w)
+    return SpanningForest(parent, parent_edge, depth, order)
+
+
 def connected_components(
     g: Graph, restricted_to: Iterable[int] | None = None
 ) -> list[frozenset]:
@@ -163,63 +244,14 @@ def connected_components(
     With `restricted_to`, only edges in that set are used and vertices
     isolated in the restriction are excluded.
     """
-    if restricted_to is None:
-        allowed = None
-        vertices = range(g.n)
-    else:
-        allowed = frozenset(restricted_to)
-        touched = set()
-        for eid in allowed:
-            u, v = g.endpoints(eid)
-            touched.add(u)
-            touched.add(v)
-        vertices = sorted(touched)
-    seen: set[int] = set()
-    out = []
-    for v0 in vertices:
-        if v0 in seen:
-            continue
-        comp = _bfs_component(g, v0, allowed)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
-def vertex_components_avoiding(g: Graph, banned_edges: Iterable[int]) -> list[frozenset]:
-    """Components of (V, E minus banned); isolated vertices are singletons."""
-    banned = frozenset(banned_edges)
-    seen: set[int] = set()
-    out = []
-    for v0 in range(g.n):
-        if v0 in seen:
-            continue
-        comp = _bfs_component(g, v0, None, banned)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
-def _bfs_component(
-    g: Graph,
-    v0: int,
-    allowed: frozenset | None,
-    banned: frozenset = frozenset(),
-) -> set:
-    comp = {v0}
-    queue = deque([v0])
-    while queue:
-        v = queue.popleft()
-        for w, eid in g.adjacency[v]:
-            if eid in banned or (allowed is not None and eid not in allowed):
-                continue
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp
+    trees = spanning_forest(g, restricted_to).trees()
+    if restricted_to is not None:
+        trees = [t for t in trees if len(t) > 1]
+    return [frozenset(t) for t in trees]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_bfs_component(g, 0, None)) == g.n
+    return g.n <= 1 or spanning_forest(g).parent.count(-1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +332,23 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.res: list[int] = []
-        self.tag: list = []
 
-    def add_undirected(self, u: int, v: int, cap: int, tag=None) -> None:
+    def add_undirected(self, u: int, v: int, cap: int) -> None:
         for a, b in ((u, v), (v, u)):
             self.head[a].append(len(self.to))
             self.to.append(b)
             self.cap.append(cap)
             self.res.append(cap)
-            self.tag.append(tag)
 
-    def add_directed(self, u: int, v: int, cap: int, tag=None) -> None:
+    def add_directed(self, u: int, v: int, cap: int) -> None:
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.res.append(cap)
-        self.tag.append(tag)
         self.head[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(0)
         self.res.append(0)
-        self.tag.append(tag)
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
         value = 0
@@ -446,10 +474,10 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
     inside = frozenset(
         eid for eid, (u, v) in enumerate(g.edges) if u in wset and v in wset
     )
-    if len(wset) > 1:
-        comp = _bfs_component(g, min(wset), inside)
-        if comp != wset:
-            raise NotConnected("vertex set to contract is not connected")
+    # w is connected iff one root of the forest over its edges lies in w
+    parent = spanning_forest(g, inside).parent
+    if sum(parent[v] == -1 for v in wset) != 1:
+        raise NotConnected("vertex set to contract is not connected")
     new_edges: list[tuple[int, int]] = []
     edge_ids: list[int] = []
     for eid, (u, v) in enumerate(g.edges):

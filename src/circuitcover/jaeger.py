@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .cuts import CutCertificate, odd_cut_within
 from .errors import CoherenceViolated, NotExtendable, TooLarge
-from .graphs import Graph, connected_components, is_even_subgraph
+from .graphs import Graph, connected_components, is_even_subgraph, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -37,64 +37,19 @@ def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCe
         u, v = g.endpoints(eid)
         t_deg[u] += 1
         t_deg[v] += 1
+    forest = spanning_forest(g, g.all_edges() - s_set)
     join: set[int] = set()
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        order, parent_edge, parent = _dfs_tree_avoiding(g, root, s_set)
-        for v in order:
-            seen[v] = True
-        odd = [v for v in order if t_deg[v] % 2 == 1]
+    for tree in forest.trees():
+        odd = [v for v in tree if t_deg[v] % 2 == 1]
         if len(odd) % 2:
             raise CoherenceViolated("component parity already certified even")
-        depth = {root: 0}
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
         for a, b in zip(odd[::2], odd[1::2]):
-            join ^= _tree_path_edges(a, b, parent, parent_edge, depth)
+            join.symmetric_difference_update(forest.path_edges(a, b))
     even = s_set | frozenset(join)
     if s_set & join or not is_even_subgraph(g, even):
         raise CoherenceViolated("parity join is not an even extension of the set")
     comps = connected_components(g, even)
     return EvenExtension(even, len(comps))
-
-
-def _dfs_tree_avoiding(g: Graph, root: int, banned: frozenset):
-    """DFS discovery order and tree structure in (V, E minus banned)."""
-    order = [root]
-    parent = {root: root}
-    parent_edge: dict[int, int] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        for w, eid in reversed(g.adjacency[v]):
-            if eid in banned or w in seen:
-                continue
-            seen.add(w)
-            parent[w] = v
-            parent_edge[w] = eid
-            order.append(w)
-            stack.append(w)
-    return order, parent_edge, parent
-
-
-def _tree_path_edges(a: int, b: int, parent, parent_edge, depth) -> set:
-    path: set[int] = set()
-    x, y = a, b
-    while depth[x] > depth[y]:
-        path.add(parent_edge[x])
-        x = parent[x]
-    while depth[y] > depth[x]:
-        path.add(parent_edge[y])
-        y = parent[y]
-    while x != y:
-        path.add(parent_edge[x])
-        path.add(parent_edge[y])
-        x = parent[x]
-        y = parent[y]
-    return path
 
 
 def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import TooLarge
-from .graphs import Graph, Trail, connected_components, euler_circuit
+from .graphs import Graph, Trail, connected_components, euler_circuit, spanning_forest
 
 _DIM_GUARD = 24
 
@@ -29,46 +29,17 @@ class CycleSpaceBasis:
 
 
 def cycle_space_basis(g: Graph) -> CycleSpaceBasis:
-    parent: list[int] = [-1] * g.n
-    parent_edge: list[int] = [-1] * g.n
-    depth = [0] * g.n
-    forest: set[int] = set()
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, eid in reversed(g.adjacency[v]):
-                if seen[w]:
-                    continue
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = eid
-                depth[w] = depth[v] + 1
-                forest.add(eid)
-                stack.append(w)
+    forest = spanning_forest(g)
+    forest_edges = frozenset(forest.parent_edge) - {-1}
     masks = []
     for eid, (u, v) in enumerate(g.edges):
-        if eid in forest:
+        if eid in forest_edges:
             continue
         mask = 1 << eid
-        x, y = u, v
-        while depth[x] > depth[y]:
-            mask ^= 1 << parent_edge[x]
-            x = parent[x]
-        while depth[y] > depth[x]:
-            mask ^= 1 << parent_edge[y]
-            y = parent[y]
-        while x != y:
-            mask ^= 1 << parent_edge[x]
-            mask ^= 1 << parent_edge[y]
-            x = parent[x]
-            y = parent[y]
+        for e in forest.path_edges(u, v):
+            mask ^= 1 << e
         masks.append(mask)
-    return CycleSpaceBasis(tuple(masks), frozenset(forest))
+    return CycleSpaceBasis(tuple(masks), forest_edges)
 
 
 def even_set_masks(basis: CycleSpaceBasis) -> Iterator[int]:

@@ -260,6 +260,10 @@ class TestOneLineErrors:
             ["generate", "ladder", "--out", "{dir}"],
             ["generate", "two-cycles-bridge", "3", "--out", "{dir}"],
             ["generate", "random", "5", "4", "--seed", "1", "--min-odd-cut", "3", "--out", "{dir}"],
+            # usage errors: no graph, a non-integer --k, no --edges
+            ["check"],
+            ["check", "{dir}/g.graph", "--k", "abc"],
+            ["find", "{dir}/g.graph"],
         ],
     )
     def test_exit_one_with_one_error_line(self, tmp_path, capsys, argv):
@@ -267,6 +271,12 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["find", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 class TestExperiments:

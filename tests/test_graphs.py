@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover.errors import BadParam, NotConnected, NotEven
+from circuitcover.errors import BadEdgeId, BadParam, NotConnected, NotEven
 from circuitcover.graphs import (
     Graph,
     Trail,
@@ -12,6 +12,7 @@ from circuitcover.graphs import (
     edge_boundary,
     euler_circuit,
     is_even_subgraph,
+    spanning_forest,
     trail_concat,
     validate_trail,
     verify_circuit,
@@ -110,6 +111,29 @@ class TestComponents:
         g = path_graph(4)
         comps = connected_components(g, {0})
         assert comps == [frozenset({0, 1})]
+
+    @pytest.mark.parametrize("eid", [-1, 3, 99])
+    def test_restriction_rejects_an_edge_id_out_of_range(self, eid):
+        with pytest.raises(BadEdgeId):
+            connected_components(path_graph(4), {0, eid})
+
+
+class TestSpanningForest:
+    def test_trees_and_tree_paths(self):
+        # triangles {0,1,2} and {3,4,5} joined by edge 6 = (0,3); without
+        # edge 6 the forest has two trees, each rooted at its smallest vertex
+        from conftest import triangles_with_bridge
+
+        forest = spanning_forest(triangles_with_bridge(), range(6))
+        assert forest.trees() == [[0, 2, 1], [3, 5, 4]]
+        assert forest.parent_edge == [-1, 0, 1, -1, 3, 4]
+        assert sorted(forest.path_edges(1, 2)) == [0, 1]
+        assert forest.path_edges(4, 4) == []
+
+    def test_path_between_trees_is_an_error(self):
+        forest = spanning_forest(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError):
+            forest.path_edges(1, 3)
 
 
 @st.composite

@@ -1,11 +1,14 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitcover.cuts import CutCertificate, odd_cut_within
 from circuitcover.errors import TooLarge
-from circuitcover.generators import ladder
-from circuitcover.graphs import is_even_subgraph
+from circuitcover.generators import ladder, random_connected
+from circuitcover.graphs import Graph, connected_components, is_connected, is_even_subgraph
 from circuitcover.jaeger import (
     EvenExtension,
     extend_to_even_subgraph,
@@ -100,3 +103,55 @@ class TestMinComponents:
             return
         best = min_components_even_extension(g, s)
         assert best <= out.components
+
+
+def _sorted_sets(sets) -> list:
+    # a frozenset's repr follows its insertion order; the digest must not
+    return [sorted(x) for x in sets]
+
+
+class TestPinnedParityAnswers:
+    # SHA-256 over every answer of the parity tools on the corpus below, as
+    # they gave them when each tool ran its own traversal of the graph
+    PINNED = "0f3fb292f546a8876bd47fe37070e495c5a0d77f401dd5e02fe0f9d96f62cb18"
+
+    @staticmethod
+    def _corpus():
+        # seeded connected graphs, sparse to moderately dense, and one
+        # disconnected graph: two random graphs side by side plus two
+        # isolated vertices; each with random prescribed sets of size 0..8
+        rng = random.Random(17)
+        graphs = []
+        for seed in range(40):
+            n = rng.randint(3, 24)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+            graphs.append(random_connected(n, m, 1, seed=seed).graph)
+        a = random_connected(12, 20, 1, seed=101).graph
+        b = random_connected(9, 14, 1, seed=102).graph
+        graphs.append(Graph.from_edges(
+            a.n + b.n + 2, a.edges + tuple((u + a.n + 1, v + a.n + 1) for u, v in b.edges)
+        ))
+        for g in graphs:
+            sets = [frozenset(rng.sample(range(g.m), k)) for k in range(min(g.m, 8) + 1)]
+            sets += [frozenset(rng.sample(range(g.m), g.m // 2)) for _ in range(4)]
+            yield g, sets
+
+    def test_answers_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for g, sets in self._corpus():
+            basis = cycle_space_basis(g)
+            key = [_sorted_sets(connected_components(g)), is_connected(g)]
+            key += [basis.masks, sorted(basis.forest_edges)]
+            for s in sets:
+                cut = odd_cut_within(g, s)
+                ext = extend_to_even_subgraph(g, s)
+                key += [
+                    _sorted_sets(connected_components(g, s)),
+                    _sorted_sets(connected_components(g, g.all_edges() - s)),
+                    None if cut is None else sorted(cut.side),
+                    ("E", sorted(ext.even_set), ext.components)
+                    if isinstance(ext, EvenExtension)
+                    else ("C", sorted(ext.side)),
+                ]
+            digest.update(repr(key).encode())
+        assert digest.hexdigest() == self.PINNED
