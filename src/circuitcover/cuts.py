@@ -123,8 +123,8 @@ def gomory_hu_tree(g: Graph) -> GomoryHuTree:
     """Gusfield's cut tree (unit edge capacities), rooted at vertex 0.
 
     Gusfield, "Very simple methods for all pairs network flow analysis",
-    SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction.
-    All flows share one residual network, reset to the capacities each time.
+    SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction,
+    each on a fresh flow over g's own edges.
     """
     if g.n == 0:
         raise BadParam("a Gomory-Hu tree needs a root vertex; the graph is empty")
@@ -144,16 +144,14 @@ def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]
     without a source side or relabelling.  Tree edges below the bound are
     exact; an edge at the bound means "at least the bound".
     """
-    net = FlowNetwork(g.n)
-    for u, v in g.edges:
-        net.add_undirected(u, v, 1)
     parent = [0] * g.n
     parent[0] = -1
     capacity = [0] * g.n
     for s in range(1, g.n):
         t = parent[s]
-        net.res[:] = net.cap
-        value = net.max_flow(s, t, limit=bound)
+        net = FlowNetwork(g)
+        units = bound if bound is not None else g.degree(s)
+        value = net.max_flow({s: units}, {t: units})
         if bound is not None and value >= bound:
             capacity[s] = bound
             continue

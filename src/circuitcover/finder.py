@@ -28,6 +28,7 @@ from .graphs import (
     is_connected,
     trail_concat,
     validate_trail,
+    verify_circuit,
 )
 from .hopping import bridge_case
 from .segments import normalize_circuit, rotate_closed
@@ -73,28 +74,16 @@ def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int
     2-edge-connected edge set containing eid and touching s and t (a closed
     trail through eid when s == t).
 
-    One unit-capacity flow of value 2 on (V, edges - eid), from a source
-    with arcs to x and y to a sink fed once by s and once by t, splits into
-    a walk from x and a walk from y; the trail is the x-walk reversed, eid,
-    then the y-walk, oriented to start at s.  The network keeps g's vertex
-    and edge ids, with the edges added in id order.
+    One unit-capacity flow of value 2 on (V, edges - eid), from x and y to
+    s and t (twice to s when s == t), splits into a walk from x and a walk
+    from y; the trail is the x-walk reversed, eid, then the y-walk,
+    oriented to start at s.
     """
     x, y = g.endpoints(eid)
-    source, sink = g.n, g.n + 1
-    net = FlowNetwork(g.n + 2)
-    # arcs 2i and 2i + 1 carry edge_ids[i]; the source and sink arcs come
-    # after every edge arc, x's source arc before y's
-    edge_ids = [e for e in sorted(edges) if e != eid]
-    for e in edge_ids:
-        a, b = g.edges[e]
-        net.add_undirected(a, b, 1)
-    net.add_directed(source, x, 1)
-    net.add_directed(source, y, 1)
-    net.add_directed(s, sink, 1)
-    net.add_directed(t, sink, 1)
-    if net.max_flow(source, sink) != 2:
+    net = FlowNetwork(g, frozenset(edges) - {eid})
+    if net.max_flow({x: 1, y: 1}, {s: 2} if s == t else {s: 1, t: 1}) != 2:
         raise CoherenceViolated("2-edge-connected edge set must route to both targets")
-    p1, p2 = _two_walks_to_sink(net, source, sink, edge_ids)
+    p1, p2 = _two_walks(net, (x, y), (s, t))
     walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
     if walk.start != s:
         walk = walk.reverse()
@@ -104,37 +93,34 @@ def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int
     return walk
 
 
-def _two_walks_to_sink(
-    net: FlowNetwork, source: int, sink: int, edge_ids: list[int]
+def _two_walks(
+    net: FlowNetwork, starts: tuple[int, int], ends: tuple[int, int]
 ) -> tuple[Trail, Trail]:
-    """Split a 2-unit flow into two walks from the source's neighbours to
-    the sink's feeders, with arcs 2i and 2i + 1 mapped to edge_ids[i].
+    """Split a 2-unit flow into a walk from each start to one of the ends.
 
-    Each walk leaves a vertex by its first unused flow arc in head order,
-    so by an edge, in id order, before it stops at the sink; the source and
-    sink arcs are left out of the walks.
+    Each walk leaves a vertex by its first unscanned edge, in adjacency
+    order, whose unit leaves that vertex, and stops only when no such edge
+    is left.
     """
-    unused = [iter(arcs) for arcs in net.head]  # per vertex, its arcs not yet scanned
+    out = net.out
+    unscanned = [iter(adj) for adj in net.g.adjacency]
 
-    def leave(v: int) -> int:
-        for arc in unused[v]:
-            if net.res[arc] < net.cap[arc]:
-                return arc
-        raise CoherenceViolated("flow walk is stuck at a vertex")
+    def leave(v: int) -> tuple[int, int] | None:
+        for w, e in unscanned[v]:
+            if out[e] == v:
+                return w, e
+        return None
 
     walks = []
-    for _ in range(2):
-        v = net.to[leave(source)]
+    for v in starts:
         verts = [v]
         edges = []
-        while True:
-            arc = leave(v)
-            nxt = net.to[arc]
-            if nxt == sink:
-                break
-            edges.append(edge_ids[arc >> 1])
-            verts.append(nxt)
-            v = nxt
+        while (step := leave(v)) is not None:
+            v, e = step
+            verts.append(v)
+            edges.append(e)
+        if v not in ends:
+            raise CoherenceViolated("flow walk is stuck at a vertex")
         walks.append(Trail(tuple(verts), tuple(edges)))
     return walks[0], walks[1]
 
@@ -252,6 +238,7 @@ def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:
                 raise CoherenceViolated("certificate is not an odd cut of size <= |S|")
             return result
         placed.add(e_next)
-    if not frozenset(s_list) <= result.edge_set():
-        raise CoherenceViolated("circuit misses a prescribed edge")
+    check = verify_circuit(g, result, s_list)
+    if not check:
+        raise CoherenceViolated(f"circuit fails verification: {check.reason}")
     return result

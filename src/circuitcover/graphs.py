@@ -324,75 +324,76 @@ def bridges_and_2ec_components(
 
 
 class FlowNetwork:
-    """Residual network over undirected edges; arcs stored in pairs."""
+    """Unit-capacity flow on the edges of g, in g's own vertex and edge ids.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.res: list[int] = []
+    out[e] is the vertex that e's unit of flow leaves, -1 when e carries no
+    flow and -2 when e is outside the network's edge set.  g.adjacency is the
+    residual graph: e is crossable from v to w iff out[e] is -1 or w, so
+    neither end can cross an edge outside the set.
+    """
 
-    def add_undirected(self, u: int, v: int, cap: int) -> None:
-        for a, b in ((u, v), (v, u)):
-            self.head[a].append(len(self.to))
-            self.to.append(b)
-            self.cap.append(cap)
-            self.res.append(cap)
+    def __init__(self, g: Graph, edges: Iterable[int] | None = None):
+        self.g = g
+        if edges is None:
+            self.out = [-1] * g.m
+        else:
+            self.out = [-2] * g.m
+            for e in edges:
+                self.out[e] = -1
 
-    def add_directed(self, u: int, v: int, cap: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.res.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.res.append(0)
+    def max_flow(self, supply: dict[int, int], demand: dict[int, int]) -> int:
+        """Send units from the supply vertices to the demand vertices, one
+        per shortest augmenting path, and return how many arrived.
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        Each search starts from the vertices with supply left, in dict
+        order, and ends at the first vertex reached with demand left.
+        """
+        supply, demand = dict(supply), dict(demand)
+        edges, out = self.g.edges, self.out
         value = 0
-        while limit is None or value < limit:
-            parent_arc = [-1] * self.n
-            parent_arc[s] = -2
-            queue = deque([s])
-            while queue and parent_arc[t] == -1:
-                v = queue.popleft()
-                for a in self.head[v]:
-                    w = self.to[a]
-                    if self.res[a] > 0 and parent_arc[w] == -1:
-                        parent_arc[w] = a
-                        queue.append(w)
-            if parent_arc[t] == -1:
-                break
-            # bottleneck along the BFS path
-            bottleneck = None
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                bottleneck = self.res[a] if bottleneck is None else min(bottleneck, self.res[a])
-                v = self.to[a ^ 1]
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                self.res[a] -= bottleneck
-                self.res[a ^ 1] += bottleneck
-                v = self.to[a ^ 1]
-            value += bottleneck
-        return value
+        while True:
+            parent, end = self._search([v for v, units in supply.items() if units], demand)
+            if end is None:
+                return value
+            w = end
+            while parent[w] != -2:
+                e = parent[w]
+                a, b = edges[e]
+                v = a + b - w
+                out[e] = v if out[e] == -1 else -1
+                w = v
+            supply[w] -= 1
+            demand[end] -= 1
+            value += 1
 
     def source_side(self, s: int) -> frozenset:
-        """Vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
+        """Vertices reachable from s in the residual graph."""
+        parent, _ = self._search([s], {})
+        return frozenset(v for v, e in enumerate(parent) if e != -1)
+
+    def _search(self, sources: list[int], demand: dict[int, int]) -> tuple[list[int], int | None]:
+        """Breadth-first search of the residual graph from the sources, in
+        order, scanning each adjacency in edge-id order.
+
+        Returns the edge each vertex was reached by (-2 at a source, -1 when
+        unreached) and the first vertex reached with demand left, or None; a
+        source with demand left counts at once.
+        """
+        adjacency, out = self.g.adjacency, self.out
+        parent = [-1] * self.g.n
+        for v in sources:
+            parent[v] = -2
+        end = next((v for v in sources if demand.get(v)), None)
+        queue = deque(sources)
+        while end is None and queue:
             v = queue.popleft()
-            for a in self.head[v]:
-                w = self.to[a]
-                if self.res[a] > 0 and w not in seen:
-                    seen.add(w)
+            for w, e in adjacency[v]:
+                if parent[w] == -1 and (out[e] == -1 or out[e] == w):
+                    parent[w] = e
+                    if demand.get(w):
+                        return parent, w
                     queue.append(w)
-        return frozenset(seen)
+        return parent, end
 
 
 # ---------------------------------------------------------------------------

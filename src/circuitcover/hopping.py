@@ -83,6 +83,29 @@ class ReachState:
         return None
 
 
+def _admissible_search(
+    g: Graph, seg: SegmentedCircuit, excluded: int, x: Iterable[int]
+) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first search in G-E(H)-excluded from the vertices of x, taken
+    in increasing order; vertices of V(H) outside x absorb the search.
+
+    Maps each source to None and each other reached vertex to its (previous
+    vertex, edge id) on the search tree, in the order reached.
+    """
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sorted(set(x)))
+    banned = seg.h_edges | {excluded}
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        if v in seg.h_vertices and parent[v] is not None:
+            continue  # absorbing: admissible trails end at H-vertices
+        for w, eid in g.adjacency[v]:
+            if eid not in banned and w not in parent:
+                parent[w] = (v, eid)
+                queue.append(w)
+    return parent
+
+
 def compute_reach(
     g: Graph, seg: SegmentedCircuit, excluded: int, x: Iterable[int]
 ) -> tuple[frozenset, dict]:
@@ -91,60 +114,19 @@ def compute_reach(
     Search runs in G-E(H)-excluded; vertices of V(H) outside x absorb the
     search, so witness paths have all inner vertices off H.
     """
-    sources = sorted(set(x))
-    reached: dict[int, Trail] = {}
-    parent: dict[int, tuple[int, int]] = {}
-    queue = deque()
-    visited = set(sources)
-    for v in sources:
-        queue.append(v)
-        if v in seg.h_vertices:
-            reached[v] = Trail((v,))
-    banned = seg.h_edges | {excluded}
+    parent = _admissible_search(g, seg, excluded, x)
 
     def path_to(v: int) -> Trail:
         verts = [v]
         edges = []
-        while v in parent:
-            pv, eid = parent[v]
-            verts.append(pv)
+        while parent[v] is not None:
+            v, eid = parent[v]
+            verts.append(v)
             edges.append(eid)
-            v = pv
         return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
-    source_set = frozenset(sources)
-    while queue:
-        v = queue.popleft()
-        if v in seg.h_vertices and v not in source_set:
-            continue  # absorbing: admissible trails end at H-vertices
-        for w, eid in g.adjacency[v]:
-            if eid in banned or w in visited:
-                continue
-            visited.add(w)
-            parent[w] = (v, eid)
-            queue.append(w)
-            if w in seg.h_vertices:
-                reached[w] = path_to(w)
+    reached = {v: path_to(v) for v in parent if v in seg.h_vertices}
     return frozenset(reached), reached
-
-
-def _admissible_component(
-    g: Graph, seg: SegmentedCircuit, excluded: int, x: Iterable[int]
-) -> frozenset:
-    """All vertices admissibly reachable from x (H-vertices absorb)."""
-    sources = frozenset(x)
-    visited = set(sources)
-    queue = deque(sorted(sources))
-    banned = seg.h_edges | {excluded}
-    while queue:
-        v = queue.popleft()
-        if v in seg.h_vertices and v not in sources:
-            continue
-        for w, eid in g.adjacency[v]:
-            if eid not in banned and w not in visited:
-                visited.add(w)
-                queue.append(w)
-    return frozenset(visited)
 
 
 def hopping_fixpoint(
@@ -187,7 +169,7 @@ def hopping_fixpoint(
         side_vertices, endpoint, other = a_full, a, b
     else:
         side_vertices, endpoint, other = b_full, b, a
-    region = _admissible_component(g, seg, excluded, set(side_vertices) | {endpoint})
+    region = _admissible_search(g, seg, excluded, set(side_vertices) | {endpoint})
     cert = certify(g, region)
     if other in region or excluded not in cert.boundary:
         raise CoherenceViolated("fixpoint region leaked across the excluded edge")

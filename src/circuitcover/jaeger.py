@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cuts import CutCertificate, odd_cut_within
+from .cuts import CutCertificate, certify
 from .errors import CoherenceViolated, NotExtendable, TooLarge
 from .graphs import Graph, connected_components, is_even_subgraph, spanning_forest
 
@@ -29,9 +29,6 @@ class EvenExtension:
 def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCertificate:
     """Even superset of s, or the witness odd cut inside s."""
     s_set = frozenset(s)
-    cert = odd_cut_within(g, s_set)
-    if cert is not None:
-        return cert
     t_deg = [0] * g.n
     for eid in s_set:
         u, v = g.endpoints(eid)
@@ -42,7 +39,10 @@ def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCe
     for tree in forest.trees():
         odd = [v for v in tree if t_deg[v] % 2 == 1]
         if len(odd) % 2:
-            raise CoherenceViolated("component parity already certified even")
+            cert = certify(g, tree)
+            if not (cert.boundary <= s_set and cert.odd):
+                raise CoherenceViolated("component of G-S bounds no odd cut inside S")
+            return cert
         for a, b in zip(odd[::2], odd[1::2]):
             join.symmetric_difference_update(forest.path_edges(a, b))
     even = s_set | frozenset(join)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -21,11 +22,97 @@ from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
 
 
+def _nx_graph(nx, g, edges=None):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((g.edges[e] for e in (range(g.m) if edges is None else edges)), capacity=1)
+    return h
+
+
 def _flow_value(g, s, t):
-    net = FlowNetwork(g.n)
-    for u, v in g.edges:
-        net.add_undirected(u, v, 1)
-    return net.max_flow(s, t)
+    """Max s-t flow by networkx, an implementation independent of the code under test."""
+    nx = pytest.importorskip("networkx")
+    return nx.maximum_flow_value(_nx_graph(nx, g), s, t)
+
+
+def _check_flow(g, net, edges, supply, demand, value):
+    """out holds a flow on `edges` that sends `value` units within the
+    supply and demand bounds."""
+    excess = [0] * g.n  # units sent minus units received
+    for e, (u, v) in enumerate(g.edges):
+        o = net.out[e]
+        if e not in edges:
+            assert o == -2
+        elif o != -1:
+            assert o in (u, v)
+            excess[o] += 1
+            excess[u + v - o] -= 1
+    for v in range(g.n):
+        assert -demand.get(v, 0) <= excess[v] <= supply.get(v, 0)
+    assert sum(x for x in excess if x > 0) == value
+
+
+class TestFlowNetwork:
+    def test_supply_caps_the_flow(self):
+        g = complete_graph(5)
+        for units, want in ((1, 1), (2, 2), (4, 4), (9, 4)):
+            net = FlowNetwork(g)
+            assert net.max_flow({0: units}, {1: 9}) == want
+            _check_flow(g, net, set(range(g.m)), {0: units}, {1: 9}, want)
+
+    def test_edges_outside_the_set_carry_no_flow(self):
+        g = cycle_graph(6)
+        edges = {0, 1, 2, 3, 4}  # the path 0-1-2-3-4-5; edge 5 = (5, 0) is left out
+        net = FlowNetwork(g, edges)
+        assert net.max_flow({0: 2}, {3: 2}) == 1
+        assert net.out[5] == -2
+        assert net.source_side(0) == {0}  # the one path is saturated
+        _check_flow(g, net, edges, {0: 2}, {3: 2}, 1)
+
+    def test_two_units_into_one_vertex(self):
+        # the splice's flow when s == t: C5 without the edge (0, 1), from
+        # both of its ends into vertex 3
+        g = cycle_graph(5)
+        edges = set(range(1, g.m))
+        net = FlowNetwork(g, edges)
+        assert net.max_flow({0: 1, 1: 1}, {3: 2}) == 2
+        _check_flow(g, net, edges, {0: 1, 1: 1}, {3: 2}, 2)
+
+    def test_supply_at_a_demand_vertex_counts_at_once(self):
+        g = cycle_graph(4)
+        assert FlowNetwork(g).max_flow({2: 1}, {2: 1}) == 1
+        net = FlowNetwork(g)
+        assert net.max_flow({2: 1, 0: 1}, {2: 1, 1: 1}) == 2
+        assert net.out.count(-1) == g.m - 1  # only 0 -> 1 carries a unit
+
+    GRAPHS = [random_connected(n, 3 * n, 1, seed=n).graph for n in range(8, 60, 4)]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_against_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(g.n)
+        for trial in range(12):
+            # the whole graph, then restricted edge sets
+            edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
+            s, t = rng.sample(range(g.n), 2)
+            net = FlowNetwork(g, edges)
+            value = net.max_flow({s: g.m}, {t: g.m})
+            assert value == nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
+            _check_flow(g, net, edges, {s: g.m}, {t: g.m}, value)
+            side = net.source_side(s)
+            assert s in side and t not in side
+            assert len(edge_boundary(g, side) & edges) == value
+            # two sources and two sinks: a super source and sink for networkx
+            s1, s2, t1, t2 = rng.sample(range(g.n), 4)
+            supply = {s1: rng.randint(1, 4), s2: rng.randint(1, 4)}
+            demand = {t1: rng.randint(1, 4), t2: rng.randint(1, 4)}
+            h = _nx_graph(nx, g, edges).to_directed()
+            h.add_edges_from(("S", v, {"capacity": k}) for v, k in supply.items())
+            h.add_edges_from((v, "T", {"capacity": k}) for v, k in demand.items())
+            net = FlowNetwork(g, edges)
+            value = net.max_flow(supply, demand)
+            assert value == nx.maximum_flow_value(h, "S", "T")
+            _check_flow(g, net, edges, supply, demand, value)
 
 
 class TestGomoryHu:
@@ -294,3 +381,42 @@ class TestBelowSmallestOddDegree:
                 if cert is not None:
                     assert cert.size == full and cert.odd and cert.is_valid_for(g)
             assert edge_connectivity(g) == min(gomory_hu_tree(g).capacity[1:])
+
+
+class TestPinnedCutAnswers:
+    # SHA-256 over every answer of the cut tools on the corpus below, as they
+    # gave them when each flow ran on a network of arc pairs
+    PINNED = "3ab6762787d117fb471b515874543286dded8ef4d0531f2b75a2b029cd0ea0ec"
+
+    @staticmethod
+    def _corpus():
+        # seeded connected graphs with 2n to 4n edges, each alone and joined
+        # to the next by 1-3 edges, which make odd cuts below the smallest
+        # odd degree
+        rng = random.Random(23)
+
+        def graph():
+            n = rng.randint(2, 30)
+            top = n * (n - 1) // 2
+            m = rng.randint(min(2 * n, top), min(4 * n, top))
+            return random_connected(n, m, 1, seed=rng.randrange(1 << 30)).graph
+
+        for _ in range(60):
+            a, b = graph(), graph()
+            joins = {(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(1, 3))}
+            shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
+            yield a
+            yield Graph.from_edges(a.n + b.n, a.edges + shifted + tuple(sorted(joins)))
+
+    def test_answers_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        below = 0
+        for g in self._corpus():
+            cert = min_odd_cut(g)
+            tree = gomory_hu_tree(g)
+            cut = None if cert is None else (sorted(cert.side), sorted(cert.boundary), cert.size)
+            key = (cut, tree.parent, tree.capacity, edge_connectivity(g))
+            digest.update(repr(key).encode())
+            below += cert is not None and cert.size < _smallest_odd_degree(g)
+        assert below >= 20, "the corpus must reach below the smallest odd degree"
+        assert digest.hexdigest() == self.PINNED

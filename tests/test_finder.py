@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from circuitcover import finder
 from circuitcover.cuts import CutCertificate, min_odd_cut
-from circuitcover.errors import DisconnectedInput, EmptyPrescribed
+from circuitcover.errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from circuitcover.finder import (
     _trail_through_edge,
     extend_circuit,
@@ -161,6 +161,22 @@ class TestFindCircuit:
     def test_empty_s_rejected(self):
         with pytest.raises(EmptyPrescribed):
             find_circuit(cycle_graph(3), set())
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda t: Trail(t.vertices[:-1], t.edges[:-1]), "not closed"),
+            (lambda t: Trail(t.vertices + t.vertices[1:], t.edges * 2), "duplicate edge"),
+            (lambda t: Trail(t.vertices, t.edges[:1] + t.edges[:0:-1]), "does not follow"),
+        ],
+        ids=["open", "repeated", "off-graph"],
+    )
+    def test_corrupted_circuit_is_caught(self, monkeypatch, corrupt, reason):
+        # each corruption keeps the prescribed edge 0 on the walk
+        real = finder._base_circuit
+        monkeypatch.setattr(finder, "_base_circuit", lambda g, eid: corrupt(real(g, eid)))
+        with pytest.raises(CoherenceViolated, match=reason):
+            find_circuit(cycle_graph(5), {0})
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
