@@ -67,6 +67,12 @@ def _report(args, payload: dict) -> None:
         print(f"{key}: {value}")
 
 
+def _print_json(args, payload: dict) -> None:
+    """The one stdout line of find, oracle and verify; --quiet drops it."""
+    if not args.quiet:
+        print(json.dumps(payload, sort_keys=True))
+
+
 def _run_report(command: str, label: str) -> dict:
     return {"command": command, "label": label, "verdicts": {}, "timings": {}}
 
@@ -112,13 +118,13 @@ def cmd_find(args) -> int:
             witness = feasible_by_bruteforce(g, s)
             payload["oracle_feasible"] = witness is not None
         payload["timings"] = {"find_s": elapsed}
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(args, payload)
         return EXIT_CERTIFICATE
     payload = circuit_result(outcome)
     if args.certify:
         payload["certified"] = bool(verify_circuit(g, outcome, s))
     payload["timings"] = {"find_s": elapsed}
-    print(json.dumps(payload, sort_keys=True))
+    _print_json(args, payload)
     return EXIT_OK
 
 
@@ -127,9 +133,9 @@ def cmd_oracle(args) -> int:
     s = _parse_edges(args.edges, g.m)
     witness = feasible_by_bruteforce(g, s)
     if witness is None:
-        print(json.dumps(infeasible_result("oracle"), sort_keys=True))
+        _print_json(args, infeasible_result("oracle"))
         return EXIT_CERTIFICATE
-    print(json.dumps(circuit_result(witness, method="oracle"), sort_keys=True))
+    _print_json(args, circuit_result(witness, method="oracle"))
     return EXIT_OK
 
 
@@ -149,7 +155,7 @@ def cmd_verify(args) -> int:
     else:
         print("nothing to verify: status is not circuit/odd-cut", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps({"verified": ok, "reason": reason}, sort_keys=True))
+    _print_json(args, {"verified": ok, "reason": reason})
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 

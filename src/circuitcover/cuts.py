@@ -73,6 +73,9 @@ class GomoryHuTree:
         return self.parent.index(-1)
 
     def min_cut_value(self, s: int, t: int) -> int:
+        n = len(self.parent)
+        if not (0 <= s < n and 0 <= t < n) or s == t:
+            raise BadParam(f"need two distinct vertices in 0..{n - 1}, got {s} and {t}")
         depth = self._depths()
         best = None
         a, b = s, t

@@ -3,12 +3,12 @@
 The construction is inductive: start from a circuit through the first edge
 uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
 the remaining edges in one at a time.  An edge already on the circuit is
-free; an edge in a 2-edge-connected component of the leftover graph splices
-in through a trail that one unit-capacity flow over the component's edges
-yields, in G's own vertex and edge ids; an edge that is a
-bridge of the leftover graph goes through the rerouting machinery, which
-either succeeds or emits an odd cut of size at most the number of edges
-placed so far.  Certificates therefore always have odd size at most |S|.
+free.  For any other, one lowlink DFS of the leftover graph from that edge
+says whether it is a bridge there and, if not, which 2-edge-connected
+component holds it.  Such an edge splices in through a trail that one
+unit-capacity flow over the component's edges yields; a bridge goes through
+the rerouting machinery, which either succeeds or emits an odd cut of size
+at most the number of edges placed so far, and so at most |S|.
 """
 from __future__ import annotations
 
@@ -138,14 +138,12 @@ def extend_circuit(
     extension through a boundary bridge maps back through `edge_ids`.
     """
     s_set = frozenset(s_prefix)
-    if e_next in h.edge_set():
-        return h
     h_edges = h.edge_set()
-    leftover = g.all_edges() - h_edges
-    bridges, components = bridges_and_2ec_components(g, leftover)
-    if e_next in bridges:
+    if e_next in h_edges:
+        return h
+    bridges, comp = bridges_and_2ec_components(g, g.all_edges() - h_edges, e_next)
+    if comp is None:
         return bridge_case(g, h, s_set, e_next)
-    comp = next(c for c in components if e_next in c.edges)
     shared = comp.vertices & frozenset(h.vertices)
     if shared:
         # splice: a closed trail inside the component through e_next and a

@@ -264,59 +264,60 @@ class TwoEdgeConnectedComponent(NamedTuple):
 
 
 def bridges_and_2ec_components(
-    g: Graph, f: Iterable[int]
-) -> tuple[EdgeIds, list[TwoEdgeConnectedComponent]]:
-    """Classify every edge of f as a bridge or as part of exactly one maximal
-    2-edge-connected subgraph of (V, f)."""
+    g: Graph, f: Iterable[int], eid: int
+) -> tuple[EdgeIds, TwoEdgeConnectedComponent | None]:
+    """Bridges of eid's connected component of (V, f), and the maximal
+    2-edge-connected subgraph of (V, f) that holds eid, or None when eid is
+    a bridge.
+
+    One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid.  Each
+    vertex goes onto a stack when it is discovered; a non-root vertex that
+    finishes with lowlink equal to its discovery time was entered by a
+    bridge, and pops its component off the stack.  What is left on the
+    stack when the root finishes is the root's component.
+    """
     allowed = frozenset(f)
+    if allowed and (min(allowed) < 0 or max(allowed) >= g.m):
+        bad = min(allowed) if min(allowed) < 0 else max(allowed)
+        raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
+    root = g.endpoints(eid)[0]
+    if eid not in allowed:
+        raise BadParam(f"edge {eid} is not in the edge set")
+    adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
-    bridges: set[int] = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        # iterative lowlink DFS; entries are (vertex, incoming edge id, adj index)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_eid, idx = stack.pop()
-            adj = g.adjacency[v]
-            advanced = False
-            while idx < len(adj):
-                w, eid = adj[idx]
-                idx += 1
-                if eid not in allowed or eid == in_eid:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((v, in_eid, idx))
-                    stack.append((w, eid, 0))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
+    disc[root] = 0
+    timer = 1
+    stack = [root]  # discovered vertices whose component is still open
+    bridges = set()
+    frames = [(root, -1, iter(adjacency[root]))]  # (vertex, entering edge, scan)
+    while frames:
+        v, in_eid, scan = frames[-1]
+        for w, e in scan:
+            if e == in_eid or e not in allowed:
                 continue
-            # v is finished; propagate lowlink to its parent
-            if in_eid != -1 and stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv]:
+            if disc[w] == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append(w)
+                frames.append((w, e, iter(adjacency[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            frames.pop()
+            if frames:  # v is not the root
+                p = frames[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] == disc[v]:  # nothing below v reaches above it
                     bridges.add(in_eid)
-    non_bridge = allowed - bridges
-    vertex_sets = connected_components(g, non_bridge)
-    label = {v: i for i, verts in enumerate(vertex_sets) for v in verts}
-    edge_sets: list[list[int]] = [[] for _ in vertex_sets]
-    for eid in non_bridge:
-        # both ends of a non-bridge edge lie in its component
-        edge_sets[label[g.edges[eid][0]]].append(eid)
-    comps = [
-        TwoEdgeConnectedComponent(verts, frozenset(edges))
-        for verts, edges in zip(vertex_sets, edge_sets)
-    ]
-    return frozenset(bridges), comps
+                    while stack.pop() != v:
+                        pass
+    if eid in bridges:
+        return frozenset(bridges), None
+    verts = frozenset(stack)
+    edges = frozenset(e for v in verts for w, e in adjacency[v] if w in verts and e in allowed)
+    return frozenset(bridges), TwoEdgeConnectedComponent(verts, edges)
 
 
 # ---------------------------------------------------------------------------

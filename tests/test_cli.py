@@ -128,6 +128,31 @@ class TestFind:
         assert "error" in capsys.readouterr().err
 
 
+class TestQuiet:
+    """--quiet prints nothing to stdout; the exit code still gives the outcome."""
+
+    @pytest.mark.parametrize("edges, want", [("1,2", 0), ("0,1,2", 2)])
+    def test_find(self, ladder4_file, capsys, edges, want):
+        assert main(["find", str(ladder4_file), "--edges", edges, "--quiet"]) == want
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("edges, want", [("1,2", 0), ("0,1,2", 2)])
+    def test_oracle(self, ladder4_file, capsys, edges, want):
+        assert main(["oracle", str(ladder4_file), "--edges", edges, "--quiet"]) == want
+        assert capsys.readouterr().out == ""
+
+    def test_verify(self, c6_file, tmp_path, capsys):
+        main(["find", str(c6_file), "--edges", "1,4"])
+        good = tmp_path / "good.json"
+        good.write_text(capsys.readouterr().out)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"status": "circuit", "walk": [0, 1, 0], "edge_walk": [0, 0]}))
+        for result, want in ((good, 0), (bad, 2)):
+            argv = ["verify", str(c6_file), "--edges", "1,4", "--result", str(result)]
+            assert main(argv + ["--quiet"]) == want
+            assert capsys.readouterr().out == ""
+
+
 class TestOracleAndVerify:
     def test_oracle_feasible(self, c6_file, capsys):
         code = main(["oracle", str(c6_file), "--edges", "0,3"])

@@ -120,6 +120,12 @@ class TestGomoryHu:
         with pytest.raises(BadParam):
             gomory_hu_tree(Graph(0, ()))
 
+    @pytest.mark.parametrize("s, t", [(0, 0), (5, 5), (0, 99), (99, 0), (-1, 3), (2, 8)])
+    def test_min_cut_value_rejects_equal_or_missing_vertices(self, s, t):
+        tree = gomory_hu_tree(ladder(4).graph)
+        with pytest.raises(BadParam):
+            tree.min_cut_value(s, t)
+
     @given(connected_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_tree_answers_all_pairs(self, g):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,18 +153,23 @@ def _chained_graphs(draw):
     return Graph.from_edges(base, edges)
 
 
+def _classify_each(g, f):
+    """eid -> (bridges, component) for every edge eid of f."""
+    return {eid: bridges_and_2ec_components(g, f, eid) for eid in f}
+
+
 class TestBridges:
     def test_tree_is_all_bridges(self):
         g = path_graph(5)
-        bridges, comps = bridges_and_2ec_components(g, g.all_edges())
-        assert bridges == g.all_edges()
-        assert comps == []
+        for bridges, comp in _classify_each(g, g.all_edges()).values():
+            assert bridges == g.all_edges()
+            assert comp is None
 
     def test_cycle_has_none(self):
         g = cycle_graph(5)
-        bridges, comps = bridges_and_2ec_components(g, g.all_edges())
-        assert bridges == frozenset()
-        assert len(comps) == 1 and comps[0].edges == g.all_edges()
+        for bridges, comp in _classify_each(g, g.all_edges()).values():
+            assert bridges == frozenset()
+            assert comp.edges == g.all_edges() and comp.vertices == frozenset(range(5))
 
     def test_star_left_by_removing_triangle_from_k4(self):
         g = complete_graph(4)
@@ -169,40 +177,102 @@ class TestBridges:
         star = g.all_edges() - frozenset(
             eid for eid, (u, v) in enumerate(g.edges) if u != 0 and v != 0
         )
-        bridges, comps = bridges_and_2ec_components(g, star)
-        assert bridges == star and len(bridges) == 3
-        assert comps == []
+        for bridges, comp in _classify_each(g, star).values():
+            assert bridges == star and len(bridges) == 3
+            assert comp is None
 
     @given(connected_graphs())
     @settings(max_examples=60)
     def test_bridge_removal_disconnects(self, g):
-        bridges, _ = bridges_and_2ec_components(g, g.all_edges())
-        for eid in bridges:
+        answers = _classify_each(g, g.all_edges())
+        # g is connected, so every edge sees the bridges of all of g
+        (bridges,) = {b for b, _ in answers.values()}
+        for eid, (_, comp) in answers.items():
+            assert (comp is None) == (eid in bridges)
             rest = g.all_edges() - {eid}
             u, v = g.endpoints(eid)
             comps = connected_components(g, rest) + [
                 frozenset({w}) for w in (u, v) if all(e == eid for _, e in g.adjacency[w])
             ]
-            assert not any(u in c and v in c for c in comps)
+            assert any(u in c and v in c for c in comps) == (eid not in bridges)
 
     @given(_chained_graphs(), st.data())
     @settings(max_examples=100)
     def test_components_partition_the_non_bridges(self, g, data):
         f = g.all_edges() - data.draw(st.sets(st.integers(0, g.m - 1)))
-        bridges, comps = bridges_and_2ec_components(g, f)
+        answers = _classify_each(g, f)
+        bridges = frozenset().union(*(b for b, _ in answers.values()))
+        comps = {c for _, c in answers.values() if c is not None}
         parts = [bridges] + [c.edges for c in comps]
         assert sum(len(p) for p in parts) == len(f)
         assert frozenset().union(*parts) == f
         non_bridge = f - bridges
-        for c in comps:
-            # the definition the labelling replaced: the non-bridge edges
-            # with both ends in the component's vertex set
-            assert c.edges == frozenset(
-                eid for eid in non_bridge
-                if g.edges[eid][0] in c.vertices and g.edges[eid][1] in c.vertices
+        for eid, (own_bridges, comp) in answers.items():
+            assert (comp is None) == (eid in bridges)
+            # the bridges returned are those of eid's connected component
+            reach = next(c for c in connected_components(g, f) if g.edges[eid][0] in c)
+            assert own_bridges == frozenset(b for b in bridges if g.edges[b][0] in reach)
+            if comp is None:
+                continue
+            assert eid in comp.edges
+            # the non-bridge edges with both ends in the component's vertex set
+            assert comp.edges == frozenset(
+                e for e in non_bridge
+                if g.edges[e][0] in comp.vertices and g.edges[e][1] in comp.vertices
             )
-        smallest = [min(c.vertices) for c in comps]
-        assert smallest == sorted(smallest)
+        for a, b in combinations(comps, 2):
+            assert not a.vertices & b.vertices
+
+    @pytest.mark.parametrize(
+        "f, eid", [([0, 1, -1], 0), ([0, 1, 99], 0), ([0, 1], -1), ([0, 1], 99)]
+    )
+    def test_rejects_an_edge_id_out_of_range(self, f, eid):
+        from circuitcover.generators import ladder
+
+        with pytest.raises(BadEdgeId):
+            bridges_and_2ec_components(ladder(4).graph, f, eid)
+
+    def test_rejects_an_edge_outside_the_set(self):
+        g = cycle_graph(4)
+        with pytest.raises(BadParam):
+            bridges_and_2ec_components(g, [0, 1, 2], 3)
+
+    @staticmethod
+    def _against_networkx(nx, g, f):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges[e] for e in f)
+        nx_bridges = {frozenset(b) for b in nx.bridges(h)}
+        two_ec = list(nx.k_edge_components(h, k=2))
+        for eid in f:
+            bridges, comp = bridges_and_2ec_components(g, f, eid)
+            u, v = g.edges[eid]
+            reach = nx.node_connected_component(h, u)
+            assert {frozenset(g.edges[b]) for b in bridges} == {
+                b for b in nx_bridges if b <= reach
+            }
+            assert (comp is None) == (frozenset((u, v)) in nx_bridges)
+            if comp is not None:
+                assert comp.vertices == next(c for c in two_ec if u in c and v in c)
+
+    @given(_chained_graphs(), st.data())
+    @settings(max_examples=60)
+    def test_chained_graphs_against_networkx(self, g, data):
+        nx = pytest.importorskip("networkx")
+        f = g.all_edges() - data.draw(st.sets(st.integers(0, g.m - 1)))
+        self._against_networkx(nx, g, f)
+
+    def test_random_connected_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        from circuitcover.generators import random_connected
+
+        rng = random.Random(11)
+        for seed in range(12):
+            n = rng.randint(4, 60)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+            g = random_connected(n, m, 1, seed=seed).graph
+            f = frozenset(e for e in range(g.m) if rng.random() < 0.8)
+            self._against_networkx(nx, g, f)
 
 
 class TestEulerCircuit:
