@@ -57,18 +57,15 @@ def _parse_edges(raw: str, m: int) -> frozenset:
 
 def _report(args, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    if getattr(args, "quiet", False):
-        return
-    for key, value in payload.items():
-        if key in ("command", "timings"):
-            continue
-        print(f"{key}: {value}")
+        _print_json(args, payload)
+    elif not args.quiet:
+        for key, value in payload.items():
+            if key not in ("command", "timings"):
+                print(f"{key}: {value}")
 
 
 def _print_json(args, payload: dict) -> None:
-    """The one stdout line of find, oracle and verify; --quiet drops it."""
+    """A command's JSON output, on one stdout line; --quiet drops it."""
     if not args.quiet:
         print(json.dumps(payload, sort_keys=True))
 
@@ -89,7 +86,7 @@ def cmd_check(args) -> int:
     report["min_odd_cut"] = None if cert is None else cert.to_json()
     report["verdicts"]["universal_up_to_k"] = universal
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        _print_json(args, report)
     elif not args.quiet:
         if cert is None:
             print("min odd cut: none; circuit-universal for every k")

@@ -113,6 +113,8 @@ class GomoryHuTree:
 
     def subtree(self, v: int) -> frozenset:
         """Vertices on v's side of the tree edge (v, parent[v])."""
+        if not (0 <= v < len(self.parent)):
+            raise BadParam(f"vertex {v} out of range (n={len(self.parent)})")
         out = set()
         stack = [v]
         while stack:

@@ -6,7 +6,7 @@ the remaining edges in one at a time.  An edge already on the circuit is
 free.  For any other, one lowlink DFS of the leftover graph from that edge
 says whether it is a bridge there and, if not, which 2-edge-connected
 component holds it.  Such an edge splices in through a trail that one
-unit-capacity flow over the component's edges yields; a bridge goes through
+unit-capacity flow over the leftover graph yields; a bridge goes through
 the rerouting machinery, which either succeeds or emits an odd cut of size
 at most the number of edges placed so far, and so at most |S|.
 """
@@ -70,9 +70,10 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
 
 
 def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int) -> Trail:
-    """s-t trail of g through the edge eid = xy that uses only `edges`, a
-    2-edge-connected edge set containing eid and touching s and t (a closed
-    trail through eid when s == t).
+    """s-t trail of g through the edge eid = xy that uses only `edges` (a
+    closed trail through eid when s == t).  s and t must lie in eid's
+    2-edge-connected component of (V, edges); it meets the rest of `edges`
+    only through bridges, so no augmenting path leaves it and comes back.
 
     One unit-capacity flow of value 2 on (V, edges - eid), from x and y to
     s and t (twice to s when s == t), splits into a walk from x and a walk
@@ -141,15 +142,16 @@ def extend_circuit(
     h_edges = h.edge_set()
     if e_next in h_edges:
         return h
-    bridges, comp = bridges_and_2ec_components(g, g.all_edges() - h_edges, e_next)
+    leftover = g.all_edges() - h_edges
+    bridges, comp = bridges_and_2ec_components(g, leftover, e_next)
     if comp is None:
         return bridge_case(g, h, s_set, e_next)
-    shared = comp.vertices & frozenset(h.vertices)
+    shared = comp & frozenset(h.vertices)
     if shared:
         # splice: a closed trail inside the component through e_next and a
         # shared vertex, merged with h by an Euler tour of the union
         v = min(shared)
-        star = _trail_through_edge(g, comp.edges, e_next, v, v)
+        star = _trail_through_edge(g, leftover, e_next, v, v)
         union = h_edges | star.edge_set()
         out = euler_circuit(g, union, start=h.vertices[0])
         if not s_set <= out.edge_set() or e_next not in out.edges:
@@ -157,19 +159,19 @@ def extend_circuit(
         return out
     # detached component: contract it, extend through one of its boundary
     # bridges, then open the contracted vertex into a trail through e_next
-    boundary = edge_boundary(g, comp.vertices)
+    boundary = edge_boundary(g, comp)
     if not boundary or not boundary <= bridges:
         raise CoherenceViolated("a detached component must hang on bridges")
     # distinct outside ends, or the contraction would have parallel edges
     outside_ends = {
-        u if v in comp.vertices else v for u, v in (g.edges[e] for e in boundary)
+        u if v in comp else v for u, v in (g.edges[e] for e in boundary)
     }
     if len(outside_ends) != len(boundary):
         raise CoherenceViolated(
             "boundary bridges of a detached 2-edge-connected component cannot "
             "share outside endpoints"
         )
-    contraction = contract_subgraph(g, comp.vertices)
+    contraction = contract_subgraph(g, comp)
     new_id = {e: i for i, e in enumerate(contraction.edge_ids)}
     h_c = Trail(h.vertices, tuple(new_id[e] for e in h.edges))
     s_c = frozenset(new_id[e] for e in s_set)
@@ -177,19 +179,19 @@ def extend_circuit(
     if isinstance(outcome, CutCertificate):
         side = outcome.side
         if g.n in side:
-            side = (side - {g.n}) | comp.vertices
+            side = (side - {g.n}) | comp
         cert = certify(g, side)
         if cert.boundary != frozenset(
             contraction.edge_ids[e] for e in outcome.boundary
         ) or not cert.odd:
             raise CoherenceViolated("contracted certificate did not lift cleanly")
         return cert
-    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, e_next)
+    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, leftover, e_next)
 
 
-def _open_contracted_vertex(g, edge_ids, circuit_c, comp, e_next) -> Trail:
+def _open_contracted_vertex(g, edge_ids, circuit_c, comp, leftover, e_next) -> Trail:
     """Replace the single visit of the contracted vertex g.n by a trail
-    through e_next inside the component.
+    through e_next inside comp, its 2-edge-connected part of (V, leftover).
 
     circuit_c is a circuit of the contraction: its vertices other than g.n
     are g's, and its edges map back to g through edge_ids.
@@ -199,10 +201,10 @@ def _open_contracted_vertex(g, edge_ids, circuit_c, comp, e_next) -> Trail:
         raise CoherenceViolated("contracted vertex must be passed exactly once")
     rotated = rotate_closed(circuit_c, occurrences[0])
     outer_edges = tuple(edge_ids[e] for e in rotated.edges)
-    d_first = next(v for v in g.endpoints(outer_edges[0]) if v in comp.vertices)
-    d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp.vertices)
+    d_first = next(v for v in g.endpoints(outer_edges[0]) if v in comp)
+    d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp)
     outer = Trail((d_first, *rotated.vertices[1:-1], d_last), outer_edges)
-    inner = _trail_through_edge(g, comp.edges, e_next, d_last, d_first)
+    inner = _trail_through_edge(g, leftover, e_next, d_last, d_first)
     out = trail_concat(outer, inner)
     validate_trail(g, out)
     if not out.is_closed:

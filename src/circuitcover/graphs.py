@@ -258,17 +258,12 @@ def is_connected(g: Graph) -> bool:
 # bridges and 2-edge-connected components
 
 
-class TwoEdgeConnectedComponent(NamedTuple):
-    vertices: frozenset
-    edges: frozenset
-
-
 def bridges_and_2ec_components(
     g: Graph, f: Iterable[int], eid: int
-) -> tuple[EdgeIds, TwoEdgeConnectedComponent | None]:
-    """Bridges of eid's connected component of (V, f), and the maximal
-    2-edge-connected subgraph of (V, f) that holds eid, or None when eid is
-    a bridge.
+) -> tuple[EdgeIds, frozenset | None]:
+    """Bridges of eid's connected component of (V, f), and the vertex set of
+    the maximal 2-edge-connected subgraph of (V, f) that holds eid, or None
+    when eid is a bridge.
 
     One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid.  Each
     vertex goes onto a stack when it is discovered; a non-root vertex that
@@ -313,11 +308,7 @@ def bridges_and_2ec_components(
                     bridges.add(in_eid)
                     while stack.pop() != v:
                         pass
-    if eid in bridges:
-        return frozenset(bridges), None
-    verts = frozenset(stack)
-    edges = frozenset(e for v in verts for w, e in adjacency[v] if w in verts and e in allowed)
-    return frozenset(bridges), TwoEdgeConnectedComponent(verts, edges)
+    return frozenset(bridges), None if eid in bridges else frozenset(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +394,8 @@ class FlowNetwork:
 
 def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail:
     """Closed trail using every edge of f exactly once (Hierholzer)."""
+    if start is not None and not (0 <= start < g.n):
+        raise BadParam(f"start vertex {start} out of range (n={g.n})")
     allowed = frozenset(f)
     if not allowed:
         return Trail((start if start is not None else 0,), ())
@@ -473,17 +466,20 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
     for v in wset:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    inside = frozenset(
-        eid for eid, (u, v) in enumerate(g.edges) if u in wset and v in wset
-    )
-    # w is connected iff one root of the forest over its edges lies in w
-    parent = spanning_forest(g, inside).parent
-    if sum(parent[v] == -1 for v in wset) != 1:
+    # w is connected iff a search over its inner edges reaches all of it
+    stack = [min(wset)]
+    seen = set(stack)
+    while stack:
+        for x, _ in g.adjacency[stack.pop()]:
+            if x in wset and x not in seen:
+                seen.add(x)
+                stack.append(x)
+    if len(seen) != len(wset):
         raise NotConnected("vertex set to contract is not connected")
     new_edges: list[tuple[int, int]] = []
     edge_ids: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
-        if eid in inside:
+        if u in wset and v in wset:
             continue
         new_edges.append((g.n if u in wset else u, g.n if v in wset else v))
         edge_ids.append(eid)

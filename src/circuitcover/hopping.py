@@ -44,35 +44,31 @@ class SpanWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class ReachState:
-    """Level sets grown from both endpoints of the excluded edge, with one
-    recorded admissible witness trail per reached vertex."""
+    """Level sets grown from both endpoints of the excluded edge; a_trees and
+    b_trees map each reached H-vertex to the search tree (parent map) of the
+    first level that reached it, and its witness trail is its tree path."""
 
     graph: Graph
     excluded: int
-    a: int
-    b: int
     a_levels: tuple[frozenset, ...]  # A_0 = empty, A_1, ... (stabilized)
     b_levels: tuple[frozenset, ...]
-    a_witness: dict
-    b_witness: dict
+    a_trees: dict
+    b_trees: dict
 
     def level(self, side: str, i: int) -> frozenset:
         levels = self.a_levels if side == "A" else self.b_levels
         return levels[min(i, len(levels) - 1)]
 
     def witness(self, side: str, v: int) -> Trail:
-        return (self.a_witness if side == "A" else self.b_witness)[v]
+        return _tree_path((self.a_trees if side == "A" else self.b_trees)[v], v)
 
     def swapped(self) -> "ReachState":
-        return ReachState(
-            graph=self.graph,
-            excluded=self.excluded,
-            a=self.b,
-            b=self.a,
+        return replace(
+            self,
             a_levels=self.b_levels,
             b_levels=self.a_levels,
-            a_witness=self.b_witness,
-            b_witness=self.a_witness,
+            a_trees=self.b_trees,
+            b_trees=self.a_trees,
         )
 
     def first_hit_level(self, seg: SegmentedCircuit, side: str, j: int) -> int | None:
@@ -106,6 +102,17 @@ def _admissible_search(
     return parent
 
 
+def _tree_path(parent: dict[int, tuple[int, int] | None], v: int) -> Trail:
+    """Path from the search's source to v along the parent map."""
+    verts = [v]
+    edges = []
+    while parent[v] is not None:
+        v, eid = parent[v]
+        verts.append(v)
+        edges.append(eid)
+    return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
+
+
 def compute_reach(
     g: Graph, seg: SegmentedCircuit, excluded: int, x: Iterable[int]
 ) -> tuple[frozenset, dict]:
@@ -115,17 +122,7 @@ def compute_reach(
     search, so witness paths have all inner vertices off H.
     """
     parent = _admissible_search(g, seg, excluded, x)
-
-    def path_to(v: int) -> Trail:
-        verts = [v]
-        edges = []
-        while parent[v] is not None:
-            v, eid = parent[v]
-            verts.append(v)
-            edges.append(eid)
-        return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
-
-    reached = {v: path_to(v) for v in parent if v in seg.h_vertices}
+    reached = {v: _tree_path(parent, v) for v in parent if v in seg.h_vertices}
     return frozenset(reached), reached
 
 
@@ -141,28 +138,27 @@ def hopping_fixpoint(
 
     def grow(start: int) -> tuple[tuple[frozenset, ...], dict]:
         levels = [frozenset()]
-        witness: dict[int, Trail] = {}
-        cur, wit = compute_reach(g, seg, excluded, {start})
-        witness.update(wit)
-        levels.append(cur)
+        trees: dict[int, dict] = {}
+        sources = {start}
         while True:
-            nxt, wit = compute_reach(g, seg, excluded, seg.closure(cur))
-            nxt |= cur
-            if nxt == cur:
-                return tuple(levels), witness
-            for v, t in wit.items():
-                witness.setdefault(v, t)
+            parent = _admissible_search(g, seg, excluded, sources)
+            for v in parent:
+                if v in seg.h_vertices:
+                    trees.setdefault(v, parent)
+            nxt = frozenset(trees)
+            if len(levels) > 1 and nxt == levels[-1]:  # A_1 stays even if empty
+                return tuple(levels), trees
             levels.append(nxt)
-            cur = nxt
+            sources = seg.closure(nxt)
 
-    a_levels, a_witness = grow(a)
-    b_levels, b_witness = grow(b)
+    a_levels, a_trees = grow(a)
+    b_levels, b_trees = grow(b)
     a_full, b_full = a_levels[-1], b_levels[-1]
     shared = [
         j for j in range(seg.k) if seg.ins(j, a_full) and seg.ins(j, b_full)
     ]
     if shared:
-        return ReachState(g, excluded, a, b, a_levels, b_levels, a_witness, b_witness)
+        return ReachState(g, excluded, a_levels, b_levels, a_trees, b_trees)
     hits_a = sum(1 for j in range(seg.k) if seg.ins(j, a_full))
     hits_b = sum(1 for j in range(seg.k) if seg.ins(j, b_full))
     if hits_a <= hits_b:

@@ -63,6 +63,7 @@ def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
         raise TooLarge(f"guard: n={g.n}, cycle-space dim={basis.dim}")
     s_mask = 0
     for eid in s_set:
+        g.endpoints(eid)  # raises BadEdgeId
         s_mask |= 1 << eid
     best: int | None = None
     for f in even_set_masks(basis):

@@ -152,6 +152,16 @@ class TestQuiet:
             assert main(argv + ["--quiet"]) == want
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("k, want", [("2", 0), ("3", 2)])
+    def test_check_even_with_json(self, ladder4_file, capsys, k, want):
+        argv = ["check", str(ladder4_file), "--k", k, "--json", "--quiet"]
+        assert main(argv) == want
+        assert capsys.readouterr().out == ""
+
+    def test_experiment_even_with_json(self, capsys):
+        assert main(["experiment", "gk-witness", "--json", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestOracleAndVerify:
     def test_oracle_feasible(self, c6_file, capsys):

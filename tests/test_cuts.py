@@ -126,6 +126,12 @@ class TestGomoryHu:
         with pytest.raises(BadParam):
             tree.min_cut_value(s, t)
 
+    @pytest.mark.parametrize("v", [-1, 8, 99])
+    def test_subtree_rejects_a_missing_vertex(self, v):
+        tree = gomory_hu_tree(ladder(4).graph)
+        with pytest.raises(BadParam):
+            tree.subtree(v)
+
     @given(connected_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_tree_answers_all_pairs(self, g):

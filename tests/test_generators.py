@@ -117,7 +117,8 @@ class TestRandomConnected:
             g = random_connected(9, 14, 2, seed=seed).graph
             # g is connected, so any edge sees the bridges of all of g
             bridges, comp = bridges_and_2ec_components(g, g.all_edges(), 0)
-            assert not bridges and comp.edges == g.all_edges()
+            assert not bridges and comp == frozenset(range(g.n))
+            assert all(u in comp and v in comp for u, v in g.edges)
 
     def test_deterministic_per_seed(self):
         a = random_connected(9, 16, 3, seed=21).graph

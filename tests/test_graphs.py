@@ -154,8 +154,13 @@ def _chained_graphs(draw):
 
 
 def _classify_each(g, f):
-    """eid -> (bridges, component) for every edge eid of f."""
+    """eid -> (bridges, component's vertex set) for every edge eid of f."""
     return {eid: bridges_and_2ec_components(g, f, eid) for eid in f}
+
+
+def _inner_edges(g, f, verts):
+    """Edges of f with both ends in verts."""
+    return frozenset(e for e in f if g.edges[e][0] in verts and g.edges[e][1] in verts)
 
 
 class TestBridges:
@@ -169,7 +174,8 @@ class TestBridges:
         g = cycle_graph(5)
         for bridges, comp in _classify_each(g, g.all_edges()).values():
             assert bridges == frozenset()
-            assert comp.edges == g.all_edges() and comp.vertices == frozenset(range(5))
+            assert comp == frozenset(range(5))
+            assert _inner_edges(g, g.all_edges(), comp) == g.all_edges()
 
     def test_star_left_by_removing_triangle_from_k4(self):
         g = complete_graph(4)
@@ -203,10 +209,12 @@ class TestBridges:
         answers = _classify_each(g, f)
         bridges = frozenset().union(*(b for b, _ in answers.values()))
         comps = {c for _, c in answers.values() if c is not None}
-        parts = [bridges] + [c.edges for c in comps]
+        # a component's edges: the non-bridge edges of f with both ends in it
+        comp_edges = {c: _inner_edges(g, f, c) for c in comps}
+        assert not any(edges & bridges for edges in comp_edges.values())
+        parts = [bridges] + list(comp_edges.values())
         assert sum(len(p) for p in parts) == len(f)
         assert frozenset().union(*parts) == f
-        non_bridge = f - bridges
         for eid, (own_bridges, comp) in answers.items():
             assert (comp is None) == (eid in bridges)
             # the bridges returned are those of eid's connected component
@@ -214,14 +222,9 @@ class TestBridges:
             assert own_bridges == frozenset(b for b in bridges if g.edges[b][0] in reach)
             if comp is None:
                 continue
-            assert eid in comp.edges
-            # the non-bridge edges with both ends in the component's vertex set
-            assert comp.edges == frozenset(
-                e for e in non_bridge
-                if g.edges[e][0] in comp.vertices and g.edges[e][1] in comp.vertices
-            )
+            assert eid in comp_edges[comp]
         for a, b in combinations(comps, 2):
-            assert not a.vertices & b.vertices
+            assert not a & b
 
     @pytest.mark.parametrize(
         "f, eid", [([0, 1, -1], 0), ([0, 1, 99], 0), ([0, 1], -1), ([0, 1], 99)]
@@ -253,7 +256,7 @@ class TestBridges:
             }
             assert (comp is None) == (frozenset((u, v)) in nx_bridges)
             if comp is not None:
-                assert comp.vertices == next(c for c in two_ec if u in c and v in c)
+                assert comp == next(c for c in two_ec if u in c and v in c)
 
     @given(_chained_graphs(), st.data())
     @settings(max_examples=60)
@@ -295,6 +298,12 @@ class TestEulerCircuit:
     def test_odd_degree_rejected(self):
         with pytest.raises(NotEven):
             euler_circuit(path_graph(3), {0, 1})
+
+    @pytest.mark.parametrize("f", [range(3), ()])
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_start_outside_the_graph_rejected(self, f, start):
+        with pytest.raises(BadParam):
+            euler_circuit(cycle_graph(3), f, start=start)
 
     @given(connected_graphs())
     @settings(max_examples=60)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitcover.cuts import CutCertificate, odd_cut_within
-from circuitcover.errors import TooLarge
+from circuitcover.errors import BadEdgeId, TooLarge
 from circuitcover.generators import ladder, random_connected
 from circuitcover.graphs import Graph, connected_components, is_connected, is_even_subgraph
 from circuitcover.jaeger import (
@@ -86,6 +86,12 @@ class TestMinComponents:
 
     def test_ladder6_five_rungs(self):
         assert min_components_even_extension(ladder(6).graph, {0, 1, 2, 3, 4}) == 3
+
+    @pytest.mark.parametrize("eid", [-1, 10, 99])
+    def test_rejects_an_edge_id_out_of_range(self, eid):
+        g = ladder(4).graph  # m = 10
+        with pytest.raises(BadEdgeId):
+            min_components_even_extension(g, {0, eid})
 
     def test_guard(self):
         big = ladder(12).graph  # n = 24 > 20
