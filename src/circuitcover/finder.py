@@ -3,16 +3,18 @@
 The construction is inductive: start from a circuit through the first edge
 uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
 the remaining edges in one at a time.  An edge already on the circuit is
-free.  For any other, one lowlink DFS of the leftover graph from that edge
-says whether it is a bridge there and, if not, which 2-edge-connected
-component holds it.  Such an edge splices in through a trail that one
-unit-capacity flow over the leftover graph yields; a bridge goes through
-the rerouting machinery, which either succeeds or emits an odd cut of size
-at most the number of edges placed so far, and so at most |S|.
+free.  For any other, one unit-capacity flow over the leftover graph first
+tries to route it through the one circuit vertex a splice can use; when
+that flow succeeds, the edge splices in through the closed trail it yields.
+Only when it fails does one lowlink DFS of the leftover graph from the edge
+say whether it is a bridge there and, if not, which 2-edge-connected
+component holds it.  A bridge goes through the rerouting machinery, which
+either succeeds or emits an odd cut of size at most the number of edges
+placed so far, and so at most |S|.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable
 
 from .cuts import CutCertificate, certify
@@ -69,21 +71,27 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
     return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
-def _trail_through_edge(g: Graph, edges: Iterable[int], eid: int, s: int, t: int) -> Trail:
+def _trail_through_edge(
+    g: Graph, edges: Iterable[int], eid: int, s: int, t: int
+) -> Trail | None:
     """s-t trail of g through the edge eid = xy that uses only `edges` (a
-    closed trail through eid when s == t).  s and t must lie in eid's
-    2-edge-connected component of (V, edges); it meets the rest of `edges`
-    only through bridges, so no augmenting path leaves it and comes back.
+    closed trail through eid when s == t), or None when the flow below falls
+    short of 2.
 
     One unit-capacity flow of value 2 on (V, edges - eid), from x and y to
     s and t (twice to s when s == t), splits into a walk from x and a walk
     from y; the trail is the x-walk reversed, eid, then the y-walk,
-    oriented to start at s.
+    oriented to start at s.  When s == t, a flow of value 2 proves that s
+    lies in eid's 2-edge-connected component of (V, edges): the closed
+    trail passes through s and eid, and stays connected without any one of
+    its edges.  That component meets the rest of `edges` only through
+    bridges, so no augmenting path leaves it and comes back.
     """
     x, y = g.endpoints(eid)
-    net = FlowNetwork(g, frozenset(edges) - {eid})
+    net = FlowNetwork(g, edges)
+    net.out[eid] = -2
     if net.max_flow({x: 1, y: 1}, {s: 2} if s == t else {s: 1, t: 1}) != 2:
-        raise CoherenceViolated("2-edge-connected edge set must route to both targets")
+        return None
     p1, p2 = _two_walks(net, (x, y), (s, t))
     walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
     if walk.start != s:
@@ -132,31 +140,44 @@ def extend_circuit(
     """Circuit through s_prefix plus e_next, or an odd-cut certificate.
 
     h must be a circuit through s_prefix with every segment a path (run
-    normalize_circuit first).  When e_next lies in a 2-edge-connected
-    component of G - E(h) that shares no vertex with h, the component is
-    contracted to the new vertex g.n (`contract_subgraph`): h keeps its
-    vertices, its edges are renumbered into the contraction, and the
-    extension through a boundary bridge maps back through `edge_ids`.
+    normalize_circuit first).  The splice is tried first, at the smallest
+    vertex of h with two or more edges outside h; only when that flow fails
+    does the lowlink DFS classify e_next.  When e_next lies in a
+    2-edge-connected component of G - E(h) that shares no vertex with h, the
+    component is contracted to the new vertex g.n (`contract_subgraph`): h
+    keeps its vertices, its edges are renumbered into the contraction, and
+    the extension through a boundary bridge maps back through `edge_ids`.
     """
     s_set = frozenset(s_prefix)
     h_edges = h.edge_set()
     if e_next in h_edges:
         return h
     leftover = g.all_edges() - h_edges
+    # Splice first, at v, the smallest vertex of h with two leftover edges
+    # (an end of e_next with fewer makes e_next a bridge).  A 2-unit flow to v
+    # proves that v lies in e_next's 2-edge-connected component comp of the
+    # leftover.  Every vertex of comp has two leftover edges inside it, so no
+    # smaller vertex of h is in comp: v is min(comp & V(h)), and the flow is
+    # the call the DFS route below would make.
+    adjacency = g.adjacency
+    visits = Counter(h.vertices[:-1])
+    v = min((u for u, k in visits.items() if len(adjacency[u]) >= 2 * k + 2), default=None)
+    if v is not None and all(
+        len(adjacency[u]) >= 2 * visits[u] + 2 for u in g.endpoints(e_next)
+    ):
+        star = _trail_through_edge(g, leftover, e_next, v, v)
+        if star is not None:
+            return _splice(g, h, s_set, e_next, star)
     bridges, comp = bridges_and_2ec_components(g, leftover, e_next)
     if comp is None:
         return bridge_case(g, h, s_set, e_next)
     shared = comp & frozenset(h.vertices)
     if shared:
-        # splice: a closed trail inside the component through e_next and a
-        # shared vertex, merged with h by an Euler tour of the union
         v = min(shared)
         star = _trail_through_edge(g, leftover, e_next, v, v)
-        union = h_edges | star.edge_set()
-        out = euler_circuit(g, union, start=h.vertices[0])
-        if not s_set <= out.edge_set() or e_next not in out.edges:
-            raise CoherenceViolated("splice lost a prescribed edge")
-        return out
+        if star is None:
+            raise CoherenceViolated("2-edge-connected edge set must route to both targets")
+        return _splice(g, h, s_set, e_next, star)
     # detached component: contract it, extend through one of its boundary
     # bridges, then open the contracted vertex into a trail through e_next
     boundary = edge_boundary(g, comp)
@@ -189,6 +210,15 @@ def extend_circuit(
     return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, leftover, e_next)
 
 
+def _splice(g: Graph, h: Trail, s_set: frozenset, e_next: int, star: Trail) -> Trail:
+    """h merged with the closed trail star through e_next, which shares a
+    vertex with h, by an Euler tour of the union."""
+    out = euler_circuit(g, h.edge_set() | star.edge_set(), start=h.vertices[0])
+    if not s_set <= out.edge_set() or e_next not in out.edges:
+        raise CoherenceViolated("splice lost a prescribed edge")
+    return out
+
+
 def _open_contracted_vertex(g, edge_ids, circuit_c, comp, leftover, e_next) -> Trail:
     """Replace the single visit of the contracted vertex g.n by a trail
     through e_next inside comp, its 2-edge-connected part of (V, leftover).
@@ -205,6 +235,8 @@ def _open_contracted_vertex(g, edge_ids, circuit_c, comp, leftover, e_next) -> T
     d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp)
     outer = Trail((d_first, *rotated.vertices[1:-1], d_last), outer_edges)
     inner = _trail_through_edge(g, leftover, e_next, d_last, d_first)
+    if inner is None:
+        raise CoherenceViolated("2-edge-connected edge set must route to both targets")
     out = trail_concat(outer, inner)
     validate_trail(g, out)
     if not out.is_closed:

@@ -398,6 +398,8 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
         raise BadParam(f"start vertex {start} out of range (n={g.n})")
     allowed = frozenset(f)
     if not allowed:
+        if start is None and g.n == 0:
+            raise BadParam("a graph with no vertices has no closed trail")
         return Trail((start if start is not None else 0,), ())
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid in sorted(allowed):

@@ -174,6 +174,14 @@ class TestOracleAndVerify:
         payload = json.loads(capsys.readouterr().out)
         assert code == 2 and payload["status"] == "infeasible"
 
+    def test_oracle_on_a_graph_without_vertices_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.graph"
+        path.write_text("0 0\n")
+        code = main(["oracle", str(path), "--edges", ""])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_find_then_verify_round_trip(self, c6_file, tmp_path, capsys):
         main(["find", str(c6_file), "--edges", "1,4"])
         result = tmp_path / "result.json"

@@ -19,6 +19,7 @@ from circuitcover.graphs import (
     Graph,
     Trail,
     bridges_and_2ec_components,
+    euler_circuit,
     validate_trail,
     verify_circuit,
 )
@@ -123,6 +124,129 @@ class TestExtendCircuit:
         out = extend_circuit(g, h, {0}, 2)
         assert isinstance(out, Trail)
         assert out.vertices == (3, 0, 1, 3)
+
+
+def _splice_by_dfs(g, h, e_next):
+    """The splice as the finder made it when it classified e_next first:
+    the 2EC query, v = min(comp & V(h)), the flow to v and an Euler tour.
+    Returns (v, circuit), or None when e_next is no splice."""
+    leftover = g.all_edges() - h.edge_set()
+    _, comp = bridges_and_2ec_components(g, leftover, e_next)
+    shared = comp and comp & frozenset(h.vertices)
+    if not shared:
+        return None
+    v = min(shared)
+    star = _trail_through_edge(g, leftover, e_next, v, v)
+    return v, euler_circuit(g, h.edge_set() | star.edge_set(), start=h.vertices[0])
+
+
+def _first_rich_vertex(g, h):
+    """Smallest vertex of h with two or more edges of g outside h, or None."""
+    h_edges = h.edge_set()
+    rich = [
+        u for u in set(h.vertices)
+        if sum(1 for _, e in g.adjacency[u] if e not in h_edges) >= 2
+    ]
+    return min(rich, default=None)
+
+
+class TestSpliceFirst:
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What extend_circuit ran, in order: 'hit' or 'miss' for each flow
+        and 'dfs' for each 2EC query."""
+        log = []
+
+        def flow(*args, _real=finder._trail_through_edge):
+            out = _real(*args)
+            log.append("miss" if out is None else "hit")
+            return out
+
+        def dfs(*args, _real=finder.bridges_and_2ec_components):
+            log.append("dfs")
+            return _real(*args)
+
+        monkeypatch.setattr(finder, "_trail_through_edge", flow)
+        monkeypatch.setattr(finder, "bridges_and_2ec_components", dfs)
+        return log
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(12)
+        for g in _sparse_random_graphs(40):
+            for _ in range(4):
+                yield g, sorted(rng.sample(range(g.m), min(g.m, rng.randint(2, 8))))
+        for seed in range(6):
+            g = random_connected(60, 240, 1, seed=seed).graph
+            for k in (8, 24):
+                yield g, sorted(rng.sample(range(g.m), k))
+        for seed in range(6):
+            g = random_connected(40, 60, 1, seed=100 + seed).graph
+            yield g, sorted(rng.sample(range(g.m), 12))
+
+    def test_same_splice_as_classifying_first(self, events):
+        # every extension find_circuit makes: the splice must be the one the
+        # DFS route gives, and it runs no DFS exactly when min(comp & V(h))
+        # is the smallest vertex of h with two leftover edges
+        first = {"hit": 0, "miss": 0, "dfs": 0}  # what each extension ran first
+        no_candidate = 0  # no vertex of h has two leftover edges
+        late = 0  # spliced at a larger vertex of h than the first with two
+        for g, s in self._corpus():
+            result = finder._base_circuit(g, s[0])
+            placed = {s[0]}
+            for e_next in s[1:]:
+                if isinstance(result, CutCertificate):
+                    break
+                h = normalize_circuit(g, result, placed)
+                if e_next in h.edge_set():
+                    placed.add(e_next)
+                    result = h
+                    continue
+                expected = _splice_by_dfs(g, h, e_next)
+                candidate = _first_rich_vertex(g, h)
+                events.clear()
+                result = extend_circuit(g, h, placed, e_next)
+                first[events[0]] += 1
+                no_candidate += candidate is None
+                if expected is None:
+                    # no splice: the first flow, if any, must have missed
+                    # (the detached case runs its own flow after the DFS)
+                    assert events[0] != "hit"
+                else:
+                    v, circuit = expected
+                    assert result == circuit
+                    assert (events == ["hit"]) == (v == candidate)
+                    late += v != candidate
+                if candidate is None:
+                    assert events[0] == "dfs"
+                placed.add(e_next)
+        assert all(first.values()) and no_candidate and late, (first, no_candidate, late)
+
+    def test_first_rich_vertex_splices_without_dfs(self, events):
+        # two triangles sharing vertex 2; h is the one through 0 and 1, whose
+        # vertices have no leftover edges, so the first try goes to 2
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        h = Trail((0, 1, 2, 0), (0, 2, 1))
+        out = extend_circuit(g, h, {0}, 5)
+        assert events == ["hit"]
+        assert out == _splice_by_dfs(g, h, 5)[1]
+        assert verify_circuit(g, out, {0, 5})
+
+    def test_miss_falls_back_to_the_component_vertex(self, events):
+        # h = triangle 0 1 2.  Vertex 0 has two leftover edges, but they lie
+        # in the triangle 0 3 4, which hangs on the bridge 4-5 off e_next's
+        # component {2, 5, 6}: the flow to 0 carries one unit, not two, and
+        # the splice must go through 2
+        g = Graph.from_edges(
+            7,
+            [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (3, 4), (4, 5), (2, 5), (2, 6), (5, 6)],
+        )
+        h = Trail((0, 1, 2, 0), (0, 1, 2))
+        out = extend_circuit(g, h, {0}, 9)
+        assert events[:2] == ["miss", "dfs"]
+        assert out == _splice_by_dfs(g, h, 9)[1]
+        assert verify_circuit(g, out, {0, 9})
+        assert out.edge_set() == {0, 1, 2, 7, 8, 9}
 
 
 class TestFindCircuit:

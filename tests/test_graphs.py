@@ -305,6 +305,12 @@ class TestEulerCircuit:
         with pytest.raises(BadParam):
             euler_circuit(cycle_graph(3), f, start=start)
 
+    def test_empty_set_without_vertices_rejected(self):
+        # there is no vertex for the trivial trail to stand on
+        with pytest.raises(BadParam):
+            euler_circuit(Graph.from_edges(0, []), ())
+        assert euler_circuit(Graph.from_edges(1, []), ()) == Trail((0,), ())
+
     @given(connected_graphs())
     @settings(max_examples=60)
     def test_covers_every_chosen_edge_exactly_once(self, g):
