@@ -148,6 +148,10 @@ def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]
     effect contracted into t: it stays a leaf under t with capacity = bound,
     without a source side or relabelling.  Tree edges below the bound are
     exact; an edge at the bound means "at least the bound".
+
+    Only a flow's value and, below the bound, its source side are read, and
+    neither depends on the augmenting paths, so each flow is a pair flow
+    that searches from s and t at once.
     """
     parent = [0] * g.n
     parent[0] = -1
@@ -156,12 +160,15 @@ def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]
         t = parent[s]
         net = FlowNetwork(g)
         units = bound if bound is not None else g.degree(s)
-        value = net.max_flow({s: units}, {t: units})
+        value = net.pair_flow(s, t, units)
         if bound is not None and value >= bound:
             capacity[s] = bound
             continue
         capacity[s] = value
         side = net.source_side(s)
+        # a maximum flow saturates every edge leaving its residual reach
+        if t in side or len(edge_boundary(g, side)) != value:
+            raise CoherenceViolated(f"flow from {s} to {t} is not a maximum flow")
         for i in side:
             if i != s and parent[i] == t:
                 parent[i] = s

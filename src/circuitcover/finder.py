@@ -3,14 +3,15 @@
 The construction is inductive: start from a circuit through the first edge
 uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
 the remaining edges in one at a time.  An edge already on the circuit is
-free.  For any other, one unit-capacity flow over the leftover graph first
-tries to route it through the one circuit vertex a splice can use; when
-that flow succeeds, the edge splices in through the closed trail it yields.
-Only when it fails does one lowlink DFS of the leftover graph from the edge
-say whether it is a bridge there and, if not, which 2-edge-connected
-component holds it.  A bridge goes through the rerouting machinery, which
-either succeeds or emits an odd cut of size at most the number of edges
-placed so far, and so at most |S|.
+free.  An edge with an end that has no other leftover edge is a bridge of
+the leftover graph.  For any other, one unit-capacity flow over the
+leftover graph first tries to route it through the one circuit vertex a
+splice can use; when that flow succeeds, the edge splices in through the
+closed trail it yields.  Only when it fails does one lowlink DFS of the
+leftover graph from the edge say whether it is a bridge there and, if
+not, which 2-edge-connected component holds it.  A bridge goes through the
+rerouting machinery, which either succeeds or emits an odd cut of size at
+most the number of edges placed so far, and so at most |S|.
 """
 from __future__ import annotations
 
@@ -140,31 +141,34 @@ def extend_circuit(
     """Circuit through s_prefix plus e_next, or an odd-cut certificate.
 
     h must be a circuit through s_prefix with every segment a path (run
-    normalize_circuit first).  The splice is tried first, at the smallest
-    vertex of h with two or more edges outside h; only when that flow fails
-    does the lowlink DFS classify e_next.  When e_next lies in a
-    2-edge-connected component of G - E(h) that shares no vertex with h, the
-    component is contracted to the new vertex g.n (`contract_subgraph`): h
-    keeps its vertices, its edges are renumbered into the contraction, and
-    the extension through a boundary bridge maps back through `edge_ids`.
+    normalize_circuit first).  When an end of e_next has no other edge
+    outside h, e_next goes straight to bridge_case.  Otherwise the splice is
+    tried first, at the smallest vertex of h with two or more edges outside
+    h; only when that flow fails does the lowlink DFS classify e_next.  When
+    e_next lies in a 2-edge-connected component of G - E(h) that shares no
+    vertex with h, the component is contracted to the new vertex g.n
+    (`contract_subgraph`): h keeps its vertices, its edges are renumbered
+    into the contraction, and the extension through a boundary bridge maps
+    back through `edge_ids`.
     """
     s_set = frozenset(s_prefix)
     h_edges = h.edge_set()
     if e_next in h_edges:
         return h
     leftover = g.all_edges() - h_edges
-    # Splice first, at v, the smallest vertex of h with two leftover edges
-    # (an end of e_next with fewer makes e_next a bridge).  A 2-unit flow to v
-    # proves that v lies in e_next's 2-edge-connected component comp of the
-    # leftover.  Every vertex of comp has two leftover edges inside it, so no
-    # smaller vertex of h is in comp: v is min(comp & V(h)), and the flow is
-    # the call the DFS route below would make.
+    # An end of e_next whose only leftover edge is e_next makes it a bridge
+    # of the leftover, which is all the DFS below would find.
     adjacency = g.adjacency
     visits = Counter(h.vertices[:-1])
+    if any(len(adjacency[u]) == 2 * visits[u] + 1 for u in g.endpoints(e_next)):
+        return bridge_case(g, h, s_set, e_next)
+    # Splice first, at v, the smallest vertex of h with two leftover edges.
+    # A 2-unit flow to v proves that v lies in e_next's 2-edge-connected
+    # component comp of the leftover.  Every vertex of comp has two leftover
+    # edges inside it, so no smaller vertex of h is in comp: v is
+    # min(comp & V(h)), and the flow is the call the DFS route below would make.
     v = min((u for u, k in visits.items() if len(adjacency[u]) >= 2 * k + 2), default=None)
-    if v is not None and all(
-        len(adjacency[u]) >= 2 * visits[u] + 2 for u in g.endpoints(e_next)
-    ):
+    if v is not None:
         star = _trail_through_edge(g, leftover, e_next, v, v)
         if star is not None:
             return _splice(g, h, s_set, e_next, star)

@@ -56,6 +56,36 @@ class TestGraphFormat:
         assert back.graph == inst.graph
         assert back.prescribed == inst.prescribed
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            [1],
+            "ladder",
+            {"prescribed": "ab"},
+            {"prescribed": {"0": 1}},
+            {"prescribed": [7]},
+            {"prescribed": [-1]},
+            {"prescribed": [True]},
+            {"prescribed": [1.0]},
+            {"label": 3},
+            {"label": None, "prescribed": [0]},
+        ],
+    )
+    def test_malformed_sidecar_is_a_parse_error(self, tmp_path, sidecar):
+        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
+        (tmp_path / "tri.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ParseError, match="sidecar tri.json"):
+            read_instance(tmp_path / "tri.graph")
+
+    def test_sidecar_fields_default(self, tmp_path):
+        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
+        (tmp_path / "tri.json").write_text('{"prescribed": [0, 2]}')
+        inst = read_instance(tmp_path / "tri.graph")
+        assert inst.label == "tri" and inst.prescribed == {0, 2}
+        (tmp_path / "tri.json").write_text('{"label": "t"}')
+        inst = read_instance(tmp_path / "tri.graph")
+        assert inst.label == "t" and inst.prescribed == frozenset()
+
 
 class TestCheck:
     def test_even_graph_universal(self, c6_file, capsys):

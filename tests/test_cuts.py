@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from circuitcover.cuts import (
     min_odd_cut,
     odd_cut_within,
 )
-from circuitcover.errors import BadParam, DisconnectedInput
+from circuitcover.errors import BadParam, CoherenceViolated, DisconnectedInput
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
@@ -114,6 +118,34 @@ class TestFlowNetwork:
             assert value == nx.maximum_flow_value(h, "S", "T")
             _check_flow(g, net, edges, supply, demand, value)
 
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_pair_flow_against_networkx_and_max_flow(self, g):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(g.n)
+        for trial in range(12):
+            edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
+            s, t = rng.sample(range(g.n), 2)
+            want = nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
+            for units in (1, 2, 3, g.m):
+                net = FlowNetwork(g, edges)
+                value = net.pair_flow(s, t, units)
+                assert value == min(units, want)
+                _check_flow(g, net, edges, {s: units}, {t: units}, value)
+            # a maximum flow's residual reach does not depend on its paths
+            forward = FlowNetwork(g, edges)
+            forward.max_flow({s: g.m}, {t: g.m})
+            assert net.source_side(s) == forward.source_side(s)
+
+    def test_pair_flow_of_zero_units(self):
+        g = complete_graph(4)
+        net = FlowNetwork(g)
+        assert net.pair_flow(0, 1, 0) == 0
+        assert net.out == [-1] * g.m
+
+    def test_pair_flow_needs_two_vertices(self):
+        with pytest.raises(BadParam):
+            FlowNetwork(cycle_graph(4)).pair_flow(2, 2, 1)
+
 
 class TestGomoryHu:
     def test_empty_graph_rejected(self):
@@ -149,6 +181,44 @@ class TestGomoryHu:
                 continue
             side = tree.subtree(v)
             assert len(edge_boundary(g, side)) == tree.capacity[v]
+
+
+class TestGusfieldSelfCheck:
+    @staticmethod
+    def _one_unit_short(monkeypatch):
+        pair_flow = FlowNetwork.pair_flow
+        monkeypatch.setattr(
+            FlowNetwork, "pair_flow", lambda net, s, t, units: pair_flow(net, s, t, units) - 1
+        )
+
+    def test_wrong_flow_value_is_caught(self, monkeypatch):
+        self._one_unit_short(monkeypatch)
+        g = ladder(4).graph
+        for tool in (gomory_hu_tree, min_odd_cut, edge_connectivity):
+            with pytest.raises(CoherenceViolated, match="not a maximum flow"):
+                tool(g)
+
+    def test_caught_under_python_optimize(self):
+        # -O strips assert statements; the check must not depend on them
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        script = (
+            "from circuitcover.cuts import min_odd_cut\n"
+            "from circuitcover.errors import CoherenceViolated\n"
+            "from circuitcover.generators import ladder\n"
+            "from circuitcover.graphs import FlowNetwork\n"
+            "pair_flow = FlowNetwork.pair_flow\n"
+            "FlowNetwork.pair_flow = lambda net, s, t, units: pair_flow(net, s, t, units) - 1\n"
+            "try:\n"
+            "    min_odd_cut(ladder(4).graph)\n"
+            "except CoherenceViolated as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert "not a maximum flow" in proc.stdout, proc.stderr
 
 
 class TestMinOddCut:

@@ -150,6 +150,14 @@ def _first_rich_vertex(g, h):
     return min(rich, default=None)
 
 
+def _hanging_end(g, h, e_next):
+    """True when an end of e_next has no edge outside h other than e_next."""
+    h_edges = h.edge_set()
+    return any(
+        all(e in h_edges or e == e_next for _, e in g.adjacency[u]) for u in g.endpoints(e_next)
+    )
+
+
 class TestSpliceFirst:
     @pytest.fixture
     def events(self, monkeypatch):
@@ -187,8 +195,9 @@ class TestSpliceFirst:
     def test_same_splice_as_classifying_first(self, events):
         # every extension find_circuit makes: the splice must be the one the
         # DFS route gives, and it runs no DFS exactly when min(comp & V(h))
-        # is the smallest vertex of h with two leftover edges
-        first = {"hit": 0, "miss": 0, "dfs": 0}  # what each extension ran first
+        # is the smallest vertex of h with two leftover edges; an e_next with
+        # an end that has no other leftover edge runs neither flow nor DFS
+        first = {"hit": 0, "miss": 0, "dfs": 0, "none": 0}  # what each extension ran first
         no_candidate = 0  # no vertex of h has two leftover edges
         late = 0  # spliced at a larger vertex of h than the first with two
         for g, s in self._corpus():
@@ -204,20 +213,24 @@ class TestSpliceFirst:
                     continue
                 expected = _splice_by_dfs(g, h, e_next)
                 candidate = _first_rich_vertex(g, h)
+                hanging = _hanging_end(g, h, e_next)
                 events.clear()
                 result = extend_circuit(g, h, placed, e_next)
-                first[events[0]] += 1
+                assert (not events) == hanging
+                first[events[0] if events else "none"] += 1
                 no_candidate += candidate is None
+                if hanging:  # e_next is a bridge of the leftover
+                    assert expected is None
                 if expected is None:
                     # no splice: the first flow, if any, must have missed
                     # (the detached case runs its own flow after the DFS)
-                    assert events[0] != "hit"
+                    assert events[:1] != ["hit"]
                 else:
                     v, circuit = expected
                     assert result == circuit
                     assert (events == ["hit"]) == (v == candidate)
                     late += v != candidate
-                if candidate is None:
+                if candidate is None and not hanging:
                     assert events[0] == "dfs"
                 placed.add(e_next)
         assert all(first.values()) and no_candidate and late, (first, no_candidate, late)
@@ -231,6 +244,22 @@ class TestSpliceFirst:
         assert events == ["hit"]
         assert out == _splice_by_dfs(g, h, 5)[1]
         assert verify_circuit(g, out, {0, 5})
+
+    def test_hanging_end_goes_straight_to_bridge_case(self, events, monkeypatch):
+        # K4 with h the triangle 0 1 2: vertex 0's only edge outside h is
+        # e_next = (0, 3), so e_next is a bridge of the leftover at once
+        g = complete_graph(4)
+        h = Trail((0, 1, 2, 0), (0, 3, 1))
+        bridged = []
+
+        def spy(*args, _real=finder.bridge_case):
+            bridged.append(args[3])
+            return _real(*args)
+
+        monkeypatch.setattr(finder, "bridge_case", spy)
+        out = extend_circuit(g, h, {0}, 2)
+        assert events == [] and bridged == [2]
+        assert out.vertices == (3, 0, 1, 3)
 
     def test_miss_falls_back_to_the_component_vertex(self, events):
         # h = triangle 0 1 2.  Vertex 0 has two leftover edges, but they lie
