@@ -150,8 +150,7 @@ def cmd_verify(args) -> int:
         res = verify_circuit(g, trail_from_result(data), s or frozenset())
         ok, reason = res.ok, res.reason
     else:
-        print("nothing to verify: status is not circuit/odd-cut", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("nothing to verify: status is not circuit/odd-cut")
     _print_json(args, {"verified": ok, "reason": reason})
     return EXIT_OK if ok else EXIT_CERTIFICATE
 

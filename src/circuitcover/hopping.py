@@ -9,8 +9,18 @@ Vocabulary (all relative to the segmented circuit H and the excluded e):
   admissible trail  - trail in G-E(H)-e whose inner vertices avoid V(H);
   reach of X        - H-vertices admissibly reachable from X;
   levels A_i / B_i  - iterated reach closures grown from a and b;
-  coherent trail    - a trail through all separators satisfying the three
-                      invariants C1-C3 checked in check_coherent.
+  spans             - per level and segment, the smallest and largest path
+                      positions of the level's vertices on that segment; the
+                      closure of a level is every segment between its span;
+  coherent trail    - a trail at level (n, m) satisfying, as check_coherent
+                      checks:
+    C1  it passes every separator, starts in A_{n+1} and ends in B_{m+1};
+    C2  every stretch between consecutive H-vertices of the trail that is
+        not a single H edge is admissible (its inner vertices avoid V(H), so
+        it uses no H edge) and does not have both ends in A_{n+1}, nor both
+        in B_{m+1};
+    C3  each nonempty closure of A_n or B_m on a segment is a recorded
+        subtrail, and subtrails of different segments do not overlap.
 
 The descent repeatedly reroutes a coherent trail to strictly smaller levels
 until both levels hit zero, at which point the circuit assembles from the
@@ -23,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .cuts import CutCertificate, certify
-from .errors import CoherenceViolated, DescentStalled, NoSharedSegment
+from .errors import BadParam, CoherenceViolated, DescentStalled, NoSharedSegment
 from .graphs import Graph, Trail, trail_concat, validate_trail
 from .segments import SegmentedCircuit, segment
 
@@ -44,20 +54,27 @@ class SpanWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class ReachState:
-    """Level sets grown from both endpoints of the excluded edge; a_trees and
-    b_trees map each reached H-vertex to the search tree (parent map) of the
-    first level that reached it, and its witness trail is its tree path."""
+    """Level sets grown from both endpoints of the excluded edge, each with
+    its segment spans; a_trees and b_trees map each reached H-vertex to the
+    search tree (parent map) of the first level that reached it, and its
+    witness trail is its tree path."""
 
     graph: Graph
     excluded: int
     a_levels: tuple[frozenset, ...]  # A_0 = empty, A_1, ... (stabilized)
     b_levels: tuple[frozenset, ...]
+    a_spans: tuple[tuple, ...]  # SegmentedCircuit.spans of each level
+    b_spans: tuple[tuple, ...]
     a_trees: dict
     b_trees: dict
 
     def level(self, side: str, i: int) -> frozenset:
         levels = self.a_levels if side == "A" else self.b_levels
         return levels[min(i, len(levels) - 1)]
+
+    def spans(self, side: str, i: int) -> tuple[tuple[int, int] | None, ...]:
+        spans = self.a_spans if side == "A" else self.b_spans
+        return spans[min(i, len(spans) - 1)]
 
     def witness(self, side: str, v: int) -> Trail:
         return _tree_path((self.a_trees if side == "A" else self.b_trees)[v], v)
@@ -67,16 +84,15 @@ class ReachState:
             self,
             a_levels=self.b_levels,
             b_levels=self.a_levels,
+            a_spans=self.b_spans,
+            b_spans=self.a_spans,
             a_trees=self.b_trees,
             b_trees=self.a_trees,
         )
 
-    def first_hit_level(self, seg: SegmentedCircuit, side: str, j: int) -> int | None:
-        levels = self.a_levels if side == "A" else self.b_levels
-        for i in range(1, len(levels)):
-            if seg.ins(j, levels[i]):
-                return i
-        return None
+    def first_hit_level(self, side: str, j: int) -> int | None:
+        spans = self.a_spans if side == "A" else self.b_spans
+        return next((i for i in range(1, len(spans)) if spans[i][j]), None)
 
 
 def _admissible_search(
@@ -121,6 +137,11 @@ def compute_reach(
     Search runs in G-E(H)-excluded; vertices of V(H) outside x absorb the
     search, so witness paths have all inner vertices off H.
     """
+    g.endpoints(excluded)  # raises BadEdgeId
+    x = set(x)
+    bad = sorted(v for v in x if not 0 <= v < g.n)
+    if bad:
+        raise BadParam(f"source vertex {bad[0]} out of range (n={g.n})")
     parent = _admissible_search(g, seg, excluded, x)
     reached = {v: _tree_path(parent, v) for v in parent if v in seg.h_vertices}
     return frozenset(reached), reached
@@ -135,9 +156,12 @@ def hopping_fixpoint(
     the two hit-sets are segment-disjoint and the side hitting fewer
     segments yields an odd cut of size at most k+1.
     """
+    if not 0 <= excluded < g.m or {a, b} != set(g.edges[excluded]):
+        raise BadParam(f"{a} and {b} are not the endpoints of edge {excluded}")
 
-    def grow(start: int) -> tuple[tuple[frozenset, ...], dict]:
+    def grow(start: int) -> tuple[tuple[frozenset, ...], tuple[tuple, ...], dict]:
         levels = [frozenset()]
+        spans = [(None,) * seg.k]
         trees: dict[int, dict] = {}
         sources = {start}
         while True:
@@ -147,24 +171,23 @@ def hopping_fixpoint(
                     trees.setdefault(v, parent)
             nxt = frozenset(trees)
             if len(levels) > 1 and nxt == levels[-1]:  # A_1 stays even if empty
-                return tuple(levels), trees
+                return tuple(levels), tuple(spans), trees
             levels.append(nxt)
-            sources = seg.closure(nxt)
+            spans.append(seg.spans(nxt))
+            sources = seg.closure(spans[-1])
 
-    a_levels, a_trees = grow(a)
-    b_levels, b_trees = grow(b)
-    a_full, b_full = a_levels[-1], b_levels[-1]
-    shared = [
-        j for j in range(seg.k) if seg.ins(j, a_full) and seg.ins(j, b_full)
-    ]
-    if shared:
-        return ReachState(g, excluded, a_levels, b_levels, a_trees, b_trees)
-    hits_a = sum(1 for j in range(seg.k) if seg.ins(j, a_full))
-    hits_b = sum(1 for j in range(seg.k) if seg.ins(j, b_full))
+    a_levels, a_spans, a_trees = grow(a)
+    b_levels, b_spans, b_trees = grow(b)
+    if any(sa and sb for sa, sb in zip(a_spans[-1], b_spans[-1])):
+        return ReachState(
+            g, excluded, a_levels, b_levels, a_spans, b_spans, a_trees, b_trees
+        )
+    hits_a = sum(1 for span in a_spans[-1] if span)
+    hits_b = sum(1 for span in b_spans[-1] if span)
     if hits_a <= hits_b:
-        side_vertices, endpoint, other = a_full, a, b
+        side_vertices, endpoint, other = a_levels[-1], a, b
     else:
-        side_vertices, endpoint, other = b_full, b, a
+        side_vertices, endpoint, other = b_levels[-1], b, a
     region = _admissible_search(g, seg, excluded, set(side_vertices) | {endpoint})
     cert = certify(g, region)
     if other in region or excluded not in cert.boundary:
@@ -181,8 +204,7 @@ class CoherentTrail:
     """Trail through all separators with per-level bookkeeping.
 
     intervals maps (side, segment) to the SpanWitness of that side's
-    segment closure inside the trail; brackets maps each non-H edge slot to
-    the (r, t) positions of the admissible subtrail containing it.
+    segment closure inside the trail.
     """
 
     vertices: tuple[int, ...]
@@ -190,7 +212,6 @@ class CoherentTrail:
     n: int
     m: int
     intervals: dict
-    brackets: dict
 
     @property
     def w(self) -> int:
@@ -218,33 +239,21 @@ def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -
         raise CoherenceViolated("C1: start vertex not at level n+1")
     if q.vertices[-1] not in state.level("B", q.m + 1):
         raise CoherenceViolated("C1: end vertex not at level m+1")
-    # C2: every non-H edge sits in a recorded admissible bracket
+    # C2: the stretches between consecutive H-vertices; C1 put both trail
+    # ends on H, and a stretch with inner vertices has only non-H edges
     a_next = state.level("A", q.n + 1)
     b_next = state.level("B", q.m + 1)
-    for slot, eid in enumerate(q.edges):
-        if eid in seg.h_edges:
+    on_h = [i for i, v in enumerate(q.vertices) if v in seg.h_vertices]
+    for r, tt in zip(on_h, on_h[1:]):
+        if tt == r + 1 and q.edges[r] in seg.h_edges:
             continue
-        if slot not in q.brackets:
-            raise CoherenceViolated(f"C2: non-H edge at slot {slot} lacks a bracket")
-        r, tt = q.brackets[slot]
-        if not (0 <= r <= slot < tt <= q.w):
-            raise CoherenceViolated(f"C2: bracket {r, tt} does not cover slot {slot}")
-        if q.vertices[r] not in seg.h_vertices or q.vertices[tt] not in seg.h_vertices:
-            raise CoherenceViolated("C2: bracket endpoints must lie on H")
-        for i in range(r, tt):
-            if q.edges[i] in seg.h_edges or q.edges[i] == state.excluded:
-                raise CoherenceViolated("C2: bracket subtrail uses an H edge")
-        for i in range(r + 1, tt):
-            if q.vertices[i] in seg.h_vertices:
-                raise CoherenceViolated("C2: bracket has an inner H-vertex")
         ends = {q.vertices[r], q.vertices[tt]}
         if len(ends & a_next) > 1 or len(ends & b_next) > 1:
-            raise CoherenceViolated("C2: both bracket ends inside one level set")
+            raise CoherenceViolated("C2: both stretch ends inside one level set")
     # C3: segment closures are witnessed subtrails with cross-segment
     # disjoint intervals
     for side, lvl in (("A", q.n), ("B", q.m)):
-        for j in range(seg.k):
-            span = seg.cl_span(j, state.level(side, lvl))
+        for j, span in enumerate(state.spans(side, lvl)):
             witness = q.intervals.get((side, j))
             if span is None:
                 if witness is not None:
@@ -290,18 +299,16 @@ def initial_coherent_trail(
     candidates = []
     js = [force_segment] if force_segment is not None else range(seg.k)
     for j in js:
-        la = state.first_hit_level(seg, "A", j)
-        lb = state.first_hit_level(seg, "B", j)
+        la = state.first_hit_level("A", j)
+        lb = state.first_hit_level("B", j)
         if la is not None and lb is not None:
             candidates.append((la + lb, j, la, lb))
     if not candidates:
         raise NoSharedSegment("no segment is reached from both endpoints")
     _, j, la, lb = min(candidates)
     n, m = la - 1, lb - 1
-    pos = seg.pos_in_seg[j]
-    a_pick = min(seg.ins(j, state.level("A", n + 1)), key=pos.get)
-    b_pick = min(seg.ins(j, state.level("B", m + 1)), key=pos.get)
-    alpha, beta = pos[a_pick], pos[b_pick]
+    alpha = state.spans("A", la)[j][0]
+    beta = state.spans("B", lb)[j][0]
     vs, _ = seg.seg_bounds[j]
     big_l = len(seg.trail.edges)
     ga, gb = vs + alpha, vs + beta
@@ -328,8 +335,7 @@ def initial_coherent_trail(
 
     intervals = {}
     for side, lvl in (("A", n), ("B", m)):
-        for j2 in range(seg.k):
-            span = seg.cl_span(j2, state.level(side, lvl))
+        for j2, span in enumerate(state.spans(side, lvl)):
             if span is None:
                 continue
             if j2 == j:
@@ -347,7 +353,6 @@ def initial_coherent_trail(
         n=n,
         m=m,
         intervals=intervals,
-        brackets={},
     )
     check_coherent(q, state, seg)
     return q
@@ -375,8 +380,7 @@ def _demote(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit, side: st
     n, m = q.n, q.m
     new_lvl = (n - 1) if side == "A" else (m - 1)
     intervals = dict(q.intervals)
-    for j in range(seg.k):
-        span = seg.cl_span(j, state.level(side, new_lvl))
+    for j, span in enumerate(state.spans(side, new_lvl)):
         old = intervals.pop((side, j), None)
         if span is None:
             continue
@@ -402,16 +406,12 @@ def _mirror(q: CoherentTrail) -> CoherentTrail:
         )
         for (side, j), wit in q.intervals.items()
     }
-    brackets = {
-        w - 1 - slot: (w - t, w - r) for slot, (r, t) in q.brackets.items()
-    }
     return CoherentTrail(
         vertices=tuple(reversed(q.vertices)),
         edges=tuple(reversed(q.edges)),
         n=q.m,
         m=q.n,
         intervals=intervals,
-        brackets=brackets,
     )
 
 
@@ -439,31 +439,30 @@ def _reroute_a_side(
     x = p.vertices[0]
     if p.vertices[-1] != start:
         raise CoherenceViolated("witness trail does not end at the start vertex")
-    j_candidates = [
-        j for j in range(seg.k)
-        if x in seg.cl_vertices(j, state.level("A", n))
+    spans_n = state.spans("A", n)
+    inside = [
+        (j, px)
+        for j, px in seg.places.get(x, ())
+        if spans_n[j] is not None and spans_n[j][0] <= px <= spans_n[j][1]
     ]
-    if not j_candidates:
+    if not inside:
         raise CoherenceViolated("witness source lies outside the level closure")
-    j = j_candidates[0]
+    j, px = inside[0]
     wit = q.intervals[("A", j)]
-    px = seg.pos_in_seg[j][x]
     d = wit.q_lo + (px - wit.s_lo) if wit.step == 1 else wit.q_lo + (wit.s_hi - px)
     if q.vertices[d] != x:
         raise CoherenceViolated("interval arithmetic lost the witness source")
-    frontier_union = set()
-    for i in range(1, n + 1):
-        frontier_union |= seg.frontier(j, state.level("A", i))
+    path = seg.seg_paths[j]
+    frontiers = []  # frontiers[i]: the end vertices of A_{i+1}'s span on j
+    for i in range(1, n + 2):
+        span = state.spans("A", i)[j]
+        frontiers.append(set() if span is None else {path[span[0]], path[span[1]]})
+    frontier_union = set().union(*frontiers[:n])
     c = next((r for r in range(d, -1, -1) if q.vertices[r] in frontier_union), None)
     if c is None:
         raise CoherenceViolated("no frontier anchor before the witness source")
     n_prime = next(
-        (
-            i
-            for i in range(n + 1)
-            if q.vertices[c] in seg.frontier(j, state.level("A", i + 1))
-        ),
-        None,
+        (i for i in range(n + 1) if q.vertices[c] in frontiers[i]), None
     )
     if n_prime is None or n_prime >= n:
         raise DescentStalled(f"anchor level {n_prime} does not drop below {n}")
@@ -494,8 +493,7 @@ def _reroute_a_side(
         + q.edges[d:]
     )
     intervals = {}
-    for j2 in range(seg.k):
-        span = seg.cl_span(j2, state.level("A", n_prime))
+    for j2, span in enumerate(state.spans("A", n_prime)):
         if span is not None:
             old = q.intervals.get(("A", j2))
             if old is None:
@@ -505,23 +503,14 @@ def _reroute_a_side(
         b_old = q.intervals.get(("B", j2))
         if b_old is not None:
             intervals[("B", j2)] = _remap_witness(b_old, remap)
-    brackets = {}
-    for slot, (r, t) in q.brackets.items():
-        if slot <= c - 1:
-            brackets[c - 1 - slot] = (c - t, c - r)
-        elif slot >= d:
-            brackets[c + len_p + (slot - d)] = (remap(r), remap(t))
-        else:
-            raise CoherenceViolated("bracket inside the removed stretch")
-    for i in range(len_p):
-        brackets[c + i] = (c, c + len_p)
+    if not all(eid in seg.h_edges for eid in q.edges[c:d]):
+        raise CoherenceViolated("removed stretch has a non-H edge")
     out = CoherentTrail(
         vertices=verts,
         edges=edges,
         n=n_prime,
         m=m,
         intervals=intervals,
-        brackets=brackets,
     )
     check_coherent(out, state, seg)
     return out

@@ -80,12 +80,6 @@ class SegmentedCircuit:
         )
 
     @cached_property
-    def pos_in_seg(self) -> tuple[dict, ...]:
-        return tuple(
-            {v: i for i, v in enumerate(path)} for path in self.seg_paths
-        )
-
-    @cached_property
     def h_vertices(self) -> frozenset:
         return frozenset(self.trail.vertices)
 
@@ -93,36 +87,37 @@ class SegmentedCircuit:
     def h_edges(self) -> frozenset:
         return frozenset(self.trail.edges)
 
-    def ins(self, j: int, vertices: frozenset) -> frozenset:
-        """Vertices of the given set lying on segment j."""
-        return frozenset(v for v in self.seg_paths[j] if v in vertices)
+    @cached_property
+    def places(self) -> dict:
+        """Each H-vertex's (segment, position) pairs, in segment order."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for j, path in enumerate(self.seg_paths):
+            for p, v in enumerate(path):
+                out.setdefault(v, []).append((j, p))
+        return out
 
-    def cl_span(self, j: int, vertices: frozenset) -> tuple[int, int] | None:
-        """Closure of the set on segment j, as a position interval."""
-        hits = [self.pos_in_seg[j][v] for v in vertices if v in self.pos_in_seg[j]]
-        if not hits:
-            return None
-        return min(hits), max(hits)
+    def spans(self, vertices: Iterable[int]) -> tuple[tuple[int, int] | None, ...]:
+        """Per segment j, the smallest and largest positions on its path of
+        the set's vertices, or None when none lies on it; one pass."""
+        out: list[tuple[int, int] | None] = [None] * self.k
+        for v in vertices:
+            for j, p in self.places.get(v, ()):
+                span = out[j]
+                if span is None:
+                    out[j] = (p, p)
+                elif p < span[0]:
+                    out[j] = (p, span[1])
+                elif p > span[1]:
+                    out[j] = (span[0], p)
+        return tuple(out)
 
-    def cl_vertices(self, j: int, vertices: frozenset) -> frozenset:
-        span = self.cl_span(j, vertices)
-        if span is None:
-            return frozenset()
-        lo, hi = span
-        return frozenset(self.seg_paths[j][lo : hi + 1])
-
-    def closure(self, vertices: frozenset) -> frozenset:
+    def closure(self, spans: tuple[tuple[int, int] | None, ...]) -> frozenset:
+        """Vertices of every segment between the ends of its span."""
         out: set = set()
-        for j in range(self.k):
-            out |= self.cl_vertices(j, vertices)
+        for path, span in zip(self.seg_paths, spans):
+            if span is not None:
+                out.update(path[span[0] : span[1] + 1])
         return frozenset(out)
-
-    def frontier(self, j: int, vertices: frozenset) -> frozenset:
-        span = self.cl_span(j, vertices)
-        if span is None:
-            return frozenset()
-        lo, hi = span
-        return frozenset({self.seg_paths[j][lo], self.seg_paths[j][hi]})
 
 
 def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:

@@ -29,6 +29,20 @@ def triangles_with_bridge() -> Graph:
     return Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)])
 
 
+def sparse_random_graphs(count=30):
+    """Seeded connected graphs with m between n - 1 and 2n, so that many
+    have bridges and several 2-edge-connected components."""
+    from circuitcover.generators import random_connected
+
+    rng = random.Random(2024)
+    out = []
+    for seed in range(count):
+        n = rng.randint(4, 30)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+        out.append(random_connected(n, m, 1, seed=seed).graph)
+    return out
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=8, max_extra=8):
     """Random connected simple graph: a random recursive tree plus extras."""

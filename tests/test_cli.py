@@ -285,6 +285,8 @@ class TestVerifyMalformed:
             '{"status": "odd-cut", "side": {"0": 1}, "boundary": [], "size": 0, "odd": false}',
             '{"status": "odd-cut", "side": [1], "boundary": [0, 1, 2], "size": "3", "odd": true}',
             '{"status": "odd-cut", "side": [1], "boundary": [0, 1, 2]}',
+            '{"status": "infeasible", "method": "oracle"}',
+            "{}",
         ],
     )
     def test_one_line_error(self, c6_file, tmp_path, capsys, text):

@@ -26,24 +26,18 @@ from circuitcover.graphs import (
 from circuitcover.oracle import feasible_by_bruteforce
 from circuitcover.segments import normalize_circuit
 
-from conftest import bowtie, complete_graph, connected_graphs, cycle_graph
-
-
-def _sparse_random_graphs(count=30):
-    # m between n - 1 and 2n, so that many graphs have bridges and several
-    # 2-edge-connected components
-    rng = random.Random(2024)
-    out = []
-    for seed in range(count):
-        n = rng.randint(4, 30)
-        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
-        out.append(random_connected(n, m, 1, seed=seed).graph)
-    return out
+from conftest import (
+    bowtie,
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    sparse_random_graphs,
+)
 
 
 class TestBaseCircuit:
     def test_unit_cut_exactly_on_bridges(self):
-        for g in _sparse_random_graphs():
+        for g in sparse_random_graphs():
             for eid in range(g.m):
                 bridges, comp = bridges_and_2ec_components(g, g.all_edges(), eid)
                 assert (comp is None) == (eid in bridges)
@@ -59,7 +53,7 @@ class TestBaseCircuit:
 class TestTrailThroughEdge:
     def test_s_t_trails_in_every_component(self):
         rng = random.Random(7)
-        for g in _sparse_random_graphs():
+        for g in sparse_random_graphs():
             for eid in range(g.m):
                 _, comp = bridges_and_2ec_components(g, g.all_edges(), eid)
                 if comp is None:
@@ -181,7 +175,7 @@ class TestSpliceFirst:
     @staticmethod
     def _corpus():
         rng = random.Random(12)
-        for g in _sparse_random_graphs(40):
+        for g in sparse_random_graphs(40):
             for _ in range(4):
                 yield g, sorted(rng.sample(range(g.m), min(g.m, rng.randint(2, 8))))
         for seed in range(6):
@@ -411,7 +405,7 @@ class TestPinnedAnswers:
         # edges and sampled pairs and triples on the others, and larger sets
         # on four dense graphs
         rng = random.Random(5)
-        for g in _sparse_random_graphs():
+        for g in sparse_random_graphs():
             if g.m <= 15:
                 sets = [c for k in (1, 2, 3) for c in combinations(range(g.m), k)]
             else:

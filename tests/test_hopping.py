@@ -3,11 +3,18 @@
 The frozen values below were derived by hand on paper-sized instances and
 double-checked against the cut oracle and the circuit verifier.
 """
+import random
+from dataclasses import replace
+
 import pytest
 
+from circuitcover import hopping
 from circuitcover.cuts import CutCertificate, brute_force_min_odd_cut
+from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated
+from circuitcover.finder import find_circuit
 from circuitcover.graphs import Graph, Trail, verify_circuit
 from circuitcover.hopping import (
+    SpanWitness,
     bridge_case,
     check_coherent,
     compute_reach,
@@ -17,7 +24,7 @@ from circuitcover.hopping import (
 )
 from circuitcover.segments import segment
 
-from conftest import complete_graph, triangles_with_bridge
+from conftest import complete_graph, sparse_random_graphs, triangles_with_bridge
 
 
 def k4_fixture():
@@ -72,6 +79,34 @@ class TestComputeReach:
                 assert v not in seg.h_vertices
 
 
+class TestEntryValidation:
+    @pytest.mark.parametrize("source", [-1, 4, 7])
+    def test_reach_rejects_a_source_outside_the_graph(self, source):
+        g, seg = k4_fixture()
+        with pytest.raises(BadParam):
+            compute_reach(g, seg, 2, {source})
+
+    @pytest.mark.parametrize("excluded", [-1, 6, 99])
+    def test_reach_rejects_a_bad_excluded_edge(self, excluded):
+        g, seg = k4_fixture()
+        with pytest.raises(BadEdgeId):
+            compute_reach(g, seg, excluded, {3})
+
+    @pytest.mark.parametrize(
+        "excluded, a, b", [(99, 0, 3), (-1, 0, 3), (2, -1, 3), (2, 0, 1), (2, 0, 0)]
+    )
+    def test_fixpoint_needs_the_ends_of_the_excluded_edge(self, excluded, a, b):
+        g, seg = k4_fixture()
+        with pytest.raises(BadParam):
+            hopping_fixpoint(g, seg, excluded, a, b)
+
+    def test_fixpoint_takes_the_ends_in_either_order(self):
+        g, seg = k4_fixture()
+        state = hopping_fixpoint(g, seg, 2, 3, 0)
+        assert state.a_levels[-1] == frozenset({1, 2})
+        assert state.b_levels[-1] == frozenset({0})
+
+
 class TestHoppingFixpoint:
     def test_k4_state(self):
         g, seg = k4_fixture()
@@ -79,7 +114,7 @@ class TestHoppingFixpoint:
         assert not isinstance(state, CutCertificate)
         assert state.a_levels[-1] == frozenset({0})
         assert state.b_levels[-1] == frozenset({1, 2})
-        assert seg.ins(0, state.a_levels[-1]) and seg.ins(0, state.b_levels[-1])
+        assert state.a_spans[-1][0] and state.b_spans[-1][0]
 
     def test_two_level_fixture_levels(self):
         g, h, seg, excluded = two_level_fixture()
@@ -123,6 +158,96 @@ class TestInitialCoherentTrail:
         assert q.level == (1, 0)
         assert q.vertices == (5, 4, 3, 2, 1, 0, 7, 6)
         check_coherent(q, state, seg)
+
+
+class TestCheckCoherentRejects:
+    """Each coherence condition, broken on a fixture trail, is reported."""
+
+    @staticmethod
+    def _initial_and_spliced():
+        g, h, seg, excluded = two_level_fixture()
+        state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        q = initial_coherent_trail(state, seg)
+        return state, seg, q, reroute_descent(q, state, seg)
+
+    def _rejects(self, q, match):
+        state, seg, _, _ = self._initial_and_spliced()
+        with pytest.raises(CoherenceViolated, match=match):
+            check_coherent(q, state, seg)
+
+    def test_c2_stretch_with_both_ends_in_one_level(self):
+        _, _, _, spliced = self._initial_and_spliced()
+        assert spliced.vertices == (1, 2, 3, 4, 5, 10, 1, 0, 7, 6)
+        self._rejects(replace(spliced, n=1), "C2")  # 5-10-1 lies in A_2
+
+    def test_c2_single_chord_with_both_ends_in_one_level(self):
+        # the fixture plus a chord 1-5 off H, which the splice takes in place
+        # of 5-10-1; at n=1 both of its ends lie in A_2
+        g, h, _, excluded = two_level_fixture()
+        g = Graph.from_edges(g.n, list(g.edges) + [(1, 5)])
+        seg = segment(g, h, {3, 7})
+        state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        spliced = reroute_descent(initial_coherent_trail(state, seg), state, seg)
+        assert spliced.vertices == (1, 2, 3, 4, 5, 1, 0, 7, 6)
+        assert spliced.edges[4] == g.m - 1
+        with pytest.raises(CoherenceViolated, match="C2"):
+            check_coherent(replace(spliced, n=1), state, seg)
+
+    def test_c1_start_above_its_level(self):
+        _, _, initial, _ = self._initial_and_spliced()
+        assert initial.level == (1, 0)
+        self._rejects(replace(initial, n=0), "C1: start vertex")
+
+    def test_c3_stale_interval(self):
+        _, _, _, spliced = self._initial_and_spliced()
+        stale = {**spliced.intervals, ("A", 1): SpanWitness(0, 0, 0, 0, 1)}
+        self._rejects(replace(spliced, intervals=stale), "C3: stale interval")
+
+    def test_c3_missing_interval(self):
+        _, _, initial, _ = self._initial_and_spliced()
+        self._rejects(replace(initial, intervals={}), "C3: missing interval")
+
+    @pytest.mark.parametrize(
+        "witness, match",
+        [
+            (SpanWitness(3, 3, 1, 1, -1), "C3: interval span mismatch"),
+            (SpanWitness(4, 5, 1, 2, -1), "C3: interval does not witness"),
+        ],
+    )
+    def test_c3_wrong_witness(self, witness, match):
+        _, _, initial, _ = self._initial_and_spliced()
+        intervals = {**initial.intervals, ("A", 0): witness}
+        self._rejects(replace(initial, intervals=intervals), match)
+
+
+class TestSpanTable:
+    def test_spans_match_an_independent_scan(self, monkeypatch):
+        # every ReachState of a seeded corpus of bridge cases, each level's
+        # spans recomputed by a scan of each segment's path
+        reached = []
+        fixpoint = hopping.hopping_fixpoint
+
+        def recording(g, seg, excluded, a, b):
+            out = fixpoint(g, seg, excluded, a, b)
+            if not isinstance(out, CutCertificate):
+                reached.append((seg, out))
+            return out
+
+        monkeypatch.setattr(hopping, "hopping_fixpoint", recording)
+        rng = random.Random(31)
+        for g in sparse_random_graphs():
+            for _ in range(40):
+                find_circuit(g, rng.sample(range(g.m), rng.randint(2, min(4, g.m))))
+        assert len(reached) >= 100
+        assert any(len(state.a_levels) > 2 for _, state in reached)
+        for seg, state in reached:
+            for side, levels in (("A", state.a_levels), ("B", state.b_levels)):
+                for i, level in enumerate(levels):
+                    expect = []
+                    for path in seg.seg_paths:
+                        hits = [path.index(v) for v in level if v in path]
+                        expect.append((min(hits), max(hits)) if hits else None)
+                    assert state.spans(side, i) == tuple(expect)
 
 
 class TestRerouteDescent:
