@@ -108,9 +108,7 @@ def cmd_find(args) -> int:
     if isinstance(outcome, CutCertificate):
         payload = cut_result(outcome)
         if args.certify:
-            payload["certified"] = bool(
-                outcome.is_valid_for(g) and outcome.odd and outcome.size <= len(s)
-            )
+            payload["certified"] = not _cut_fault(g, payload, len(s))
         if args.oracle_fallback and cycle_space_basis(g).dim <= 24:
             witness = feasible_by_bruteforce(g, s)
             payload["oracle_feasible"] = witness is not None

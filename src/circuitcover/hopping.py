@@ -19,8 +19,12 @@ Vocabulary (all relative to the segmented circuit H and the excluded e):
         not a single H edge is admissible (its inner vertices avoid V(H), so
         it uses no H edge) and does not have both ends in A_{n+1}, nor both
         in B_{m+1};
-    C3  each nonempty closure of A_n or B_m on a segment is a recorded
-        subtrail, and subtrails of different segments do not overlap.
+    C3  each nonempty closure of A_n or B_m on a segment is a subtrail,
+        and subtrails of different segments do not overlap.  The trail tags
+        each vertex with the H position it came from, so a closure's
+        subtrail is where its H positions are tagged: they must all be on
+        the trail, at consecutive positions in one direction.  Distinct
+        segments own distinct H positions, so their subtrails are disjoint.
 
 The descent repeatedly reroutes a coherent trail to strictly smaller levels
 until both levels hit zero, at which point the circuit assembles from the
@@ -30,26 +34,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cuts import CutCertificate, certify
 from .errors import BadParam, CoherenceViolated, DescentStalled, NoSharedSegment
 from .graphs import Graph, Trail, trail_concat, validate_trail
 from .segments import SegmentedCircuit, segment
-
-
-class SpanWitness(NamedTuple):
-    """Where a segment-closure subpath sits inside a coherent trail.
-
-    Trail positions q_lo..q_hi hold the segment positions s_lo..s_hi in
-    order (step=+1) or reversed (step=-1).
-    """
-
-    q_lo: int
-    q_hi: int
-    s_lo: int
-    s_hi: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -201,21 +191,20 @@ def hopping_fixpoint(
 
 @dataclass
 class CoherentTrail:
-    """Trail through all separators with per-level bookkeeping.
+    """Trail through all separators, each vertex tagged with its H position.
 
-    intervals maps (side, segment) to the SpanWitness of that side's
-    segment closure inside the trail.
+    at[r] is the index on seg.trail of the H position that vertices[r] came
+    from, or -1 for an inner vertex of a spliced witness.  C3 then reads:
+    every H position of a nonempty closure of A_n or B_m on a segment is
+    tagged, at consecutive trail positions in one direction, and that run is
+    the closure's subtrail.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
     n: int
     m: int
-    intervals: dict
-
-    @property
-    def w(self) -> int:
-        return len(self.edges)
+    at: tuple[int, ...]
 
     @property
     def level(self) -> tuple[int, int]:
@@ -225,8 +214,18 @@ class CoherentTrail:
         return Trail(self.vertices, self.edges)
 
 
+def _positions(q: CoherentTrail) -> dict[int, int]:
+    """Trail position of each H index tagged on q.
+
+    An index is tagged twice where the trail visits that H position twice: a
+    closed initial walk, or a splice whose anchor is the witness source.  The
+    map keeps the later visit.
+    """
+    return {t: r for r, t in enumerate(q.at) if t >= 0}
+
+
 def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -> None:
-    """Assert the three coherence conditions plus bookkeeping consistency."""
+    """Assert the three coherence conditions, C3 read from the tags."""
     g = state.graph
     t = q.trail()
     validate_trail(g, t)
@@ -250,41 +249,35 @@ def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -
         ends = {q.vertices[r], q.vertices[tt]}
         if len(ends & a_next) > 1 or len(ends & b_next) > 1:
             raise CoherenceViolated("C2: both stretch ends inside one level set")
-    # C3: segment closures are witnessed subtrails with cross-segment
-    # disjoint intervals
+    # C3: every tag names the trail vertex it sits on, and each closure's H
+    # indices sit at consecutive trail positions in one direction; segments
+    # own distinct H indices, so subtrails of different segments are disjoint
+    if len(q.at) != len(q.vertices):
+        raise CoherenceViolated(
+            f"C3: {len(q.at)} tags for a trail of {len(q.vertices)} vertices"
+        )
+    h = seg.trail.vertices
+    for r, (v, tag) in enumerate(zip(q.vertices, q.at)):
+        if tag == -1:
+            continue
+        if not 0 <= tag < len(h):
+            raise CoherenceViolated(f"C3: tag {tag} at position {r} is not an H position")
+        if h[tag] != v:
+            raise CoherenceViolated(
+                f"C3: tag {tag} at position {r} names vertex {h[tag]}, not {v}"
+            )
+    pos = _positions(q)
     for side, lvl in (("A", q.n), ("B", q.m)):
         for j, span in enumerate(state.spans(side, lvl)):
-            witness = q.intervals.get((side, j))
             if span is None:
-                if witness is not None:
-                    raise CoherenceViolated(f"C3: stale interval for {side}, segment {j}")
                 continue
-            if witness is None:
-                raise CoherenceViolated(f"C3: missing interval for {side}, segment {j}")
-            if (witness.s_lo, witness.s_hi) != span:
-                raise CoherenceViolated(f"C3: interval span mismatch on segment {j}")
-            if witness.q_hi - witness.q_lo != witness.s_hi - witness.s_lo:
-                raise CoherenceViolated("C3: interval length mismatch")
-            path = seg.seg_paths[j]
-            for off in range(witness.q_hi - witness.q_lo + 1):
-                sv = (
-                    path[witness.s_lo + off]
-                    if witness.step == 1
-                    else path[witness.s_hi - off]
-                )
-                if q.vertices[witness.q_lo + off] != sv:
-                    raise CoherenceViolated("C3: interval does not witness the closure")
-    items = list(q.intervals.items())
-    for i in range(len(items)):
-        for jdx in range(i + 1, len(items)):
-            (s1, j1), w1 = items[i]
-            (s2, j2), w2 = items[jdx]
-            if j1 == j2:
-                continue
-            if not (w1.q_hi < w2.q_lo or w2.q_hi < w1.q_lo):
-                raise CoherenceViolated(
-                    f"C3: intervals for segments {j1} and {j2} overlap"
-                )
+            vs = seg.seg_bounds[j][0]
+            run = [pos.get(vs + p) for p in range(span[0], span[1] + 1)]
+            if None in run:
+                raise CoherenceViolated(f"C3: {side} closure on segment {j} is off the trail")
+            step = 1 if run[-1] >= run[0] else -1
+            if run != list(range(run[0], run[-1] + step, step)):
+                raise CoherenceViolated(f"C3: {side} closure on segment {j} is not a subtrail")
 
 
 def initial_coherent_trail(
@@ -307,52 +300,31 @@ def initial_coherent_trail(
         raise NoSharedSegment("no segment is reached from both endpoints")
     _, j, la, lb = min(candidates)
     n, m = la - 1, lb - 1
-    alpha = state.spans("A", la)[j][0]
-    beta = state.spans("B", lb)[j][0]
+    # the walk is closed when both ends are one H position of segment j, which
+    # no closure at levels (n, m) may then reach
+    if state.spans("A", n)[j] or state.spans("B", m)[j]:
+        raise CoherenceViolated(
+            "chosen segment has a nonempty closure below its first level"
+        )
     vs, _ = seg.seg_bounds[j]
     big_l = len(seg.trail.edges)
-    ga, gb = vs + alpha, vs + beta
-
-    if beta <= alpha:
-        direction = 1
-        verts = seg.trail.vertices[ga : big_l + 1] + seg.trail.vertices[1 : gb + 1]
+    ga = vs + state.spans("A", la)[j][0]
+    gb = vs + state.spans("B", lb)[j][0]
+    # H positions are taken mod L, so the walk passes the rotation point as
+    # position 0, where segment 0 starts
+    if gb <= ga:
+        walk = range(ga, gb + big_l + 1)
         edges = seg.trail.edges[ga:] + seg.trail.edges[:gb]
-
-        def qpos(gidx: int) -> int:
-            return gidx - ga if gidx >= ga else (big_l - ga) + gidx
-
     else:
-        direction = -1
-        verts = tuple(reversed(seg.trail.vertices[: ga + 1])) + tuple(
-            reversed(seg.trail.vertices[gb:big_l])
-        )
-        edges = tuple(reversed(seg.trail.edges[:ga])) + tuple(
-            reversed(seg.trail.edges[gb:])
-        )
-
-        def qpos(gidx: int) -> int:
-            return ga - gidx if gidx <= ga else ga + (big_l - gidx)
-
-    intervals = {}
-    for side, lvl in (("A", n), ("B", m)):
-        for j2, span in enumerate(state.spans(side, lvl)):
-            if span is None:
-                continue
-            if j2 == j:
-                raise CoherenceViolated(
-                    "chosen segment has a nonempty closure below its first level"
-                )
-            vs2, _ = seg.seg_bounds[j2]
-            p1, p2 = qpos(vs2 + span[0]), qpos(vs2 + span[1])
-            intervals[(side, j2)] = SpanWitness(
-                min(p1, p2), max(p1, p2), span[0], span[1], direction
-            )
+        walk = range(ga, gb - big_l - 1, -1)
+        edges = seg.trail.edges[:ga][::-1] + seg.trail.edges[gb:][::-1]
+    at = tuple(t % big_l for t in walk)
     q = CoherentTrail(
-        vertices=tuple(verts),
-        edges=tuple(edges),
+        vertices=tuple(seg.trail.vertices[t] for t in at),
+        edges=edges,
         n=n,
         m=m,
-        intervals=intervals,
+        at=at,
     )
     check_coherent(q, state, seg)
     return q
@@ -362,57 +334,9 @@ def initial_coherent_trail(
 # descent transformations
 
 
-def _subspan(old: SpanWitness, s_lo: int, s_hi: int) -> SpanWitness:
-    """Witness for a sub-range of segment positions inside an old witness."""
-    if not (old.s_lo <= s_lo and s_hi <= old.s_hi):
-        raise CoherenceViolated("projected span escapes the recorded interval")
-    if old.step == 1:
-        q_lo = old.q_lo + (s_lo - old.s_lo)
-        q_hi = old.q_lo + (s_hi - old.s_lo)
-    else:
-        q_lo = old.q_lo + (old.s_hi - s_hi)
-        q_hi = old.q_lo + (old.s_hi - s_lo)
-    return SpanWitness(q_lo, q_hi, s_lo, s_hi, old.step)
-
-
-def _demote(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit, side: str) -> CoherentTrail:
-    """Drop one level on the given side; intervals shrink in place."""
-    n, m = q.n, q.m
-    new_lvl = (n - 1) if side == "A" else (m - 1)
-    intervals = dict(q.intervals)
-    for j, span in enumerate(state.spans(side, new_lvl)):
-        old = intervals.pop((side, j), None)
-        if span is None:
-            continue
-        if old is None:
-            raise CoherenceViolated("closure nonempty but no recorded interval")
-        intervals[(side, j)] = _subspan(old, *span)
-    out = replace(
-        q,
-        n=new_lvl if side == "A" else n,
-        m=new_lvl if side == "B" else m,
-        intervals=intervals,
-    )
-    check_coherent(out, state, seg)
-    return out
-
-
 def _mirror(q: CoherentTrail) -> CoherentTrail:
     """Reverse the trail and swap the roles of the two sides."""
-    w = q.w
-    intervals = {
-        ("A" if side == "B" else "B", j): SpanWitness(
-            w - wit.q_hi, w - wit.q_lo, wit.s_lo, wit.s_hi, -wit.step
-        )
-        for (side, j), wit in q.intervals.items()
-    }
-    return CoherentTrail(
-        vertices=tuple(reversed(q.vertices)),
-        edges=tuple(reversed(q.edges)),
-        n=q.m,
-        m=q.n,
-        intervals=intervals,
-    )
+    return CoherentTrail(q.vertices[::-1], q.edges[::-1], q.m, q.n, q.at[::-1])
 
 
 class _Restart(Exception):
@@ -429,7 +353,8 @@ def _reroute_a_side(
 
     Splices the witness trail of the start vertex into the trail, replacing
     the stretch of segment j between the frontier anchor and the witness
-    source; the A level strictly drops.
+    source; the A level strictly drops.  q must be coherent, so each
+    closure's subtrail is found through the tags.
     """
     n, m = q.n, q.m
     start = q.vertices[0]
@@ -448,10 +373,9 @@ def _reroute_a_side(
     if not inside:
         raise CoherenceViolated("witness source lies outside the level closure")
     j, px = inside[0]
-    wit = q.intervals[("A", j)]
-    d = wit.q_lo + (px - wit.s_lo) if wit.step == 1 else wit.q_lo + (wit.s_hi - px)
-    if q.vertices[d] != x:
-        raise CoherenceViolated("interval arithmetic lost the witness source")
+    vs = seg.seg_bounds[j][0]
+    pos = _positions(q)
+    d = pos[vs + px]
     path = seg.seg_paths[j]
     frontiers = []  # frontiers[i]: the end vertices of A_{i+1}'s span on j
     for i in range(1, n + 2):
@@ -466,62 +390,28 @@ def _reroute_a_side(
     )
     if n_prime is None or n_prime >= n:
         raise DescentStalled(f"anchor level {n_prime} does not drop below {n}")
-    b_wit = q.intervals.get(("B", j))
-    overlaps_b = b_wit is not None and not (b_wit.q_hi < c or b_wit.q_lo > d)
-    if overlaps_b or x in state.level("B", m + 1):
+    b_span = state.spans("B", m)[j]
+    if b_span is not None:
+        b_ends = pos[vs + b_span[0]], pos[vs + b_span[1]]
+        if min(b_ends) <= d and max(b_ends) >= c:
+            raise _Restart(j)
+    if x in state.level("B", m + 1):
         raise _Restart(j)
     if set(p.edges) & set(q.edges):
         raise CoherenceViolated("witness trail shares an edge with the trail")
-
-    len_p = len(p.edges)
-
-    def remap(pos: int) -> int:
-        if pos <= c:
-            return c - pos
-        if pos >= d:
-            return c + len_p + (pos - d)
-        raise CoherenceViolated("position inside the removed stretch survived")
-
-    verts = (
-        tuple(reversed(q.vertices[: c + 1]))
-        + tuple(reversed(p.vertices))[1:]
-        + q.vertices[d + 1 :]
-    )
-    edges = (
-        tuple(reversed(q.edges[:c]))
-        + tuple(reversed(p.edges))
-        + q.edges[d:]
-    )
-    intervals = {}
-    for j2, span in enumerate(state.spans("A", n_prime)):
-        if span is not None:
-            old = q.intervals.get(("A", j2))
-            if old is None:
-                raise CoherenceViolated("closure nonempty but no recorded interval")
-            sub = _subspan(old, *span)
-            intervals[("A", j2)] = _remap_witness(sub, remap)
-        b_old = q.intervals.get(("B", j2))
-        if b_old is not None:
-            intervals[("B", j2)] = _remap_witness(b_old, remap)
     if not all(eid in seg.h_edges for eid in q.edges[c:d]):
         raise CoherenceViolated("removed stretch has a non-H edge")
-    out = CoherentTrail(
-        vertices=verts,
-        edges=edges,
+    # tags of the witness after the start: inner vertices are off H, and x
+    # keeps its own; a one-vertex witness is the start itself
+    lp = len(p.vertices)
+    spliced = (-1,) * (lp - 2) + (q.at[d],) if lp > 1 else ()
+    return CoherentTrail(
+        vertices=q.vertices[c::-1] + p.vertices[-2::-1] + q.vertices[d + 1 :],
+        edges=q.edges[:c][::-1] + p.edges[::-1] + q.edges[d:],
         n=n_prime,
         m=m,
-        intervals=intervals,
+        at=q.at[c::-1] + spliced + q.at[d + 1 :],
     )
-    check_coherent(out, state, seg)
-    return out
-
-
-def _remap_witness(wit: SpanWitness, remap) -> SpanWitness:
-    p1, p2 = remap(wit.q_lo), remap(wit.q_hi)
-    step = wit.step if p2 > p1 or (p1 == p2) else -wit.step
-    if p2 < p1:
-        p1, p2 = p2, p1
-    return SpanWitness(p1, p2, wit.s_lo, wit.s_hi, step)
 
 
 def reroute_descent(
@@ -541,20 +431,18 @@ def reroute_descent(
             raise DescentStalled("level sum failed to reach zero in budget")
         before = q.n + q.m
         if q.n >= 1 and q.vertices[0] in state.level("A", q.n):
-            q = _demote(q, state, seg, "A")
+            q = replace(q, n=q.n - 1)
         elif q.m >= 1 and q.vertices[-1] in state.level("B", q.m):
-            q = _demote(q, state, seg, "B")
-        elif q.n >= 1:
-            try:
-                q = _reroute_a_side(q, state, seg)
-            except _Restart as r:
-                q = initial_coherent_trail(state, seg, force_segment=r.segment_index)
+            q = replace(q, m=q.m - 1)
         else:
             try:
-                q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
-                check_coherent(q, state, seg)
+                if q.n >= 1:
+                    q = _reroute_a_side(q, state, seg)
+                else:
+                    q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
             except _Restart as r:
                 q = initial_coherent_trail(state, seg, force_segment=r.segment_index)
+        check_coherent(q, state, seg)
         if q.n + q.m >= before:
             raise DescentStalled(
                 f"level sum did not decrease: {before} -> {q.n + q.m}"

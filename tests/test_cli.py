@@ -153,6 +153,12 @@ class TestFind:
         assert payload["status"] == "odd-cut" and payload["size"] == 3
         assert payload["oracle_feasible"] is False
 
+    def test_certified_certificate(self, ladder4_file, capsys):
+        code = main(["find", str(ladder4_file), "--edges", "0,1,2", "--certify"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["status"] == "odd-cut" and payload["certified"] is True
+
     def test_bad_edge_id(self, c6_file, capsys):
         assert main(["find", str(c6_file), "--edges", "99"]) == 1
         assert "error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover import finder
+from circuitcover import finder, hopping
 from circuitcover.cuts import CutCertificate, min_odd_cut
 from circuitcover.errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from circuitcover.finder import (
@@ -418,13 +418,21 @@ class TestPinnedAnswers:
 
     def test_answers_match_the_pinned_digest(self, monkeypatch):
         # the splice ends in euler_circuit, the bridge case in bridge_case and
-        # the detached case in contract_subgraph; each must be reached
-        reached = dict.fromkeys(("euler_circuit", "bridge_case", "contract_subgraph"), 0)
-        for name in reached:
-            def counted(*args, _name=name, _fn=getattr(finder, name), **kwargs):
+        # the detached case in contract_subgraph; the descent reroutes on the
+        # A side, and mirrored on the B side; each must be reached
+        targets = [
+            (finder, "euler_circuit"),
+            (finder, "bridge_case"),
+            (finder, "contract_subgraph"),
+            (hopping, "_reroute_a_side"),
+            (hopping, "_mirror"),
+        ]
+        reached = dict.fromkeys((name for _, name in targets), 0)
+        for module, name in targets:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 reached[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(finder, name, counted)
+            monkeypatch.setattr(module, name, counted)
         digest = hashlib.sha256()
         for g, sets in self._corpus():
             for s in sets:

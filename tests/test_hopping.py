@@ -14,7 +14,6 @@ from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated
 from circuitcover.finder import find_circuit
 from circuitcover.graphs import Graph, Trail, verify_circuit
 from circuitcover.hopping import (
-    SpanWitness,
     bridge_case,
     check_coherent,
     compute_reach,
@@ -48,6 +47,18 @@ def two_level_fixture():
     h = Trail(tuple(range(8)) + (0,), tuple(range(8)))
     seg = segment(g, h, {3, 7})
     return g, h, seg, 13  # excluded edge (8,9)
+
+
+def repeat_fixture():
+    """H = 3-1-4-0-1-2-3 through edges 0 and 2, passing vertex 1 twice.
+
+    With edge 3 = (2,4) excluded, A_1 = {0, 2} spans all of segment two,
+    (0, 1, 2), and the initial trail (1, 3, 2, 1, 0, 4) at level (1, 0)
+    passes vertex 1 twice as well.
+    """
+    g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 3), (2, 4), (0, 1), (0, 2), (1, 2), (1, 3)])
+    h = Trail((3, 1, 4, 0, 1, 2, 3), (7, 1, 0, 4, 6, 2))
+    return g, segment(g, h, {0, 2}), 3
 
 
 class TestComputeReach:
@@ -198,26 +209,55 @@ class TestCheckCoherentRejects:
         assert initial.level == (1, 0)
         self._rejects(replace(initial, n=0), "C1: start vertex")
 
-    def test_c3_stale_interval(self):
+    def test_c3_tag_names_another_vertex(self):
+        # position 0 holds vertex 1 but claims H position 4, segment two's
+        # first vertex
         _, _, _, spliced = self._initial_and_spliced()
-        stale = {**spliced.intervals, ("A", 1): SpanWitness(0, 0, 0, 0, 1)}
-        self._rejects(replace(spliced, intervals=stale), "C3: stale interval")
+        assert spliced.at[0] == 1
+        at = (4,) + spliced.at[1:]
+        self._rejects(replace(spliced, at=at), "C3: tag 4 at position 0 names vertex 4, not 1")
 
-    def test_c3_missing_interval(self):
+    def test_c3_closure_without_tags(self):
         _, _, initial, _ = self._initial_and_spliced()
-        self._rejects(replace(initial, intervals={}), "C3: missing interval")
+        at = (-1,) * len(initial.vertices)
+        self._rejects(replace(initial, at=at), "C3: A closure on segment 0 is off the trail")
+
+    def test_c3_closure_partly_tagged(self):
+        # A_1's closure on segment one is H positions 1 and 2; drop the tag
+        # of position 2
+        _, _, initial, _ = self._initial_and_spliced()
+        assert initial.at == (5, 4, 3, 2, 1, 0, 7, 6)
+        at = (5, 4, 3, -1, 1, 0, 7, 6)
+        self._rejects(replace(initial, at=at), "C3: A closure on segment 0 is off the trail")
+
+    def test_c3_closure_not_consecutive(self):
+        # swap the tags of the two visits to vertex 1: every tag still names
+        # its vertex, but A_1's closure on segment two, H positions 3..5, no
+        # longer sits at consecutive trail positions
+        g, seg, excluded = repeat_fixture()
+        state = hopping_fixpoint(g, seg, excluded, *g.endpoints(excluded))
+        q = initial_coherent_trail(state, seg)
+        assert q.vertices == (1, 3, 2, 1, 0, 4) and q.at == (1, 0, 5, 4, 3, 2)
+        with pytest.raises(CoherenceViolated, match="C3: A closure on segment 1 is not a subtrail"):
+            check_coherent(replace(q, at=(4, 0, 5, 1, 3, 2)), state, seg)
 
     @pytest.mark.parametrize(
-        "witness, match",
+        "at, match",
         [
-            (SpanWitness(3, 3, 1, 1, -1), "C3: interval span mismatch"),
-            (SpanWitness(4, 5, 1, 2, -1), "C3: interval does not witness"),
+            ((5, 4, 3, 2, 1, 0, 7), "C3: 7 tags for a trail of 8 vertices"),
+            ((5, 4, 3, 2, 1, 0, 7, 6, 5), "C3: 9 tags for a trail of 8 vertices"),
+            ((5, 4, 3, 2, 1, 0, 7, 9), "C3: tag 9 at position 7 is not an H position"),
+            ((5, 4, 3, 2, 1, 0, 7, -2), "C3: tag -2 at position 7 is not an H position"),
+            ((5, 4, 3, 2, 1, 0, 6, 6), "C3: tag 6 at position 6 names vertex 6, not 7"),
         ],
+        ids=["short", "long", "past-the-end", "negative", "another-vertex"],
     )
-    def test_c3_wrong_witness(self, witness, match):
-        _, _, initial, _ = self._initial_and_spliced()
-        intervals = {**initial.intervals, ("A", 0): witness}
-        self._rejects(replace(initial, intervals=intervals), match)
+    def test_malformed_tags_reach_the_descent(self, at, match):
+        # reroute_descent is public: a malformed tag tuple must end in
+        # CoherenceViolated, never an IndexError
+        state, seg, initial, _ = self._initial_and_spliced()
+        with pytest.raises(CoherenceViolated, match=match):
+            reroute_descent(replace(initial, at=at), state, seg)
 
 
 class TestSpanTable:
@@ -250,6 +290,54 @@ class TestSpanTable:
                     assert state.spans(side, i) == tuple(expect)
 
 
+def _located_subtrail(q, seg, lo, hi) -> range:
+    """Trail positions of H positions lo < hi of one segment, found from the
+    segment's own H edges (a trail repeats no edge), in the order of lo..hi."""
+    verts = seg.trail.vertices[lo : hi + 1]
+    edges = seg.trail.edges[lo:hi]
+    r = q.edges.index(edges[0])
+    if q.edges[r : r + len(edges)] == edges:
+        assert q.vertices[r : r + len(verts)] == verts
+        return range(r, r + len(verts))
+    assert r + 1 >= len(edges) and q.edges[r + 1 - len(edges) : r + 1] == edges[::-1]
+    assert q.vertices[r + 1 - len(edges) : r + 2] == verts[::-1]
+    return range(r + 1, r - len(edges), -1)
+
+
+class TestDerivedSubtrails:
+    def test_closures_carry_their_segment_edges(self, monkeypatch):
+        # every coherent trail the descent builds on a seeded corpus: each
+        # nonempty closure of A_n or B_m is found on the trail by its
+        # segment's H edges, in order, and the tags put it at that place
+        seen = {"trails": 0, "reroutes": 0}
+        check, reroute = hopping.check_coherent, hopping._reroute_a_side
+
+        def checked(q, state, seg):
+            check(q, state, seg)
+            seen["trails"] += 1
+            for side, lvl in (("A", q.n), ("B", q.m)):
+                for (vs, _), span in zip(seg.seg_bounds, state.spans(side, lvl)):
+                    if span is not None:
+                        lo, hi = vs + span[0], vs + span[1]
+                        if hi == lo:
+                            assert seg.trail.vertices[lo] in q.vertices and lo in q.at
+                            continue
+                        located = _located_subtrail(q, seg, lo, hi)
+                        assert [q.at[r] for r in located] == list(range(lo, hi + 1))
+
+        def counted(*args):
+            seen["reroutes"] += 1
+            return reroute(*args)
+
+        monkeypatch.setattr(hopping, "check_coherent", checked)
+        monkeypatch.setattr(hopping, "_reroute_a_side", counted)
+        rng = random.Random(31)
+        for g in sparse_random_graphs():
+            for _ in range(40):
+                find_circuit(g, rng.sample(range(g.m), rng.randint(2, min(4, g.m))))
+        assert seen["trails"] >= 100 and seen["reroutes"] >= 1, seen
+
+
 class TestRerouteDescent:
     def test_level_zero_is_a_fixpoint(self):
         g, seg = k4_fixture()
@@ -259,18 +347,12 @@ class TestRerouteDescent:
 
     def test_endpoint_demotion_lowers_a_stale_level(self):
         # the level sequences stabilize, so a level-(0,0) trail is also
-        # (1,0)-coherent once the level-1 closure interval is recorded; the
+        # (1,0)-coherent: its start is A_1's closure on the one segment; the
         # descent must then demote the endpoint rather than splice
-        from dataclasses import replace
-
-        from circuitcover.hopping import SpanWitness
-
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
         q = initial_coherent_trail(state, seg)
-        lifted = replace(
-            q, n=1, intervals={("A", 0): SpanWitness(0, 0, 2, 2, 1)}
-        )
+        lifted = replace(q, n=1)
         check_coherent(lifted, state, seg)
         assert lifted.vertices[0] in state.level("A", 1)
         down = reroute_descent(lifted, state, seg)
@@ -294,6 +376,20 @@ class TestRerouteDescent:
         assert q.level == (0, 0)
         assert q.vertices == (1, 2, 3, 4, 5, 10, 1, 0, 7, 6)
         check_coherent(q, state, seg)
+
+    def test_splice_carries_the_tags(self):
+        # the witness 1-10-5 enters at 5: its inner vertex 10 is untagged and
+        # its source 1 keeps H position 1
+        g, h, seg, excluded = two_level_fixture()
+        state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
+        assert q.at == (1, 2, 3, 4, 5, -1, 1, 0, 7, 6)
+        # a one-vertex witness: the start 1 (H position 1) is the source (H
+        # position 4) and keeps its own tag where the trail turns back
+        g, seg, excluded = repeat_fixture()
+        state = hopping_fixpoint(g, seg, excluded, *g.endpoints(excluded))
+        q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
+        assert q.vertices == (2, 3, 1, 0, 4) and q.at == (5, 0, 1, 3, 2)
 
     def test_mirrored_descent_when_levels_swap(self):
         # same gadget, but grown from the other endpoint: B needs two levels
