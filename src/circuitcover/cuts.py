@@ -12,13 +12,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BadParam, CoherenceViolated, DisconnectedInput, TooLarge
-from .graphs import (
-    FlowNetwork,
-    Graph,
-    edge_boundary,
-    is_connected,
-    spanning_forest,
-)
+from .graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
 
 @dataclass(frozen=True)
@@ -286,23 +280,14 @@ def has_odd_cut_leq(g: Graph, k: int) -> CutCertificate | None:
 def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
     """An odd cut of g lying inside the edge set s, or None.
 
-    Components of G-S have all their outgoing edges in S; such a component
-    bounds an odd cut exactly when it contains an odd number of vertices of
-    odd degree in (V, S).
+    This is extend_to_even_subgraph's certificate: each component of G-S has
+    all its outgoing edges in S, and bounds an odd cut exactly when it holds
+    an odd number of vertices of odd degree in (V, S).
     """
-    s_set = frozenset(s)
-    t_deg = [0] * g.n
-    for eid in s_set:
-        u, v = g.endpoints(eid)
-        t_deg[u] += 1
-        t_deg[v] += 1
-    for comp in spanning_forest(g, g.all_edges() - s_set).trees():
-        if sum(t_deg[v] % 2 for v in comp) % 2 == 1:
-            cert = certify(g, comp)
-            if not (cert.boundary <= s_set and cert.odd):
-                raise CoherenceViolated("component of G-S bounds no odd cut inside S")
-            return cert
-    return None
+    from .jaeger import extend_to_even_subgraph
+
+    outcome = extend_to_even_subgraph(g, s)
+    return outcome if isinstance(outcome, CutCertificate) else None
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -28,7 +28,19 @@ Vocabulary (all relative to the segmented circuit H and the excluded e):
 
 The descent repeatedly reroutes a coherent trail to strictly smaller levels
 until both levels hit zero, at which point the circuit assembles from the
-trail, the two entry witnesses, and e itself.
+trail, the two entry witnesses, and e itself.  Each step is one reroute of
+one side, never a restart or an endpoint demoted.  Let la(j), lb(j) be the
+first A and B levels that hit segment j; the initial trail takes a segment
+with the smallest sum S* of the two, so n + m + 2 = S* there and every step
+lowers n + m.  An A step splices in the witness of some x in the closure of
+A_n on a segment j, so la(j) <= n.  A nonempty span of B_m on j would give
+la(j) + lb(j) <= n + m < S*, and x in B_{m+1} would give la(j) + lb(j) <=
+n + m + 1 < S*, so the step raises on either.
+Nor does an end lie in its own level.  The initial start is the low end of
+A_{la}'s span on its segment, where A_n has none.  After a reroute the start
+is an end of A_{n'+1}'s span on j, n' the smallest such index; the levels
+nest, so a start in A_{n'} would end A_{n'}'s span too.  An A step keeps the
+B end and m, and a B step is its mirror image.
 """
 from __future__ import annotations
 
@@ -280,18 +292,15 @@ def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -
                 raise CoherenceViolated(f"C3: {side} closure on segment {j} is not a subtrail")
 
 
-def initial_coherent_trail(
-    state: ReachState, seg: SegmentedCircuit, force_segment: int | None = None
-) -> CoherentTrail:
+def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> CoherentTrail:
     """Coherent trail along H between the first levels hitting one segment.
 
-    Picks the segment minimizing the level sum (or the forced segment), and
-    walks H from the chosen start vertex around through every separator to
-    the chosen end vertex, skipping only part of that segment.
+    Picks the segment with the smallest sum of its first A and B levels,
+    and walks H from the chosen start vertex around through every separator
+    to the chosen end vertex, skipping only part of that segment.
     """
     candidates = []
-    js = [force_segment] if force_segment is not None else range(seg.k)
-    for j in js:
+    for j in range(seg.k):
         la = state.first_hit_level("A", j)
         lb = state.first_hit_level("B", j)
         if la is not None and lb is not None:
@@ -339,13 +348,6 @@ def _mirror(q: CoherentTrail) -> CoherentTrail:
     return CoherentTrail(q.vertices[::-1], q.edges[::-1], q.m, q.n, q.at[::-1])
 
 
-class _Restart(Exception):
-    """Internal: descent should rebuild from the named segment."""
-
-    def __init__(self, segment_index: int):
-        self.segment_index = segment_index
-
-
 def _reroute_a_side(
     q: CoherentTrail, state: ReachState, seg: SegmentedCircuit
 ) -> CoherentTrail:
@@ -359,7 +361,7 @@ def _reroute_a_side(
     n, m = q.n, q.m
     start = q.vertices[0]
     if start in state.level("A", n):
-        raise CoherenceViolated("reroute called although demotion applies")
+        raise CoherenceViolated(f"start vertex {start} is already in A_{n}")
     p = state.witness("A", start)
     x = p.vertices[0]
     if p.vertices[-1] != start:
@@ -374,8 +376,7 @@ def _reroute_a_side(
         raise CoherenceViolated("witness source lies outside the level closure")
     j, px = inside[0]
     vs = seg.seg_bounds[j][0]
-    pos = _positions(q)
-    d = pos[vs + px]
+    d = _positions(q)[vs + px]
     path = seg.seg_paths[j]
     frontiers = []  # frontiers[i]: the end vertices of A_{i+1}'s span on j
     for i in range(1, n + 2):
@@ -390,13 +391,8 @@ def _reroute_a_side(
     )
     if n_prime is None or n_prime >= n:
         raise DescentStalled(f"anchor level {n_prime} does not drop below {n}")
-    b_span = state.spans("B", m)[j]
-    if b_span is not None:
-        b_ends = pos[vs + b_span[0]], pos[vs + b_span[1]]
-        if min(b_ends) <= d and max(b_ends) >= c:
-            raise _Restart(j)
-    if x in state.level("B", m + 1):
-        raise _Restart(j)
+    if state.spans("B", m)[j] is not None or x in state.level("B", m + 1):
+        raise CoherenceViolated(f"segment {j} is shared below the initial level sum")
     if set(p.edges) & set(q.edges):
         raise CoherenceViolated("witness trail shares an edge with the trail")
     if not all(eid in seg.h_edges for eid in q.edges[c:d]):
@@ -419,9 +415,11 @@ def reroute_descent(
 ) -> CoherentTrail:
     """Bring a coherent trail down to level (0, 0).
 
-    Each iteration either demotes an endpoint one level, splices a witness
-    trail (strictly dropping one level), or restarts from a segment now
-    known to be shared at smaller levels; the level sum strictly decreases.
+    Each iteration splices a witness trail into one side, the A side while
+    n >= 1 and else the mirrored B side, and strictly lowers that side's
+    level.  q must come from initial_coherent_trail or an earlier step (see
+    the module docstring); a trail with an end inside its own level, or on
+    a segment shared at a smaller level sum, raises CoherenceViolated.
     """
     check_coherent(q, state, seg)
     guard = q.n + q.m + 1
@@ -430,18 +428,10 @@ def reroute_descent(
         if guard < 0:
             raise DescentStalled("level sum failed to reach zero in budget")
         before = q.n + q.m
-        if q.n >= 1 and q.vertices[0] in state.level("A", q.n):
-            q = replace(q, n=q.n - 1)
-        elif q.m >= 1 and q.vertices[-1] in state.level("B", q.m):
-            q = replace(q, m=q.m - 1)
+        if q.n >= 1:
+            q = _reroute_a_side(q, state, seg)
         else:
-            try:
-                if q.n >= 1:
-                    q = _reroute_a_side(q, state, seg)
-                else:
-                    q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
-            except _Restart as r:
-                q = initial_coherent_trail(state, seg, force_segment=r.segment_index)
+            q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
         check_coherent(q, state, seg)
         if q.n + q.m >= before:
             raise DescentStalled(

@@ -153,6 +153,17 @@ class TestFind:
         assert payload["status"] == "odd-cut" and payload["size"] == 3
         assert payload["oracle_feasible"] is False
 
+    def test_oracle_fallback_past_the_guard(self, tmp_path, capsys):
+        # ladder(26) has cycle-space dimension 25, past the oracle's guard
+        # of 24: the certificate comes without an oracle verdict
+        path = tmp_path / "ladder-26.graph"
+        path.write_text(format_graph(ladder(26).graph))
+        code = main(["find", str(path), "--edges", "0,1,2", "--oracle-fallback"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["status"] == "odd-cut" and payload["size"] == 3
+        assert "oracle_feasible" not in payload
+
     def test_certified_certificate(self, ladder4_file, capsys):
         code = main(["find", str(ladder4_file), "--edges", "0,1,2", "--certify"])
         payload = json.loads(capsys.readouterr().out)

@@ -10,7 +10,7 @@ import pytest
 
 from circuitcover import hopping
 from circuitcover.cuts import CutCertificate, brute_force_min_odd_cut
-from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated
+from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated, NoSharedSegment
 from circuitcover.finder import find_circuit
 from circuitcover.graphs import Graph, Trail, verify_circuit
 from circuitcover.hopping import (
@@ -338,6 +338,37 @@ class TestDerivedSubtrails:
         assert seen["trails"] >= 100 and seen["reroutes"] >= 1, seen
 
 
+class TestDescentPrecondition:
+    def test_every_descent_starts_at_the_smallest_first_hit_sum(self, monkeypatch):
+        # the module docstring's argument that a descent needs no restart and
+        # no demotion rests on this: bridge_case starts each descent at
+        # n + m + 2 = min over segments j of la(j) + lb(j)
+        seen = {"descents": 0, "reroutes": 0}
+        descent, reroute = hopping.reroute_descent, hopping._reroute_a_side
+
+        def checked(q, state, seg):
+            sums = []
+            for j in range(seg.k):
+                la, lb = state.first_hit_level("A", j), state.first_hit_level("B", j)
+                if la is not None and lb is not None:
+                    sums.append(la + lb)
+            assert q.n + q.m + 2 == min(sums), (q.level, sums)
+            seen["descents"] += 1
+            return descent(q, state, seg)
+
+        def counted(*args):
+            seen["reroutes"] += 1
+            return reroute(*args)
+
+        monkeypatch.setattr(hopping, "reroute_descent", checked)
+        monkeypatch.setattr(hopping, "_reroute_a_side", counted)
+        rng = random.Random(31)
+        for g in sparse_random_graphs():
+            for _ in range(40):
+                find_circuit(g, rng.sample(range(g.m), rng.randint(2, min(4, g.m))))
+        assert seen["descents"] >= 100 and seen["reroutes"] >= 1, seen
+
+
 class TestRerouteDescent:
     def test_level_zero_is_a_fixpoint(self):
         g, seg = k4_fixture()
@@ -345,29 +376,25 @@ class TestRerouteDescent:
         q = initial_coherent_trail(state, seg)
         assert reroute_descent(q, state, seg) is q or reroute_descent(q, state, seg).level == (0, 0)
 
-    def test_endpoint_demotion_lowers_a_stale_level(self):
+    def test_start_already_in_its_level_is_rejected(self):
         # the level sequences stabilize, so a level-(0,0) trail is also
-        # (1,0)-coherent: its start is A_1's closure on the one segment; the
-        # descent must then demote the endpoint rather than splice
+        # (1,0)-coherent: its start is A_1's closure on the one segment.  No
+        # trail from initial_coherent_trail or a reroute has a start in its
+        # own level (hopping's module docstring), so the descent rejects it
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
-        q = initial_coherent_trail(state, seg)
-        lifted = replace(q, n=1)
+        lifted = replace(initial_coherent_trail(state, seg), n=1)
         check_coherent(lifted, state, seg)
         assert lifted.vertices[0] in state.level("A", 1)
-        down = reroute_descent(lifted, state, seg)
-        assert down.level == (0, 0)
-        assert down.vertices == q.vertices
+        with pytest.raises(CoherenceViolated, match="start vertex 0 is already in A_1"):
+            reroute_descent(lifted, state, seg)
 
-    def test_forced_segment_must_be_shared(self):
-        from circuitcover.errors import NoSharedSegment
-
+    def test_initial_trail_needs_a_shared_segment(self):
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        unshared = replace(state, b_spans=tuple((None,) * seg.k for _ in state.b_spans))
         with pytest.raises(NoSharedSegment):
-            initial_coherent_trail(state, seg, force_segment=0)
-        forced = initial_coherent_trail(state, seg, force_segment=1)
-        assert forced.level == (1, 0)
+            initial_coherent_trail(unshared, seg)
 
     def test_two_level_fixture_splices_witness(self):
         g, h, seg, excluded = two_level_fixture()
