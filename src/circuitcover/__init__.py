@@ -47,7 +47,7 @@ from .hopping import (
 )
 from .jaeger import EvenExtension, extend_to_even_subgraph, min_components_even_extension
 from .oracle import check_parity_monotonicity, feasible_by_bruteforce
-from .segments import SegmentedCircuit, normalize_circuit, segment
+from .segments import SegmentedCircuit, segment
 
 __all__ = [
     "Graph",
@@ -80,7 +80,6 @@ __all__ = [
     "ladder",
     "min_components_even_extension",
     "min_odd_cut",
-    "normalize_circuit",
     "odd_cut_within",
     "random_connected",
     "reroute_descent",

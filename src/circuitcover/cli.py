@@ -158,9 +158,10 @@ def cmd_verify(args) -> int:
 def _cut_fault(g, data: dict, bound: int | None) -> str:
     """Why an odd-cut result certifies nothing, or "" when it holds.
 
-    Everything the result claims is recomputed from the graph: the side's
-    boundary, its odd size, the stated `size` and `odd`, and, when the
-    prescribed set is known, size <= |S|.
+    Everything the result claims is recomputed from the graph: that the
+    side is a proper nonempty vertex set, its boundary, its odd size, the
+    stated `size` and `odd`, and, when the prescribed set is known,
+    size <= |S|.
     """
     side = frozenset(result_ints(data, "side"))
     cert = CutCertificate(side, frozenset(result_ints(data, "boundary")))
@@ -169,6 +170,8 @@ def _cut_fault(g, data: dict, bound: int | None) -> str:
         raise ValueError("result fields 'size' and 'odd' must be an integer and a boolean")
     if not all(0 <= v < g.n for v in side):
         return "side has a vertex out of range"
+    if not 0 < len(side) < g.n:
+        return "side is empty or holds every vertex, so it cuts nothing"
     if not cert.is_valid_for(g):
         return "boundary mismatch"
     if not cert.odd:

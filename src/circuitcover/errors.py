@@ -33,14 +33,6 @@ class NotConnected(ValueError):
     """Edge set or vertex set is not connected where connectivity is required."""
 
 
-class SegmentNotPath(ValueError):
-    """A segment of the circuit repeats a vertex; normalize the circuit first."""
-
-    def __init__(self, segment: int):
-        super().__init__(f"segment {segment} repeats a vertex")
-        self.segment = segment
-
-
 class NoSharedSegment(ValueError):
     """No segment is reachable from both endpoints of the excluded edge."""
 

@@ -2,16 +2,18 @@
 
 The construction is inductive: start from a circuit through the first edge
 uv (uv plus a BFS path from v to u; no path means uv is a bridge) and fold
-the remaining edges in one at a time.  An edge already on the circuit is
-free.  An edge with an end that has no other leftover edge is a bridge of
-the leftover graph.  For any other, one unit-capacity flow over the
-leftover graph first tries to route it through the one circuit vertex a
-splice can use; when that flow succeeds, the edge splices in through the
-closed trail it yields.  Only when it fails does one lowlink DFS of the
-leftover graph from the edge say whether it is a bridge there and, if
-not, which 2-edge-connected component holds it.  A bridge goes through the
-rerouting machinery, which either succeeds or emits an odd cut of size at
-most the number of edges placed so far, and so at most |S|.
+the remaining edges in one at a time.  Each step first puts the circuit in
+the canonical form H_1 e_1 ... H_k e_k of `segment`, every segment a path,
+and works on that form.  An edge already on the circuit is free.  An edge
+with an end that has no other leftover edge is a bridge of the leftover
+graph.  For any other, one unit-capacity flow over the leftover graph first
+tries to route it through the one circuit vertex a splice can use; when that
+flow succeeds, the edge splices in through the closed trail it yields.  Only
+when it fails does one lowlink DFS of the leftover graph from the edge say
+whether it is a bridge there and, if not, which 2-edge-connected component
+holds it.  A bridge goes through the rerouting machinery, which either
+succeeds or emits an odd cut of size at most the number of edges placed so
+far, and so at most |S|.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .graphs import (
     verify_circuit,
 )
 from .hopping import bridge_case
-from .segments import normalize_circuit, rotate_closed
+from .segments import SegmentedCircuit, rotate_closed, segment
 
 
 def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
@@ -140,28 +142,29 @@ def extend_circuit(
 ) -> Trail | CutCertificate:
     """Circuit through s_prefix plus e_next, or an odd-cut certificate.
 
-    h must be a circuit through s_prefix with every segment a path (run
-    normalize_circuit first).  When an end of e_next has no other edge
-    outside h, e_next goes straight to bridge_case.  Otherwise the splice is
-    tried first, at the smallest vertex of h with two or more edges outside
-    h; only when that flow fails does the lowlink DFS classify e_next.  When
-    e_next lies in a 2-edge-connected component of G - E(h) that shares no
-    vertex with h, the component is contracted to the new vertex g.n
-    (`contract_subgraph`): h keeps its vertices, its edges are renumbered
-    into the contraction, and the extension through a boundary bridge maps
-    back through `edge_ids`.
+    h must be a circuit through s_prefix.  It is segmented once on entry,
+    and everything below reads its canonical form H = seg.trail: an e_next
+    already on H returns H itself.  When an end of e_next has no other edge
+    outside H, e_next goes straight to bridge_case.  Otherwise the splice is
+    tried first, at the smallest vertex of H with two or more edges outside
+    H; only when that flow fails does the lowlink DFS classify e_next.  When
+    e_next lies in a 2-edge-connected component of G - E(H) that shares no
+    vertex with H, the component is contracted to the new vertex g.n
+    (`contract_subgraph`): H keeps its vertices, its edges are renumbered
+    into the contraction, which is segmented in turn, and the extension
+    through a boundary bridge maps back through `edge_ids`.
     """
-    s_set = frozenset(s_prefix)
-    h_edges = h.edge_set()
-    if e_next in h_edges:
+    seg = segment(g, h, s_prefix)
+    h = seg.trail
+    if e_next in seg.h_edges:
         return h
-    leftover = g.all_edges() - h_edges
+    leftover = g.all_edges() - seg.h_edges
     # An end of e_next whose only leftover edge is e_next makes it a bridge
     # of the leftover, which is all the DFS below would find.
     adjacency = g.adjacency
     visits = Counter(h.vertices[:-1])
     if any(len(adjacency[u]) == 2 * visits[u] + 1 for u in g.endpoints(e_next)):
-        return bridge_case(g, h, s_set, e_next)
+        return bridge_case(g, seg, e_next)
     # Splice first, at v, the smallest vertex of h with two leftover edges.
     # A 2-unit flow to v proves that v lies in e_next's 2-edge-connected
     # component comp of the leftover.  Every vertex of comp has two leftover
@@ -171,17 +174,17 @@ def extend_circuit(
     if v is not None:
         star = _trail_through_edge(g, leftover, e_next, v, v)
         if star is not None:
-            return _splice(g, h, s_set, e_next, star)
+            return _splice(g, seg, e_next, star)
     bridges, comp = bridges_and_2ec_components(g, leftover, e_next)
     if comp is None:
-        return bridge_case(g, h, s_set, e_next)
-    shared = comp & frozenset(h.vertices)
+        return bridge_case(g, seg, e_next)
+    shared = comp & seg.h_vertices
     if shared:
         v = min(shared)
         star = _trail_through_edge(g, leftover, e_next, v, v)
         if star is None:
             raise CoherenceViolated("2-edge-connected edge set must route to both targets")
-        return _splice(g, h, s_set, e_next, star)
+        return _splice(g, seg, e_next, star)
     # detached component: contract it, extend through one of its boundary
     # bridges, then open the contracted vertex into a trail through e_next
     boundary = edge_boundary(g, comp)
@@ -198,9 +201,10 @@ def extend_circuit(
         )
     contraction = contract_subgraph(g, comp)
     new_id = {e: i for i, e in enumerate(contraction.edge_ids)}
+    # the renumbering keeps the edge order, so h_c is canonical already
     h_c = Trail(h.vertices, tuple(new_id[e] for e in h.edges))
-    s_c = frozenset(new_id[e] for e in s_set)
-    outcome = bridge_case(contraction.graph, h_c, s_c, new_id[min(boundary)])
+    seg_c = segment(contraction.graph, h_c, (new_id[e] for e in seg.sep_ids))
+    outcome = bridge_case(contraction.graph, seg_c, new_id[min(boundary)])
     if isinstance(outcome, CutCertificate):
         side = outcome.side
         if g.n in side:
@@ -214,11 +218,11 @@ def extend_circuit(
     return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, leftover, e_next)
 
 
-def _splice(g: Graph, h: Trail, s_set: frozenset, e_next: int, star: Trail) -> Trail:
-    """h merged with the closed trail star through e_next, which shares a
-    vertex with h, by an Euler tour of the union."""
-    out = euler_circuit(g, h.edge_set() | star.edge_set(), start=h.vertices[0])
-    if not s_set <= out.edge_set() or e_next not in out.edges:
+def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
+    """H merged with the closed trail star through e_next, which shares a
+    vertex with H, by an Euler tour of the union from H's start."""
+    out = euler_circuit(g, seg.h_edges | star.edge_set(), start=seg.trail.vertices[0])
+    if not out.edge_set().issuperset(seg.sep_ids) or e_next not in out.edges:
         raise CoherenceViolated("splice lost a prescribed edge")
     return out
 
@@ -267,8 +271,7 @@ def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:
         return result
     placed = {s_list[0]}
     for e_next in s_list[1:]:
-        h = normalize_circuit(g, result, placed)
-        result = extend_circuit(g, h, placed, e_next)
+        result = extend_circuit(g, result, placed, e_next)
         if isinstance(result, CutCertificate):
             if not result.odd or result.size > len(s_list):
                 raise CoherenceViolated("certificate is not an odd cut of size <= |S|")

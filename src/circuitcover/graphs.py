@@ -321,7 +321,8 @@ class FlowNetwork:
     out[e] is the vertex that e's unit of flow leaves, -1 when e carries no
     flow and -2 when e is outside the network's edge set.  g.adjacency is the
     residual graph: e is crossable from v to w iff out[e] is -1 or w, so
-    neither end can cross an edge outside the set.
+    neither end can cross an edge outside the set.  An edge id or a vertex
+    out of range raises BadEdgeId or BadParam.
     """
 
     def __init__(self, g: Graph, edges: Iterable[int] | None = None):
@@ -329,9 +330,23 @@ class FlowNetwork:
         if edges is None:
             self.out = [-1] * g.m
         else:
-            self.out = [-2] * g.m
+            out = self.out = [-2] * g.m
+            # one pass checks the ids: a negative id would index from the
+            # end, and one past m raises IndexError
             for e in edges:
-                self.out[e] = -1
+                try:
+                    if e < 0:
+                        raise IndexError
+                    out[e] = -1
+                except IndexError:
+                    raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
+
+    def _check_vertices(self, vertices: Iterable[int]) -> None:
+        """Raise BadParam unless every vertex is one of g's."""
+        n = self.g.n
+        for v in vertices:
+            if not 0 <= v < n:
+                raise BadParam(f"vertex {v} out of range (n={n})")
 
     def max_flow(self, supply: dict[int, int], demand: dict[int, int]) -> int:
         """Send units from the supply vertices to the demand vertices, one
@@ -341,6 +356,7 @@ class FlowNetwork:
         order, and ends at the first vertex reached with demand left.
         """
         supply, demand = dict(supply), dict(demand)
+        self._check_vertices([*supply, *demand])
         edges, out = self.g.edges, self.out
         value = 0
         while True:
@@ -369,6 +385,7 @@ class FlowNetwork:
         maximum flow is the same smallest minimum s-t cut.  Whoever reads
         the flow itself, like the splice's walks, needs max_flow.
         """
+        self._check_vertices((s, t))
         if s == t:
             raise BadParam(f"a pair flow needs two distinct vertices, got {s} twice")
         adjacency, edges, out = self.g.adjacency, self.g.edges, self.out
@@ -420,6 +437,7 @@ class FlowNetwork:
 
     def source_side(self, s: int) -> frozenset:
         """Vertices reachable from s in the residual graph."""
+        self._check_vertices((s,))
         parent, _ = self._search([s], {})
         return frozenset(v for v, e in enumerate(parent) if e != -1)
 

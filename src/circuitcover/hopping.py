@@ -51,7 +51,7 @@ from typing import Iterable
 from .cuts import CutCertificate, certify
 from .errors import BadParam, CoherenceViolated, DescentStalled, NoSharedSegment
 from .graphs import Graph, Trail, trail_concat, validate_trail
-from .segments import SegmentedCircuit, segment
+from .segments import SegmentedCircuit
 
 
 @dataclass(frozen=True)
@@ -441,16 +441,15 @@ def reroute_descent(
 
 
 def bridge_case(
-    g: Graph, h: Trail, s_prefix: Iterable[int], e_next: int
+    g: Graph, seg: SegmentedCircuit, e_next: int
 ) -> Trail | CutCertificate:
-    """Extend circuit h by the edge e_next, a bridge of G-E(h).
+    """Extend the segmented circuit H by the edge e_next, a bridge of G-E(H).
 
-    Returns the extended circuit, or the odd-cut certificate produced when
-    the reach fixpoint shares no segment.  If an endpoint of e_next is off
-    the circuit, the result passes it exactly once.
+    seg comes from segment, which the caller has run on H.  Returns the
+    extended circuit, or the odd-cut certificate produced when the reach
+    fixpoint shares no segment.  If an endpoint of e_next is off the
+    circuit, the result passes it exactly once.
     """
-    s_set = frozenset(s_prefix)
-    seg = segment(g, h, s_set)
     a, b = g.endpoints(e_next)
     outcome = hopping_fixpoint(g, seg, e_next, a, b)
     if isinstance(outcome, CutCertificate):

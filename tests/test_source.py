@@ -43,3 +43,19 @@ def test_exception_classes_live_in_errors():
             if bases & exception_names:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_public_names_are_the_imported_names():
+    # __all__ lists exactly the names __init__.py imports from the package's
+    # submodules, each once, and each resolves on the package
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    public = circuitcover.__all__
+    assert len(set(public)) == len(public)
+    assert set(public) == imported
+    assert [name for name in public if not hasattr(circuitcover, name)] == []
