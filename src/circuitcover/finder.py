@@ -112,13 +112,19 @@ def _two_walks(
 
     Each walk leaves a vertex by its first unscanned edge, in adjacency
     order, whose unit leaves that vertex, and stops only when no such edge
-    is left.
+    is left.  A vertex's scanner is made the first time a walk leaves it
+    and resumes where it stopped, so each edge is scanned at most once from
+    each end.
     """
     out = net.out
-    unscanned = [iter(adj) for adj in net.g.adjacency]
+    adjacency = net.g.adjacency
+    unscanned = {}
 
     def leave(v: int) -> tuple[int, int] | None:
-        for w, e in unscanned[v]:
+        scan = unscanned.get(v)
+        if scan is None:
+            scan = unscanned[v] = iter(adjacency[v])
+        for w, e in scan:
             if out[e] == v:
                 return w, e
         return None

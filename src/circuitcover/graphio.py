@@ -79,13 +79,17 @@ def write_instance(inst: NamedInstance, directory: str | Path) -> tuple[Path, Pa
 
 def read_instance(graph_path: str | Path) -> NamedInstance:
     """The graph and, from a `.json` sidecar when there is one, its label and
-    prescribed edge ids; ParseError when the sidecar has the wrong shape."""
+    prescribed edge ids; ParseError, with the sidecar's name, when the
+    sidecar is not JSON or has the wrong shape."""
     graph_path = Path(graph_path)
     g = read_graph(graph_path)
     sidecar = graph_path.with_suffix(".json")
     if not sidecar.exists():
         return NamedInstance(g, frozenset(), graph_path.stem)
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"sidecar {sidecar.name} is not JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(meta, dict):
         raise ParseError(f"sidecar {sidecar.name} must hold a JSON object", 1)
     prescribed = meta.get("prescribed", [])

@@ -104,16 +104,29 @@ class Trail:
 
 
 def validate_trail(g: Graph, t: Trail) -> None:
-    """Raise ValueError unless t is a genuine trail of g."""
-    if len(set(t.edges)) != len(t.edges):
+    """Raise ValueError unless t is a genuine trail of g: BadEdgeId for an
+    edge id out of range, ValueError for a repeated edge, a step that does
+    not follow its edge or a vertex out of range.
+
+    Every vertex of a trail with edges is an end of one of its edges, so
+    only a trail with no edges needs its vertex range checked.
+    """
+    edges, verts = t.edges, t.vertices
+    if len(set(edges)) != len(edges):
         raise ValueError("trail repeats an edge")
-    for i, eid in enumerate(t.edges):
-        u, v = g.endpoints(eid)
-        if {t.vertices[i], t.vertices[i + 1]} != {u, v}:
+    g_edges = g.edges
+    m = len(g_edges)
+    a = verts[0]
+    for i, eid in enumerate(edges):
+        if not 0 <= eid < m:
+            raise BadEdgeId(f"edge id {eid} out of range (m={m})")
+        u, v = g_edges[eid]
+        b = verts[i + 1]
+        if not ((a == u and b == v) or (a == v and b == u)):
             raise ValueError(f"step {i} does not follow edge {eid}")
-    for v in t.vertices:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+        a = b
+    if not edges and not 0 <= a < g.n:
+        raise ValueError(f"vertex {a} out of range")
 
 
 def trail_concat(*parts: Trail) -> Trail:
@@ -331,15 +344,18 @@ class FlowNetwork:
             self.out = [-1] * g.m
         else:
             out = self.out = [-2] * g.m
-            # one pass checks the ids: a negative id would index from the
-            # end, and one past m raises IndexError
-            for e in edges:
-                try:
-                    if e < 0:
-                        raise IndexError
+            if iter(edges) is edges:  # an iterator is read once, here
+                edges = list(edges)
+            # a negative id would index from the end, so min rules them out;
+            # an id of m or more raises IndexError in the loop
+            low = min(edges, default=0)
+            if low < 0:
+                raise BadEdgeId(f"edge id {low} out of range (m={g.m})")
+            try:
+                for e in edges:
                     out[e] = -1
-                except IndexError:
-                    raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
+            except IndexError:
+                raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
 
     def _check_vertices(self, vertices: Iterable[int]) -> None:
         """Raise BadParam unless every vertex is one of g's."""
@@ -447,22 +463,26 @@ class FlowNetwork:
 
         Returns the edge each vertex was reached by (-2 at a source, -1 when
         unreached) and the first vertex reached with demand left, or None; a
-        source with demand left counts at once.
+        source with demand left counts at once.  The vertices with demand
+        left are collected once per search, and each arc reads out[e] once.
         """
         adjacency, out = self.g.adjacency, self.out
         parent = [-1] * self.g.n
         for v in sources:
             parent[v] = -2
-        end = next((v for v in sources if demand.get(v)), None)
+        targets = {v for v, units in demand.items() if units}
+        end = next((v for v in sources if v in targets), None)
         queue = deque(sources)
         while end is None and queue:
             v = queue.popleft()
             for w, e in adjacency[v]:
-                if parent[w] == -1 and (out[e] == -1 or out[e] == w):
-                    parent[w] = e
-                    if demand.get(w):
-                        return parent, w
-                    queue.append(w)
+                if parent[w] == -1:
+                    o = out[e]
+                    if o == -1 or o == w:
+                        parent[w] = e
+                        if w in targets:
+                            return parent, w
+                        queue.append(w)
         return parent, end
 
 
@@ -471,51 +491,73 @@ class FlowNetwork:
 
 
 def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail:
-    """Closed trail using every edge of f exactly once (Hierholzer)."""
+    """Closed trail using every edge of f exactly once (Hierholzer).
+
+    The tour starts at `start`, or at the smallest vertex f touches, and
+    leaves each vertex by its unused edge of smallest id.  Adjacency is
+    built only for the vertices f touches: each list is filled in edge-id
+    order, reversed, and consumed from its end, so the smallest id is taken
+    first.  An edge id out of range raises BadEdgeId, a vertex of odd degree
+    NotEven, and a start that f does not touch, or an f whose edges do not
+    all lie on the tour, NotConnected.
+    """
     if start is not None and not (0 <= start < g.n):
         raise BadParam(f"start vertex {start} out of range (n={g.n})")
-    allowed = frozenset(f)
-    if not allowed:
+    ids = sorted(frozenset(f))  # a frozenset is not copied
+    if not ids:
         if start is None and g.n == 0:
             raise BadParam("a graph with no vertices has no closed trail")
         return Trail((start if start is not None else 0,), ())
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in sorted(allowed):
-        u, v = g.endpoints(eid)
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    if any(len(lst) % 2 for lst in adj):
-        raise NotEven("some vertex has odd degree in the edge set")
+    edges = g.edges
+    m = len(edges)
+    if ids[0] < 0 or ids[-1] >= m:
+        bad = ids[0] if ids[0] < 0 else next(e for e in ids if e >= m)
+        raise BadEdgeId(f"edge id {bad} out of range (m={m})")
+    adj: dict[int, list[tuple[int, int]]] = {}
+    get = adj.get
+    for eid in ids:
+        u, v = edges[eid]
+        lst = get(u)
+        if lst is None:
+            adj[u] = [(v, eid)]
+        else:
+            lst.append((v, eid))
+        lst = get(v)
+        if lst is None:
+            adj[v] = [(u, eid)]
+        else:
+            lst.append((u, eid))
+    for lst in adj.values():
+        if len(lst) & 1:
+            raise NotEven("some vertex has odd degree in the edge set")
+        lst.reverse()
     if start is None:
-        start = min(v for v in range(g.n) if adj[v])
-    elif not adj[start]:
+        start = min(adj)
+    elif start not in adj:
         raise NotConnected(f"start vertex {start} is isolated in the edge set")
-    ptr = [0] * g.n
     used = set()
-    stack: list[tuple[int, int]] = [(start, -1)]
+    # the open walk: stack_v[i] was entered by stack_e[i], -1 at the start
+    stack_v = [start]
+    stack_e = [-1]
     out_v: list[int] = []
     out_e: list[int] = []
-    while stack:
-        v, e_in = stack[-1]
-        lst = adj[v]
-        i = ptr[v]
-        while i < len(lst) and lst[i][1] in used:
-            i += 1
-        ptr[v] = i
-        if i < len(lst):
-            w, eid = lst[i]
-            used.add(eid)
-            stack.append((w, eid))
+    while stack_v:
+        lst = adj[stack_v[-1]]
+        while lst:
+            w, eid = lst.pop()
+            if eid not in used:
+                used.add(eid)
+                stack_v.append(w)
+                stack_e.append(eid)
+                break
         else:
-            stack.pop()
-            out_v.append(v)
-            if e_in != -1:
-                out_e.append(e_in)
-    if len(out_e) != len(allowed):
+            out_v.append(stack_v.pop())
+            out_e.append(stack_e.pop())
+    # the start leaves last, so out_e ends with its -1
+    if len(out_e) != len(ids) + 1:
         raise NotConnected("edge set is not connected")
     out_v.reverse()
-    out_e.reverse()
-    return Trail(tuple(out_v), tuple(out_e))
+    return Trail(tuple(out_v), tuple(out_e[-2::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,27 @@ def rotate_closed(h: Trail, cut: int) -> Trail:
     return Trail(verts, edges)
 
 
+def _canonical_cut(h: Trail, s_set: frozenset) -> tuple[int, list[int]]:
+    """The vertex position the canonical rotation cuts closed h at, and the
+    separator slots of the rotated trail, in order.
+
+    The separators are found on h once: rotating moves each slot back by
+    the cut, cyclically, so the slots from the smallest-id separator on come
+    first and the cyclic predecessor's slot becomes the last edge.
+    """
+    slots = _separator_slots(h, s_set)
+    edges = h.edges
+    idx = min(range(len(slots)), key=lambda i: edges[slots[i]])
+    size = len(edges)
+    cut = (slots[idx - 1] + 1) % size
+    return cut, [(i - cut) % size for i in slots[idx:] + slots[:idx]]
+
+
 def canonical_rotation(h: Trail, s_prefix: Iterable[int]) -> Trail:
     """Rotate so separators appear in circuit order with the smallest-id
     separator first; the closing edge is then the last separator."""
-    s_set = frozenset(s_prefix)
-    slots = _separator_slots(h, s_set)
-    first = min(slots, key=lambda i: h.edges[i])
-    idx = slots.index(first)
-    prev = slots[idx - 1]  # cyclic predecessor separator becomes the last edge
-    return rotate_closed(h, (prev + 1) % len(h.edges))
+    cut, _ = _canonical_cut(h, frozenset(s_prefix))
+    return rotate_closed(h, cut)
 
 
 @dataclass(frozen=True)
@@ -134,14 +146,16 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     validate_trail(g, h)
     if not h.is_closed:
         raise ValueError("h must be a closed trail")
-    cur = canonical_rotation(h, s_set)
-    slots = _separator_slots(cur, s_set)
-    while (cut := _first_detour(cur, slots)) is not None:
-        i1, i2 = cut
+    cut, slots = _canonical_cut(h, s_set)
+    cur = rotate_closed(h, cut)
+    while (detour := _first_detour(cur, slots)) is not None:
+        # edges i1..i2-1 lie inside one segment, so every separator after
+        # them moves back by their count
+        i1, i2 = detour
         verts = cur.vertices[: i1 + 1] + cur.vertices[i2 + 1 :]
         edges = cur.edges[:i1] + cur.edges[i2:]
         cur = Trail(verts, edges)
-        slots = _separator_slots(cur, s_set)
+        slots = [p if p < i1 else p - (i2 - i1) for p in slots]
     if slots[-1] != len(cur.edges) - 1:
         raise CoherenceViolated("canonical rotation must end on a separator")
     # sep_ids comes from a list, not a generator: a tuple filled from a

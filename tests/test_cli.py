@@ -77,6 +77,13 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="sidecar tri.json"):
             read_instance(tmp_path / "tri.graph")
 
+    def test_sidecar_that_is_not_json_is_a_parse_error(self, tmp_path):
+        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
+        (tmp_path / "tri.json").write_text('{\n  "prescribed": [0,\n}\n')
+        with pytest.raises(ParseError, match="sidecar tri.json is not JSON") as exc:
+            read_instance(tmp_path / "tri.graph")
+        assert exc.value.line == 3  # the decoder's line
+
     def test_sidecar_fields_default(self, tmp_path):
         (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
         (tmp_path / "tri.json").write_text('{"prescribed": [0, 2]}')

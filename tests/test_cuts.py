@@ -89,6 +89,30 @@ class TestFlowNetwork:
         assert net.max_flow({2: 1, 0: 1}, {2: 1, 1: 1}) == 2
         assert net.out.count(-1) == g.m - 1  # only 0 -> 1 carries a unit
 
+    def test_a_demand_of_zero_units_is_no_target(self):
+        # C4: vertex 1 lies on the way from 0 to 2 but asks for nothing
+        g = cycle_graph(4)
+        net = FlowNetwork(g)
+        assert net.max_flow({0: 1}, {1: 0, 2: 1}) == 1
+        _check_flow(g, net, set(range(g.m)), {0: 1}, {2: 1}, 1)
+        net = FlowNetwork(g)
+        assert net.max_flow({0: 1}, {0: 0, 1: 0}) == 0
+        assert net.out == [-1] * g.m
+
+    def test_a_source_stops_being_a_target_once_its_demand_is_met(self):
+        # the first unit counts at 2 at once; the second must travel from 2
+        # to 0, so exactly two edges carry it
+        g = cycle_graph(4)
+        net = FlowNetwork(g)
+        assert net.max_flow({2: 2}, {2: 1, 0: 1}) == 2
+        assert g.m - net.out.count(-1) == 2
+        _check_flow(g, net, set(range(g.m)), {2: 1}, {0: 1}, 1)  # the unit that moved
+
+    @pytest.mark.parametrize("eid", [-1, 3])
+    def test_rejects_an_edge_id_out_of_range_from_a_generator(self, eid):
+        with pytest.raises(BadEdgeId):
+            FlowNetwork(cycle_graph(3), (e for e in [0, eid, 1]))
+
     GRAPHS = [random_connected(n, 3 * n, 1, seed=n).graph for n in range(8, 60, 4)]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")

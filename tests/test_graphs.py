@@ -278,6 +278,79 @@ class TestBridges:
             self._against_networkx(nx, g, f)
 
 
+def _reference_euler_circuit(g, f, start=None):
+    """The Euler tour kernel as it was before it built adjacency only for the
+    vertices f touches: n-sized lists, a scan pointer per vertex.  Kept as a
+    test-only reference that the tour must match step for step."""
+    if start is not None and not (0 <= start < g.n):
+        raise BadParam(f"start vertex {start} out of range (n={g.n})")
+    allowed = frozenset(f)
+    if not allowed:
+        if start is None and g.n == 0:
+            raise BadParam("a graph with no vertices has no closed trail")
+        return Trail((start if start is not None else 0,), ())
+    adj = [[] for _ in range(g.n)]
+    for eid in sorted(allowed):
+        u, v = g.endpoints(eid)
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    if any(len(lst) % 2 for lst in adj):
+        raise NotEven("some vertex has odd degree in the edge set")
+    if start is None:
+        start = min(v for v in range(g.n) if adj[v])
+    elif not adj[start]:
+        raise NotConnected(f"start vertex {start} is isolated in the edge set")
+    ptr = [0] * g.n
+    used = set()
+    stack = [(start, -1)]
+    out_v = []
+    out_e = []
+    while stack:
+        v, e_in = stack[-1]
+        lst = adj[v]
+        i = ptr[v]
+        while i < len(lst) and lst[i][1] in used:
+            i += 1
+        ptr[v] = i
+        if i < len(lst):
+            w, eid = lst[i]
+            used.add(eid)
+            stack.append((w, eid))
+        else:
+            stack.pop()
+            out_v.append(v)
+            if e_in != -1:
+                out_e.append(e_in)
+    if len(out_e) != len(allowed):
+        raise NotConnected("edge set is not connected")
+    out_v.reverse()
+    out_e.reverse()
+    return Trail(tuple(out_v), tuple(out_e))
+
+
+def _tour_or_error(kernel, g, f, start):
+    try:
+        t = kernel(g, f, start)
+    except ValueError as exc:
+        return type(exc)
+    return t.vertices, t.edges
+
+
+@st.composite
+def _even_sets(draw):
+    """A graph of connected_graphs() and the symmetric difference of a
+    drawn subset of its fundamental cycles: an even set, not always
+    connected."""
+    g = draw(connected_graphs())
+    forest = spanning_forest(g)
+    tree = set(forest.parent_edge)
+    f = set()
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in tree and draw(st.booleans()):
+            f ^= {eid, *forest.path_edges(u, v)}
+    return g, frozenset(f)
+
+
 class TestEulerCircuit:
     def test_triangle(self):
         g = cycle_graph(3)
@@ -311,6 +384,38 @@ class TestEulerCircuit:
             euler_circuit(Graph.from_edges(0, []), ())
         assert euler_circuit(Graph.from_edges(1, []), ()) == Trail((0,), ())
 
+    @given(_even_sets())
+    @settings(max_examples=150)
+    def test_matches_the_reference_kernel_from_every_start(self, case):
+        g, f = case
+        touched = sorted({v for eid in f for v in g.edges[eid]})
+        for start in [None, *touched]:
+            want = _tour_or_error(_reference_euler_circuit, g, f, start)
+            assert _tour_or_error(euler_circuit, g, f, start) == want
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=80)
+    def test_matches_the_reference_kernel_on_any_edge_set(self, g, data):
+        # odd, disconnected and empty sets too, from every vertex
+        f = data.draw(st.frozensets(st.integers(0, g.m - 1)))
+        for start in [None, *range(g.n)]:
+            want = _tour_or_error(_reference_euler_circuit, g, f, start)
+            assert _tour_or_error(euler_circuit, g, f, start) == want
+
+    @pytest.mark.parametrize("eid", [-1, 3])
+    def test_rejects_an_edge_id_out_of_range(self, eid):
+        # -1 must not be read as edge m - 1, nor m as a missing vertex
+        g = cycle_graph(3)
+        with pytest.raises(BadEdgeId):
+            euler_circuit(g, [0, 1, 2, eid])
+        with pytest.raises(BadEdgeId):
+            euler_circuit(g, [eid])
+
+    def test_isolated_start_rejected(self):
+        g = bowtie()
+        with pytest.raises(NotConnected):
+            euler_circuit(g, {0, 1, 2}, start=3)  # the triangle 0-1-2 misses 3
+
     @given(connected_graphs())
     @settings(max_examples=60)
     def test_covers_every_chosen_edge_exactly_once(self, g):
@@ -330,6 +435,34 @@ class TestEulerCircuit:
         )
         t = euler_circuit(g, f)
         assert sorted(t.edges) == sorted(f)
+
+
+class TestValidateTrail:
+    # cycle_graph(4): edge i joins i and i + 1 mod 4, so edge m - 1 = 3 is (3, 0)
+    @pytest.mark.parametrize(
+        "trail, error",
+        [
+            (Trail((0, 1, 2, 3, 0), (0, 1, 2, 3)), None),
+            (Trail((2,), ()), None),
+            (Trail((0, 1, 0), (0, 0)), ValueError),  # a repeated edge
+            (Trail((0, 2), (0,)), ValueError),  # step 0 does not follow edge 0
+            (Trail((0, 1, 3), (0, 1)), ValueError),  # step 1 does not follow edge 1
+            (Trail((3, 0), (-1,)), BadEdgeId),  # not edge m - 1
+            (Trail((0, 1), (4,)), BadEdgeId),  # id m
+            (Trail((4,), ()), ValueError),  # a one-vertex trail at vertex n
+            (Trail((-1,), ()), ValueError),
+        ],
+        ids=["closed", "one-vertex", "repeat", "mismatch", "later-mismatch",
+             "id-minus-one", "id-m", "vertex-n", "vertex-minus-one"],
+    )
+    def test_table(self, trail, error):
+        g = cycle_graph(4)
+        if error is None:
+            validate_trail(g, trail)
+            return
+        with pytest.raises(ValueError) as exc:
+            validate_trail(g, trail)
+        assert type(exc.value) is error
 
 
 class TestContraction:
