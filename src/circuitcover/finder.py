@@ -8,8 +8,10 @@ and works on that form.  An edge already on the circuit is free.  An edge
 with an end that has no other leftover edge is a bridge of the leftover
 graph.  For any other, one unit-capacity flow over the leftover graph first
 tries to route it through the one circuit vertex a splice can use; when that
-flow succeeds, the edge splices in through the closed trail it yields.  Only
-when it fails does one lowlink DFS of the leftover graph from the edge say
+flow succeeds, the edge splices in through the closed trail it yields.  The
+flows run on G itself and bar the circuit's edges, so setting one up costs
+the circuit's length, not G's size.  Only when the first flow fails is the
+leftover edge set built, for one lowlink DFS from the edge that says
 whether it is a bridge there and, if not, which 2-edge-connected component
 holds it.  A bridge goes through the rerouting machinery, which either
 succeeds or emits an odd cut of size at most the number of edges placed so
@@ -75,23 +77,25 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
 
 
 def _trail_through_edge(
-    g: Graph, edges: Iterable[int], eid: int, s: int, t: int
+    g: Graph, barred: Iterable[int], eid: int, s: int, t: int
 ) -> Trail | None:
-    """s-t trail of g through the edge eid = xy that uses only `edges` (a
-    closed trail through eid when s == t), or None when the flow below falls
-    short of 2.
+    """s-t trail of g through the edge eid = xy that avoids the `barred`
+    edges (a closed trail through eid when s == t), or None when the flow
+    below falls short of 2.
 
-    One unit-capacity flow of value 2 on (V, edges - eid), from x and y to
-    s and t (twice to s when s == t), splits into a walk from x and a walk
-    from y; the trail is the x-walk reversed, eid, then the y-walk,
-    oriented to start at s.  When s == t, a flow of value 2 proves that s
-    lies in eid's 2-edge-connected component of (V, edges): the closed
-    trail passes through s and eid, and stays connected without any one of
-    its edges.  That component meets the rest of `edges` only through
-    bridges, so no augmenting path leaves it and comes back.
+    One unit-capacity flow of value 2 on g with the barred edges and eid
+    barred, from x and y to s and t (twice to s when s == t), splits into a
+    walk from x and a walk from y; the trail is the x-walk reversed, eid,
+    then the y-walk, oriented to start at s.  Barring costs the size of
+    `barred`, and the flow is the one on the graph L = g - barred with eid
+    deleted.  When s == t, a flow of value 2 proves that s lies in eid's
+    2-edge-connected component of L: the closed trail passes through s and
+    eid, and stays connected without any one of its edges.  That component
+    meets the rest of L only through bridges, so no augmenting path leaves
+    it and comes back.
     """
     x, y = g.endpoints(eid)
-    net = FlowNetwork(g, edges)
+    net = FlowNetwork(g, barred)
     net.out[eid] = -2
     if net.max_flow({x: 1, y: 1}, {s: 2} if s == t else {s: 1, t: 1}) != 2:
         return None
@@ -153,18 +157,19 @@ def extend_circuit(
     already on H returns H itself.  When an end of e_next has no other edge
     outside H, e_next goes straight to bridge_case.  Otherwise the splice is
     tried first, at the smallest vertex of H with two or more edges outside
-    H; only when that flow fails does the lowlink DFS classify e_next.  When
-    e_next lies in a 2-edge-connected component of G - E(H) that shares no
-    vertex with H, the component is contracted to the new vertex g.n
-    (`contract_subgraph`): H keeps its vertices, its edges are renumbered
-    into the contraction, which is segmented in turn, and the extension
-    through a boundary bridge maps back through `edge_ids`.
+    H; only when that flow fails is the leftover G - E(H) built, for the
+    lowlink DFS that classifies e_next.  Every flow bars H's edges instead
+    of listing the leftover.  When e_next lies in a 2-edge-connected
+    component of G - E(H) that shares no vertex with H, the component is
+    contracted to the new vertex g.n (`contract_subgraph`): H keeps its
+    vertices, its edges are renumbered into the contraction, which is
+    segmented in turn, and the extension through a boundary bridge maps
+    back through `edge_ids`.
     """
     seg = segment(g, h, s_prefix)
     h = seg.trail
     if e_next in seg.h_edges:
         return h
-    leftover = g.all_edges() - seg.h_edges
     # An end of e_next whose only leftover edge is e_next makes it a bridge
     # of the leftover, which is all the DFS below would find.
     adjacency = g.adjacency
@@ -178,16 +183,16 @@ def extend_circuit(
     # min(comp & V(h)), and the flow is the call the DFS route below would make.
     v = min((u for u, k in visits.items() if len(adjacency[u]) >= 2 * k + 2), default=None)
     if v is not None:
-        star = _trail_through_edge(g, leftover, e_next, v, v)
+        star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is not None:
             return _splice(g, seg, e_next, star)
-    bridges, comp = bridges_and_2ec_components(g, leftover, e_next)
+    bridges, comp = bridges_and_2ec_components(g, g.all_edges() - seg.h_edges, e_next)
     if comp is None:
         return bridge_case(g, seg, e_next)
     shared = comp & seg.h_vertices
     if shared:
         v = min(shared)
-        star = _trail_through_edge(g, leftover, e_next, v, v)
+        star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is None:
             raise CoherenceViolated("2-edge-connected edge set must route to both targets")
         return _splice(g, seg, e_next, star)
@@ -221,7 +226,7 @@ def extend_circuit(
         ) or not cert.odd:
             raise CoherenceViolated("contracted certificate did not lift cleanly")
         return cert
-    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, leftover, e_next)
+    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, seg.h_edges, e_next)
 
 
 def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
@@ -233,9 +238,9 @@ def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
     return out
 
 
-def _open_contracted_vertex(g, edge_ids, circuit_c, comp, leftover, e_next) -> Trail:
+def _open_contracted_vertex(g, edge_ids, circuit_c, comp, h_edges, e_next) -> Trail:
     """Replace the single visit of the contracted vertex g.n by a trail
-    through e_next inside comp, its 2-edge-connected part of (V, leftover).
+    through e_next inside comp, its 2-edge-connected part of G - h_edges.
 
     circuit_c is a circuit of the contraction: its vertices other than g.n
     are g's, and its edges map back to g through edge_ids.
@@ -248,7 +253,7 @@ def _open_contracted_vertex(g, edge_ids, circuit_c, comp, leftover, e_next) -> T
     d_first = next(v for v in g.endpoints(outer_edges[0]) if v in comp)
     d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp)
     outer = Trail((d_first, *rotated.vertices[1:-1], d_last), outer_edges)
-    inner = _trail_through_edge(g, leftover, e_next, d_last, d_first)
+    inner = _trail_through_edge(g, h_edges, e_next, d_last, d_first)
     if inner is None:
         raise CoherenceViolated("2-edge-connected edge set must route to both targets")
     out = trail_concat(outer, inner)

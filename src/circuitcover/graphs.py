@@ -148,13 +148,21 @@ def trail_concat(*parts: Trail) -> Trail:
 
 
 def edge_boundary(g: Graph, side: Iterable[int]) -> EdgeIds:
-    """Edges with exactly one endpoint in `side`."""
+    """Edges with exactly one endpoint in `side`.
+
+    Only the smaller of `side` and its complement is scanned: an edge with
+    one end in it crosses exactly when its other end is not in it.
+    """
     a = set(side)
+    n = g.n
     for v in a:
-        if not (0 <= v < g.n):
+        if not (0 <= v < n):
             raise ValueError(f"vertex {v} out of range")
+    adjacency = g.adjacency
+    if 2 * len(a) <= n:
+        return frozenset([e for v in a for w, e in adjacency[v] if w not in a])
     return frozenset(
-        eid for eid, (u, v) in enumerate(g.edges) if (u in a) != (v in a)
+        [e for v in range(n) if v not in a for w, e in adjacency[v] if w in a]
     )
 
 
@@ -264,7 +272,23 @@ def connected_components(
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or spanning_forest(g).parent.count(-1) == 1
+    """True iff a search from vertex 0 reaches all of g's vertices (or g
+    has at most one)."""
+    n = g.n
+    if n <= 1:
+        return True
+    adjacency = g.adjacency
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for w, _ in adjacency[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == n
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +356,29 @@ class FlowNetwork:
     """Unit-capacity flow on the edges of g, in g's own vertex and edge ids.
 
     out[e] is the vertex that e's unit of flow leaves, -1 when e carries no
-    flow and -2 when e is outside the network's edge set.  g.adjacency is the
-    residual graph: e is crossable from v to w iff out[e] is -1 or w, so
-    neither end can cross an edge outside the set.  An edge id or a vertex
-    out of range raises BadEdgeId or BadParam.
+    flow and -2 when e is barred.  A network bars the edges it is given and
+    no others, so its set-up loops over the barred edges only.  g.adjacency
+    is the residual graph: e is crossable from v to w iff out[e] is -1 or w,
+    so neither end can cross a barred edge, and the flow is the one on g
+    with the barred edges deleted.  An edge id or a vertex out of range
+    raises BadEdgeId or BadParam.
     """
 
-    def __init__(self, g: Graph, edges: Iterable[int] | None = None):
+    def __init__(self, g: Graph, barred: Iterable[int] = ()):
         self.g = g
-        if edges is None:
-            self.out = [-1] * g.m
-        else:
-            out = self.out = [-2] * g.m
-            if iter(edges) is edges:  # an iterator is read once, here
-                edges = list(edges)
-            # a negative id would index from the end, so min rules them out;
-            # an id of m or more raises IndexError in the loop
-            low = min(edges, default=0)
-            if low < 0:
-                raise BadEdgeId(f"edge id {low} out of range (m={g.m})")
-            try:
-                for e in edges:
-                    out[e] = -1
-            except IndexError:
-                raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
+        out = self.out = [-1] * g.m
+        if iter(barred) is barred:  # an iterator is read once, here
+            barred = list(barred)
+        # a negative id would index from the end, so min rules them out;
+        # an id of m or more raises IndexError in the loop
+        low = min(barred, default=0)
+        if low < 0:
+            raise BadEdgeId(f"edge id {low} out of range (m={g.m})")
+        try:
+            for e in barred:
+                out[e] = -2
+        except IndexError:
+            raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
 
     def _check_vertices(self, vertices: Iterable[int]) -> None:
         """Raise BadParam unless every vertex is one of g's."""
@@ -581,6 +604,8 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
 
     The other edges keep their order.  Two edges from w to the same outside
     vertex would become parallel, which `Graph` rejects with ValueError.
+    The kept edges are read from the adjacency of the vertices outside w,
+    each once: from its smaller end, or from its one end outside w.
     """
     wset = frozenset(w)
     if not wset:
@@ -588,24 +613,29 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
     for v in wset:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
+    adjacency = g.adjacency
     # w is connected iff a search over its inner edges reaches all of it
-    stack = [min(wset)]
-    seen = set(stack)
+    first = min(wset)
+    unseen = set(wset)
+    unseen.remove(first)
+    stack = [first]
     while stack:
-        for x, _ in g.adjacency[stack.pop()]:
-            if x in wset and x not in seen:
-                seen.add(x)
+        for x, _ in adjacency[stack.pop()]:
+            if x in unseen:
+                unseen.remove(x)
                 stack.append(x)
-    if len(seen) != len(wset):
+    if unseen:
         raise NotConnected("vertex set to contract is not connected")
-    new_edges: list[tuple[int, int]] = []
-    edge_ids: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in wset and v in wset:
-            continue
-        new_edges.append((g.n if u in wset else u, g.n if v in wset else v))
-        edge_ids.append(eid)
-    return Contraction(Graph(g.n + 1, tuple(new_edges)), tuple(edge_ids))
+    n = g.n
+    edge_ids = sorted(
+        [e for v in range(n) if v not in wset for x, e in adjacency[v] if v < x or x in wset]
+    )
+    edges = g.edges
+    new_edges = []
+    for eid in edge_ids:
+        u, v = edges[eid]
+        new_edges.append((n if u in wset else u, n if v in wset else v))
+    return Contraction(Graph(n + 1, tuple(new_edges)), tuple(edge_ids))
 
 
 # ---------------------------------------------------------------------------

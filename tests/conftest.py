@@ -55,6 +55,16 @@ def connected_graphs(draw, min_n=2, max_n=8, max_extra=8):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def simple_graphs(draw, max_n=8):
+    """Random simple graph on 0..max_n vertices, connected or not, with its
+    edges in random order."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
 @pytest.fixture(scope="session")
 def small_random_graphs():
     """A deterministic spread of small connected graphs for cross-checks."""

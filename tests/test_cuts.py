@@ -20,6 +20,7 @@ from circuitcover.cuts import (
     odd_cut_within,
 )
 from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated, DisconnectedInput
+from circuitcover.finder import _two_walks
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
@@ -66,8 +67,8 @@ class TestFlowNetwork:
 
     def test_edges_outside_the_set_carry_no_flow(self):
         g = cycle_graph(6)
-        edges = {0, 1, 2, 3, 4}  # the path 0-1-2-3-4-5; edge 5 = (5, 0) is left out
-        net = FlowNetwork(g, edges)
+        edges = {0, 1, 2, 3, 4}  # the path 0-1-2-3-4-5; edge 5 = (5, 0) is barred
+        net = FlowNetwork(g, g.all_edges() - edges)
         assert net.max_flow({0: 2}, {3: 2}) == 1
         assert net.out[5] == -2
         assert net.source_side(0) == {0}  # the one path is saturated
@@ -78,7 +79,7 @@ class TestFlowNetwork:
         # both of its ends into vertex 3
         g = cycle_graph(5)
         edges = set(range(1, g.m))
-        net = FlowNetwork(g, edges)
+        net = FlowNetwork(g, {0})
         assert net.max_flow({0: 1, 1: 1}, {3: 2}) == 2
         _check_flow(g, net, edges, {0: 1, 1: 1}, {3: 2}, 2)
 
@@ -108,6 +109,30 @@ class TestFlowNetwork:
         assert g.m - net.out.count(-1) == 2
         _check_flow(g, net, set(range(g.m)), {2: 1}, {0: 1}, 1)  # the unit that moved
 
+    @given(connected_graphs(max_n=8, max_extra=12), st.data())
+    @settings(max_examples=150)
+    def test_barring_edges_equals_deleting_them(self, g, data):
+        # the splice's flow: from the ends x, y of an edge eid that is barred
+        # too, to s and t, against the same flow on g with the barred edges
+        # deleted and the rest renumbered in order
+        barred = data.draw(st.sets(st.integers(0, g.m - 1)))
+        eid = data.draw(st.integers(0, g.m - 1))
+        x, y = g.endpoints(eid)
+        s, t = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+        demand = {s: 2} if s == t else {s: 1, t: 1}
+        rest = [e for e in range(g.m) if e not in barred and e != eid]
+        net = FlowNetwork(g, barred | {eid})
+        ref = FlowNetwork(Graph(g.n, tuple(g.edges[e] for e in rest)))
+        value = net.max_flow({x: 1, y: 1}, demand)
+        assert value == ref.max_flow({x: 1, y: 1}, demand)
+        assert [net.out[e] for e in rest] == ref.out
+        assert all(net.out[e] == -2 for e in barred | {eid})
+        if value == 2:
+            walks = _two_walks(net, (x, y), (s, t))
+            for walk, want in zip(walks, _two_walks(ref, (x, y), (s, t))):
+                assert walk.vertices == want.vertices
+                assert walk.edges == tuple(rest[e] for e in want.edges)
+
     @pytest.mark.parametrize("eid", [-1, 3])
     def test_rejects_an_edge_id_out_of_range_from_a_generator(self, eid):
         with pytest.raises(BadEdgeId):
@@ -123,7 +148,7 @@ class TestFlowNetwork:
             # the whole graph, then restricted edge sets
             edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
             s, t = rng.sample(range(g.n), 2)
-            net = FlowNetwork(g, edges)
+            net = FlowNetwork(g, g.all_edges() - edges)
             value = net.max_flow({s: g.m}, {t: g.m})
             assert value == nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
             _check_flow(g, net, edges, {s: g.m}, {t: g.m}, value)
@@ -137,7 +162,7 @@ class TestFlowNetwork:
             h = _nx_graph(nx, g, edges).to_directed()
             h.add_edges_from(("S", v, {"capacity": k}) for v, k in supply.items())
             h.add_edges_from((v, "T", {"capacity": k}) for v, k in demand.items())
-            net = FlowNetwork(g, edges)
+            net = FlowNetwork(g, g.all_edges() - edges)
             value = net.max_flow(supply, demand)
             assert value == nx.maximum_flow_value(h, "S", "T")
             _check_flow(g, net, edges, supply, demand, value)
@@ -151,12 +176,12 @@ class TestFlowNetwork:
             s, t = rng.sample(range(g.n), 2)
             want = nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
             for units in (1, 2, 3, g.m):
-                net = FlowNetwork(g, edges)
+                net = FlowNetwork(g, g.all_edges() - edges)
                 value = net.pair_flow(s, t, units)
                 assert value == min(units, want)
                 _check_flow(g, net, edges, {s: units}, {t: units}, value)
             # a maximum flow's residual reach does not depend on its paths
-            forward = FlowNetwork(g, edges)
+            forward = FlowNetwork(g, g.all_edges() - edges)
             forward.max_flow({s: g.m}, {t: g.m})
             assert net.source_side(s) == forward.source_side(s)
 

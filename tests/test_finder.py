@@ -63,8 +63,9 @@ class TestTrailThroughEdge:
                 inner = {e for e, (u, v) in enumerate(g.edges) if u in comp and v in comp}
                 s = rng.choice(verts)
                 for t in (s, rng.choice([v for v in verts if v != s])):
-                    # the finder's flow runs over the whole leftover edge set
-                    out = _trail_through_edge(g, g.all_edges(), eid, s, t)
+                    # the finder's flow runs over the whole leftover: with
+                    # no circuit yet, no edge is barred
+                    out = _trail_through_edge(g, (), eid, s, t)
                     validate_trail(g, out)
                     assert (out.start, out.end) == (s, t) and eid in out.edges
                     assert set(out.edges) <= inner
@@ -130,7 +131,7 @@ def _splice_by_dfs(g, h, e_next):
     if not shared:
         return None
     v = min(shared)
-    star = _trail_through_edge(g, leftover, e_next, v, v)
+    star = _trail_through_edge(g, h.edge_set(), e_next, v, v)
     return v, euler_circuit(g, h.edge_set() | star.edge_set(), start=h.vertices[0])
 
 

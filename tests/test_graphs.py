@@ -14,6 +14,7 @@ from circuitcover.graphs import (
     contract_subgraph,
     edge_boundary,
     euler_circuit,
+    is_connected,
     is_even_subgraph,
     spanning_forest,
     trail_concat,
@@ -21,7 +22,21 @@ from circuitcover.graphs import (
     verify_circuit,
 )
 
-from conftest import bowtie, complete_graph, connected_graphs, cycle_graph, path_graph
+from conftest import (
+    bowtie,
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    simple_graphs,
+)
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """networkx, imported once here so that no timed Hypothesis example pays
+    for the import."""
+    return pytest.importorskip("networkx")
 
 
 class TestGraphInvariants:
@@ -76,6 +91,19 @@ class TestEdgeBoundary:
         odd_inside = sum(1 for v in side if g.degree(v) % 2 == 1)
         assert len(edge_boundary(g, side)) % 2 == odd_inside % 2
 
+    @given(simple_graphs(), st.data())
+    @settings(max_examples=100)
+    def test_matches_the_definition(self, g, data):
+        bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        side = {v for v, b in enumerate(bits) if b}
+        want = frozenset(e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side))
+        # a side and its complement share their boundary; unless each holds
+        # exactly half the vertices, one is scanned itself and the other
+        # through its complement
+        for a in (side, set(range(g.n)) - side):
+            got = edge_boundary(g, a)
+            assert type(got) is frozenset and got == want
+
 
 class TestEvenSubgraph:
     def test_full_cycle_is_even(self):
@@ -119,6 +147,27 @@ class TestComponents:
     def test_restriction_rejects_an_edge_id_out_of_range(self, eid):
         with pytest.raises(BadEdgeId):
             connected_components(path_graph(4), {0, eid})
+
+    @pytest.mark.parametrize(
+        "g, want",
+        [
+            (Graph(0, ()), True),
+            (Graph(1, ()), True),
+            (Graph(2, ()), False),
+            (Graph.from_edges(3, [(0, 1)]), False),  # 2 is isolated
+            (Graph.from_edges(3, [(1, 2)]), False),  # 0 is isolated
+            (path_graph(2), True),
+            (cycle_graph(5), True),
+        ],
+        ids=["n0", "n1", "two-isolated", "isolated-last", "isolated-first", "edge", "cycle"],
+    )
+    def test_is_connected_small_cases(self, g, want):
+        assert is_connected(g) == want == (len(connected_components(g)) <= 1)
+
+    @given(simple_graphs())
+    @settings(max_examples=100)
+    def test_is_connected_matches_components(self, g):
+        assert is_connected(g) == (len(connected_components(g)) <= 1)
 
 
 class TestSpanningForest:
@@ -260,13 +309,11 @@ class TestBridges:
 
     @given(_chained_graphs(), st.data())
     @settings(max_examples=60)
-    def test_chained_graphs_against_networkx(self, g, data):
-        nx = pytest.importorskip("networkx")
+    def test_chained_graphs_against_networkx(self, nx, g, data):
         f = g.all_edges() - data.draw(st.sets(st.integers(0, g.m - 1)))
         self._against_networkx(nx, g, f)
 
-    def test_random_connected_against_networkx(self):
-        nx = pytest.importorskip("networkx")
+    def test_random_connected_against_networkx(self, nx):
         from circuitcover.generators import random_connected
 
         rng = random.Random(11)
