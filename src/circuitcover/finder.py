@@ -8,14 +8,15 @@ and works on that form.  An edge already on the circuit is free.  An edge
 with an end that has no other leftover edge is a bridge of the leftover
 graph.  For any other, one unit-capacity flow over the leftover graph first
 tries to route it through the one circuit vertex a splice can use; when that
-flow succeeds, the edge splices in through the closed trail it yields.  The
-flows run on G itself and bar the circuit's edges, so setting one up costs
-the circuit's length, not G's size.  Only when the first flow fails is the
-leftover edge set built, for one lowlink DFS from the edge that says
-whether it is a bridge there and, if not, which 2-edge-connected component
-holds it.  A bridge goes through the rerouting machinery, which either
-succeeds or emits an odd cut of size at most the number of edges placed so
-far, and so at most |S|.
+flow succeeds, the edge splices in through the closed trail it yields.
+Only when it fails does one lowlink DFS say whether the edge is a bridge of
+the leftover and, if not, which 2-edge-connected component holds it.  The
+flows and the DFS run on G itself and bar the circuit's edges, so setting
+one up costs the circuit's length, not G's size.  A bridge goes through the
+rerouting machinery, which either succeeds or emits an odd cut of size at
+most the number of edges placed so far, and so at most |S|.  A component
+that misses the circuit is contracted to one vertex in G's own edge ids,
+and the bridge case runs there on the same segmented circuit.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .graphs import (
     Trail,
     bridges_and_2ec_components,
     contract_subgraph,
-    edge_boundary,
     euler_circuit,
     is_connected,
     trail_concat,
@@ -157,14 +157,13 @@ def extend_circuit(
     already on H returns H itself.  When an end of e_next has no other edge
     outside H, e_next goes straight to bridge_case.  Otherwise the splice is
     tried first, at the smallest vertex of H with two or more edges outside
-    H; only when that flow fails is the leftover G - E(H) built, for the
-    lowlink DFS that classifies e_next.  Every flow bars H's edges instead
-    of listing the leftover.  When e_next lies in a 2-edge-connected
-    component of G - E(H) that shares no vertex with H, the component is
-    contracted to the new vertex g.n (`contract_subgraph`): H keeps its
-    vertices, its edges are renumbered into the contraction, which is
-    segmented in turn, and the extension through a boundary bridge maps
-    back through `edge_ids`.
+    H; only when that flow fails does the lowlink DFS classify e_next.  The
+    flows and the DFS bar H's edges instead of listing the leftover.  When
+    e_next lies in a 2-edge-connected component of G - E(H) that shares no
+    vertex with H, the component is contracted to the new vertex g.n
+    (`contract_subgraph`) in g's own edge ids.  H and its canonical form are
+    the same there, so bridge_case extends seg itself through the smallest
+    boundary bridge, and its circuit or cut lifts back with no edge mapping.
     """
     seg = segment(g, h, s_prefix)
     h = seg.trail
@@ -186,7 +185,7 @@ def extend_circuit(
         star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is not None:
             return _splice(g, seg, e_next, star)
-    bridges, comp = bridges_and_2ec_components(g, g.all_edges() - seg.h_edges, e_next)
+    bridges, comp = bridges_and_2ec_components(g, seg.h_edges, e_next)
     if comp is None:
         return bridge_case(g, seg, e_next)
     shared = comp & seg.h_vertices
@@ -196,37 +195,24 @@ def extend_circuit(
         if star is None:
             raise CoherenceViolated("2-edge-connected edge set must route to both targets")
         return _splice(g, seg, e_next, star)
-    # detached component: contract it, extend through one of its boundary
-    # bridges, then open the contracted vertex into a trail through e_next
-    boundary = edge_boundary(g, comp)
-    if not boundary or not boundary <= bridges:
+    # detached component: contract it, extend through its smallest boundary
+    # bridge, then open the contracted vertex into a trail through e_next.
+    # H shares no vertex with comp, so seg is H's canonical form in the
+    # contraction too, whose searches never reach comp's inner edges.
+    contracted = contract_subgraph(g, comp)
+    boundary = [e for _, e in contracted.adjacency[g.n]]  # in edge-id order
+    if not boundary or not bridges.issuperset(boundary):
         raise CoherenceViolated("a detached component must hang on bridges")
-    # distinct outside ends, or the contraction would have parallel edges
-    outside_ends = {
-        u if v in comp else v for u, v in (g.edges[e] for e in boundary)
-    }
-    if len(outside_ends) != len(boundary):
-        raise CoherenceViolated(
-            "boundary bridges of a detached 2-edge-connected component cannot "
-            "share outside endpoints"
-        )
-    contraction = contract_subgraph(g, comp)
-    new_id = {e: i for i, e in enumerate(contraction.edge_ids)}
-    # the renumbering keeps the edge order, so h_c is canonical already
-    h_c = Trail(h.vertices, tuple(new_id[e] for e in h.edges))
-    seg_c = segment(contraction.graph, h_c, (new_id[e] for e in seg.sep_ids))
-    outcome = bridge_case(contraction.graph, seg_c, new_id[min(boundary)])
+    outcome = bridge_case(contracted, seg, boundary[0])
     if isinstance(outcome, CutCertificate):
         side = outcome.side
         if g.n in side:
             side = (side - {g.n}) | comp
         cert = certify(g, side)
-        if cert.boundary != frozenset(
-            contraction.edge_ids[e] for e in outcome.boundary
-        ) or not cert.odd:
+        if cert.boundary != outcome.boundary or not cert.odd:
             raise CoherenceViolated("contracted certificate did not lift cleanly")
         return cert
-    return _open_contracted_vertex(g, contraction.edge_ids, outcome, comp, seg.h_edges, e_next)
+    return _open_contracted_vertex(g, outcome, comp, seg.h_edges.union(boundary), e_next)
 
 
 def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
@@ -238,22 +224,24 @@ def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
     return out
 
 
-def _open_contracted_vertex(g, edge_ids, circuit_c, comp, h_edges, e_next) -> Trail:
+def _open_contracted_vertex(g, circuit_c, comp, barred, e_next) -> Trail:
     """Replace the single visit of the contracted vertex g.n by a trail
-    through e_next inside comp, its 2-edge-connected part of G - h_edges.
+    through e_next inside comp, a 2-edge-connected component of g - barred.
 
-    circuit_c is a circuit of the contraction: its vertices other than g.n
-    are g's, and its edges map back to g through edge_ids.
+    circuit_c is a circuit of the contraction, in g's own ids.  barred holds
+    H's edges and comp's boundary bridges: a search that left comp through a
+    bridge could never come back, so barring them keeps the flow in comp
+    and changes neither it nor its walks.
     """
     occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == g.n]
     if len(occurrences) != 1:
         raise CoherenceViolated("contracted vertex must be passed exactly once")
     rotated = rotate_closed(circuit_c, occurrences[0])
-    outer_edges = tuple(edge_ids[e] for e in rotated.edges)
-    d_first = next(v for v in g.endpoints(outer_edges[0]) if v in comp)
-    d_last = next(v for v in g.endpoints(outer_edges[-1]) if v in comp)
-    outer = Trail((d_first, *rotated.vertices[1:-1], d_last), outer_edges)
-    inner = _trail_through_edge(g, h_edges, e_next, d_last, d_first)
+    edges = rotated.edges
+    d_first = next(v for v in g.endpoints(edges[0]) if v in comp)
+    d_last = next(v for v in g.endpoints(edges[-1]) if v in comp)
+    outer = Trail((d_first, *rotated.vertices[1:-1], d_last), edges)
+    inner = _trail_through_edge(g, barred, e_next, d_last, d_first)
     if inner is None:
         raise CoherenceViolated("2-edge-connected edge set must route to both targets")
     out = trail_concat(outer, inner)

@@ -296,25 +296,25 @@ def is_connected(g: Graph) -> bool:
 
 
 def bridges_and_2ec_components(
-    g: Graph, f: Iterable[int], eid: int
+    g: Graph, barred: Iterable[int], eid: int
 ) -> tuple[EdgeIds, frozenset | None]:
-    """Bridges of eid's connected component of (V, f), and the vertex set of
-    the maximal 2-edge-connected subgraph of (V, f) that holds eid, or None
-    when eid is a bridge.
+    """Bridges of eid's connected component of g - barred, and the vertex
+    set of the maximal 2-edge-connected subgraph of g - barred that holds
+    eid, or None when eid is a bridge.  A barred eid raises BadParam.
 
-    One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid.  Each
-    vertex goes onto a stack when it is discovered; a non-root vertex that
-    finishes with lowlink equal to its discovery time was entered by a
-    bridge, and pops its component off the stack.  What is left on the
-    stack when the root finishes is the root's component.
+    One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid that
+    skips the barred edges.  Each vertex goes onto a stack when it is
+    discovered; a non-root vertex that finishes with lowlink equal to its
+    discovery time was entered by a bridge, and pops its component off the
+    stack.  What is left on the stack when the root finishes is the root's.
     """
-    allowed = frozenset(f)
-    if allowed and (min(allowed) < 0 or max(allowed) >= g.m):
-        bad = min(allowed) if min(allowed) < 0 else max(allowed)
+    barred = frozenset(barred)
+    if barred and (min(barred) < 0 or max(barred) >= g.m):
+        bad = min(barred) if min(barred) < 0 else max(barred)
         raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
     root = g.endpoints(eid)[0]
-    if eid not in allowed:
-        raise BadParam(f"edge {eid} is not in the edge set")
+    if eid in barred:
+        raise BadParam(f"edge {eid} is barred")
     adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
@@ -326,7 +326,7 @@ def bridges_and_2ec_components(
     while frames:
         v, in_eid, scan = frames[-1]
         for w, e in scan:
-            if e == in_eid or e not in allowed:
+            if e == in_eid or e in barred:
                 continue
             if disc[w] == -1:
                 disc[w] = low[w] = timer
@@ -587,55 +587,66 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
 # contraction
 
 
-class Contraction(NamedTuple):
-    """g with a connected vertex set w contracted to the new vertex g.n.
+def contract_subgraph(g: Graph, w: Iterable[int]) -> Graph:
+    """g with the connected vertex set w contracted to the new vertex g.n.
 
-    Every vertex keeps its id, and those of w stay behind as isolated
-    vertices.  Edge i of `graph` is edge edge_ids[i] of g, with each end in
-    w moved to g.n; the edges inside w are dropped.
-    """
-
-    graph: Graph
-    edge_ids: tuple[int, ...]
-
-
-def contract_subgraph(g: Graph, w: Iterable[int]) -> Contraction:
-    """Contract the connected vertex set w into the new vertex g.n.
-
-    The other edges keep their order.  Two edges from w to the same outside
-    vertex would become parallel, which `Graph` rejects with ValueError.
-    The kept edges are read from the adjacency of the vertices outside w,
-    each once: from its smaller end, or from its one end outside w.
+    Every edge keeps its id; each boundary edge of w has its end in w moved
+    to g.n.  w's vertices keep only their inner edges, an island that no
+    search from outside w reaches.  Every other row of the adjacency is
+    g's own, except at the boundary's outside ends, whose entry is moved to
+    g.n in place; g.n's row is in edge-id order.  Two edges from w to one
+    outside vertex would be parallel, which raises ValueError; otherwise the
+    result is simple because g is, so Graph's O(m) checks are not run again.
     """
     wset = frozenset(w)
     if not wset:
         raise BadParam("cannot contract an empty vertex set")
-    for v in wset:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    n = g.n
+    first, last = min(wset), max(wset)
+    if first < 0 or last >= n:
+        raise ValueError(f"vertex {first if first < 0 else last} out of range")
     adjacency = g.adjacency
-    # w is connected iff a search over its inner edges reaches all of it
-    first = min(wset)
-    unseen = set(wset)
-    unseen.remove(first)
+    # w is connected iff a search over its inner edges reaches all of it;
+    # it collects the boundary as (end in w, outside end, id) on the way.
+    mark = [0] * n  # 0 outside w, 1 in w and unseen, 2 seen
+    for v in wset:
+        mark[v] = 1
+    mark[first] = 2
+    unseen = len(wset) - 1
     stack = [first]
+    crossing = []
     while stack:
-        for x, _ in adjacency[stack.pop()]:
-            if x in unseen:
-                unseen.remove(x)
+        v = stack.pop()
+        for x, e in adjacency[v]:
+            k = mark[x]
+            if k == 1:
+                mark[x] = 2
+                unseen -= 1
                 stack.append(x)
+            elif not k:
+                crossing.append((v, x, e))
     if unseen:
         raise NotConnected("vertex set to contract is not connected")
-    n = g.n
-    edge_ids = sorted(
-        [e for v in range(n) if v not in wset for x, e in adjacency[v] if v < x or x in wset]
-    )
-    edges = g.edges
-    new_edges = []
-    for eid in edge_ids:
-        u, v = edges[eid]
-        new_edges.append((n if u in wset else u, n if v in wset else v))
-    return Contraction(Graph(n + 1, tuple(new_edges)), tuple(edge_ids))
+    edges = list(g.edges)
+    rows = list(adjacency)
+    ends = {}
+    for v, x, e in crossing:
+        if x in ends:
+            raise ValueError(f"edges {ends[x]} and {e} to {x}: the contraction duplicates an edge")
+        ends[x] = e
+        a, b = edges[e]
+        edges[e] = (n, b) if a == v else (a, n)
+        row = list(rows[x])
+        row[row.index((v, e))] = (n, e)
+        rows[x] = tuple(row)
+        row = list(rows[v])
+        row.remove((x, e))
+        rows[v] = tuple(row)
+    rows.append(tuple(sorted(ends.items(), key=lambda xe: xe[1])))
+    # a Graph built without __post_init__, its adjacency filled in
+    c = object.__new__(Graph)
+    c.__dict__.update(n=n + 1, edges=tuple(edges), adjacency=tuple(rows))
+    return c
 
 
 # ---------------------------------------------------------------------------

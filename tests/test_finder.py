@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from circuitcover.graphs import (
     Graph,
     Trail,
     bridges_and_2ec_components,
+    edge_boundary,
     euler_circuit,
     validate_trail,
     verify_circuit,
@@ -39,7 +42,7 @@ class TestBaseCircuit:
     def test_unit_cut_exactly_on_bridges(self):
         for g in sparse_random_graphs():
             for eid in range(g.m):
-                bridges, comp = bridges_and_2ec_components(g, g.all_edges(), eid)
+                bridges, comp = bridges_and_2ec_components(g, (), eid)
                 assert (comp is None) == (eid in bridges)
                 out = find_circuit(g, [eid])
                 if comp is None:
@@ -55,7 +58,7 @@ class TestTrailThroughEdge:
         rng = random.Random(7)
         for g in sparse_random_graphs():
             for eid in range(g.m):
-                _, comp = bridges_and_2ec_components(g, g.all_edges(), eid)
+                _, comp = bridges_and_2ec_components(g, (), eid)
                 if comp is None:
                     continue
                 verts = sorted(comp)
@@ -125,8 +128,7 @@ def _splice_by_dfs(g, h, e_next):
     """The splice as the finder made it when it classified e_next first:
     the 2EC query, v = min(comp & V(h)), the flow to v and an Euler tour.
     Returns (v, circuit), or None when e_next is no splice."""
-    leftover = g.all_edges() - h.edge_set()
-    _, comp = bridges_and_2ec_components(g, leftover, e_next)
+    _, comp = bridges_and_2ec_components(g, h.edge_set(), e_next)
     shared = comp and comp & frozenset(h.vertices)
     if not shared:
         return None
@@ -271,6 +273,53 @@ class TestSpliceFirst:
         assert out == _splice_by_dfs(g, h, 9)[1]
         assert verify_circuit(g, out, {0, 9})
         assert out.edge_set() == {0, 1, 2, 7, 8, 9}
+
+
+def _cubic_graph(n, rng):
+    """A Hamiltonian cycle on 0..n-1 plus a random perfect matching that
+    avoids its edges: cubic and 2-edge-connected (n even, n >= 6)."""
+    cycle = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    while True:
+        order = rng.sample(range(n), n)
+        matching = {tuple(sorted(order[i : i + 2])) for i in range(0, n, 2)}
+        if not matching & cycle:
+            return Graph.from_edges(n, sorted(cycle | matching))
+
+
+class TestDetachedCase:
+    def test_barring_the_boundary_keeps_the_opening_trail(self, monkeypatch):
+        # the opening flow bars comp's boundary bridges with H's edges; a
+        # search that left comp through a bridge could never come back, so
+        # the trail must be the one the flow gives without them barred
+        opening = []  # comp of the opening under way
+        compared = []
+
+        def open_(g, circuit_c, comp, barred, e_next, _real=finder._open_contracted_vertex):
+            opening.append(comp)
+            try:
+                return _real(g, circuit_c, comp, barred, e_next)
+            finally:
+                opening.pop()
+
+        def flow(g, barred, eid, s, t, _real=finder._trail_through_edge):
+            out = _real(g, barred, eid, s, t)
+            if opening:
+                boundary = edge_boundary(g, opening[-1])
+                assert boundary and boundary <= barred
+                assert _real(g, barred - boundary, eid, s, t) == out
+                compared.append(eid)
+            return out
+
+        monkeypatch.setattr(finder, "_open_contracted_vertex", open_)
+        monkeypatch.setattr(finder, "_trail_through_edge", flow)
+        # on a cubic graph each vertex of H has one edge left, so most
+        # extensions take the detached case
+        rng = random.Random(3)
+        for n in (20, 30) * 4:
+            g = _cubic_graph(n, rng)
+            for k in (4, 8, 8):
+                find_circuit(g, rng.sample(range(g.m), k))
+        assert len(compared) >= 20, len(compared)
 
 
 class TestFindCircuit:
@@ -445,3 +494,23 @@ class TestPinnedAnswers:
                 digest.update(repr(key).encode())
         assert all(reached.values()), reached
         assert digest.hexdigest() == self.PINNED
+
+
+class TestAtlas:
+    # SHA-256 over the answers of every prescribed set of size 1 or 2 on the
+    # 995 connected atlas graphs with at least two vertices, as the finder
+    # gave them when the detached case still renumbered its contraction
+    PINNED = "cb185845a8f492ae58f2b1e60656107592008acb36507b0182e3cfdee1de95fe"
+
+    def test_every_set_of_size_at_most_two(self):
+        # sweep checks each answer: a circuit verifies, a cut is odd, valid
+        # and of size <= |S|, and no cut comes where the brute-force minimum
+        # odd cut exceeds |S|; it raises RuntimeError on the first failure
+        pytest.importorskip("networkx")
+        path = Path(__file__).resolve().parent.parent / "scripts" / "atlas_sweep.py"
+        spec = importlib.util.spec_from_file_location("atlas_sweep", path)
+        atlas_sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(atlas_sweep)
+        out = atlas_sweep.sweep(2)
+        assert out["calls"] == 66125 and out["detached"] > 0, out
+        assert out["sha256"] == self.PINNED

@@ -203,8 +203,10 @@ def _chained_graphs(draw):
 
 
 def _classify_each(g, f):
-    """eid -> (bridges, component's vertex set) for every edge eid of f."""
-    return {eid: bridges_and_2ec_components(g, f, eid) for eid in f}
+    """eid -> (bridges, component's vertex set) in (V, f) for every edge eid
+    of f, which bars the other edges."""
+    barred = g.all_edges() - frozenset(f)
+    return {eid: bridges_and_2ec_components(g, barred, eid) for eid in f}
 
 
 def _inner_edges(g, f, verts):
@@ -275,8 +277,9 @@ class TestBridges:
         for a, b in combinations(comps, 2):
             assert not a & b
 
+    # f is the barred edge set
     @pytest.mark.parametrize(
-        "f, eid", [([0, 1, -1], 0), ([0, 1, 99], 0), ([0, 1], -1), ([0, 1], 99)]
+        "f, eid", [([5, -1], 0), ([5, 99], 0), ([5], -1), ([5], 99)]
     )
     def test_rejects_an_edge_id_out_of_range(self, f, eid):
         from circuitcover.generators import ladder
@@ -285,9 +288,20 @@ class TestBridges:
             bridges_and_2ec_components(ladder(4).graph, f, eid)
 
     def test_rejects_an_edge_outside_the_set(self):
+        # eid itself barred: it is not an edge of g - barred
         g = cycle_graph(4)
         with pytest.raises(BadParam):
-            bridges_and_2ec_components(g, [0, 1, 2], 3)
+            bridges_and_2ec_components(g, [3], 3)
+
+    def test_barred_edges_are_skipped(self):
+        # a 6-cycle with the chord 0-3: barring the chord leaves one cycle;
+        # barring the edge 5-0 leaves the 4-cycle 0-1-2-3 with the path
+        # 3-4-5 of two bridges hanging off it
+        g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+        assert bridges_and_2ec_components(g, [6], 0) == (frozenset(), frozenset(range(6)))
+        assert bridges_and_2ec_components(g, [5], 6) == (
+            frozenset({3, 4}), frozenset({0, 1, 2, 3})
+        )
 
     @staticmethod
     def _against_networkx(nx, g, f):
@@ -296,8 +310,9 @@ class TestBridges:
         h.add_edges_from(g.edges[e] for e in f)
         nx_bridges = {frozenset(b) for b in nx.bridges(h)}
         two_ec = list(nx.k_edge_components(h, k=2))
+        barred = g.all_edges() - frozenset(f)
         for eid in f:
-            bridges, comp = bridges_and_2ec_components(g, f, eid)
+            bridges, comp = bridges_and_2ec_components(g, barred, eid)
             u, v = g.edges[eid]
             reach = nx.node_connected_component(h, u)
             assert {frozenset(g.edges[b]) for b in bridges} == {
@@ -512,35 +527,54 @@ class TestValidateTrail:
         assert type(exc.value) is error
 
 
+def _ball(g, v0, radius):
+    """Vertices within `radius` steps of v0: a connected vertex set."""
+    ball = {v0}
+    for _ in range(radius):
+        ball |= {x for v in ball for x, _ in g.adjacency[v]}
+    return ball
+
+
+def _has_parallel_boundary(g, w):
+    """True when two edges join w to one outside vertex."""
+    outside = [u if v in w else v for u, v in g.edges if (u in w) != (v in w)]
+    return len(set(outside)) < len(outside)
+
+
 class TestContraction:
     def test_singleton_moves_to_the_new_vertex(self):
         g = complete_graph(4)
         c = contract_subgraph(g, {2})
-        assert c.graph.n == 5 and c.graph.degree(2) == 0
-        assert c.edge_ids == tuple(range(g.m))
+        assert c.n == 5 and c.m == g.m and c.degree(2) == 0
         moved = tuple(tuple(4 if x == 2 else x for x in e) for e in g.edges)
-        assert c.graph.edges == moved
+        assert c.edges == moved
+        # edges 1, 3 and 5 ended at 2; each outside end keeps its row order
+        assert c.adjacency[4] == ((0, 1), (1, 3), (3, 5))
+        assert c.adjacency[0] == ((1, 0), (4, 1), (3, 2))
 
     def test_prism_triangle_contracts_to_k4(self):
         from circuitcover.generators import double_clique
 
         g = double_clique(3).graph
         c = contract_subgraph(g, {3, 4, 5})
-        assert c.graph.n == 7 and c.graph.m == 6
-        assert [c.graph.degree(v) for v in (3, 4, 5)] == [0, 0, 0]
-        assert connected_components(c.graph, c.graph.all_edges()) == [
-            frozenset({0, 1, 2, 6})
+        assert c.n == 7 and c.m == g.m == 9
+        # the triangle stays behind as an island, cut off from the rest
+        assert [c.degree(v) for v in (3, 4, 5)] == [2, 2, 2]
+        assert connected_components(c, c.all_edges()) == [
+            frozenset({0, 1, 2, 6}), frozenset({3, 4, 5})
         ]
-        assert all(c.graph.degree(v) == 3 for v in (0, 1, 2, 6))
-        for i, eid in enumerate(c.edge_ids):
-            assert len(set(g.edges[eid]) & {3, 4, 5}) <= 1
-            assert set(c.graph.edges[i]) - {6} == set(g.edges[eid]) - {3, 4, 5}
+        assert all(c.degree(v) == 3 for v in (0, 1, 2, 6))
+        for e, (u, v) in enumerate(g.edges):
+            if {u, v} <= {3, 4, 5}:
+                assert c.edges[e] == (u, v)
+            else:
+                assert set(c.edges[e]) - {6} == {u, v} - {3, 4, 5}
 
     def test_contract_everything(self):
         g = cycle_graph(5)
         c = contract_subgraph(g, range(5))
-        assert c.graph.n == 6 and c.graph.m == 0
-        assert c.edge_ids == ()
+        assert c.n == 6 and c.edges == g.edges
+        assert c.adjacency[:5] == g.adjacency and c.adjacency[5] == ()
 
     def test_disconnected_set_rejected(self):
         with pytest.raises(NotConnected):
@@ -551,23 +585,37 @@ class TestContraction:
             contract_subgraph(cycle_graph(4), [])
 
     @given(connected_graphs(min_n=3), st.data())
+    @settings(max_examples=100)
+    def test_matches_the_checked_build(self, g, data):
+        # the unchecked build must give what Graph builds and checks itself,
+        # sharing g's own row wherever the contraction leaves it alone
+        w = _ball(g, data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, 2)))
+        if _has_parallel_boundary(g, w):
+            with pytest.raises(ValueError, match="duplicates"):
+                contract_subgraph(g, w)
+            return
+        c = contract_subgraph(g, w)
+        checked = Graph(g.n + 1, c.edges)
+        assert c.edges == checked.edges and c.adjacency == checked.adjacency
+        moved = {x for e in edge_boundary(g, w) for x in g.edges[e]}
+        for v in range(g.n):
+            if v not in moved:
+                assert c.adjacency[v] is g.adjacency[v]
+
+    @given(connected_graphs(min_n=3), st.data())
     @settings(max_examples=60)
     def test_cut_lifting(self, g, data):
-        v0 = data.draw(st.integers(0, g.n - 1))
-        radius = data.draw(st.integers(0, 1))
-        w = {v0} | ({x for x, _ in g.adjacency[v0]} if radius else set())
-        outside = [u if v in w else v for u, v in g.edges if (u in w) != (v in w)]
-        if len(set(outside)) < len(outside):
+        w = _ball(g, data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, 1)))
+        if _has_parallel_boundary(g, w):
             # two edges from w to one outside vertex would become parallel
             with pytest.raises(ValueError, match="duplicates"):
                 contract_subgraph(g, w)
             return
         c = contract_subgraph(g, w)
-        side = data.draw(st.sets(st.integers(0, c.graph.n - 1)))
-        lifted = (side - w - {g.n}) | (w if g.n in side else set())
-        assert edge_boundary(g, lifted) == frozenset(
-            c.edge_ids[eid] for eid in edge_boundary(c.graph, side)
-        )
+        # a side of the contraction off w's island lifts with no id mapping
+        side = data.draw(st.sets(st.sampled_from(sorted(set(range(c.n)) - w))))
+        lifted = (side - {g.n}) | (w if g.n in side else set())
+        assert edge_boundary(g, lifted) == edge_boundary(c, side)
 
 
 class TestVerifyCircuit:
