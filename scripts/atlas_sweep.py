@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Run the finder on every small prescribed set of every atlas graph.
 
-    python3 scripts/atlas_sweep.py --max-size 4
+    python3 scripts/atlas_sweep.py
 
 The graph atlas of Read & Wilson (An Atlas of Graphs, Oxford 1998), which
 networkx ships as `networkx.graph_atlas_g()`, holds all 1,253 graphs on 0-7
 vertices.  The 995 connected ones with at least two vertices are swept in
 atlas order, edge ids taken from `sorted(G.edges())`, with every prescribed
-set of size 1..max-size in `itertools.combinations` order.  Each answer is
+set of size 1..4 in `itertools.combinations` order.  Each answer is
 checked: a circuit must pass `verify_circuit`, a cut must be a valid odd cut
 of size at most |S|, and a cut may come only when the brute-force minimum
 odd cut is at most |S|.  The script prints the calls, the detached cases
 (`contract_subgraph` calls), the descent's reroutes (`_reroute_a_side`
 calls, mirrored ones included) and a SHA-256 over the answers, each hashed
-as `scripts/answer_digest.py` hashes it.  It exits 1 when a check fails.
+by `scripts/answer_digest.py`'s `answer_key`.  It exits 1 when a check fails.
 Run it from the root of a source checkout: the program comes from `src/`.
---max-size 4 makes 707,981 calls and takes a few minutes.
+It makes 707,981 calls and takes a few minutes.
 """
-import argparse
 import hashlib
 import sys
 from itertools import combinations
@@ -25,7 +24,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))  # also when loaded as a module
 
+from answer_digest import answer_key  # noqa: E402
 from circuitcover import Trail, find_circuit, finder, hopping  # noqa: E402
 from circuitcover.cuts import brute_force_min_odd_cut  # noqa: E402
 from circuitcover.graphs import Graph, verify_circuit  # noqa: E402
@@ -40,12 +41,6 @@ def atlas_graphs() -> list[Graph]:
         for a in nx.graph_atlas_g()
         if a.number_of_nodes() >= 2 and nx.is_connected(a)
     ]
-
-
-def answer_key(out) -> tuple:
-    if isinstance(out, Trail):
-        return ("T", out.vertices, out.edges)
-    return ("C", sorted(out.side), sorted(out.boundary), out.size)
 
 
 def _fault(g: Graph, s: tuple, out, min_cut) -> str | None:
@@ -93,14 +88,9 @@ def sweep(max_size: int) -> dict:
     return {**counts, "sha256": sha.hexdigest()}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-size", type=int, default=4, help="largest |S| (default 4)")
-    args = ap.parse_args(argv)
-    if args.max_size < 1:
-        ap.error("--max-size must be at least 1")
+def main() -> int:
     try:
-        out = sweep(args.max_size)
+        out = sweep(4)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

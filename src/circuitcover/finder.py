@@ -199,7 +199,10 @@ def extend_circuit(
     # bridge, then open the contracted vertex into a trail through e_next.
     # H shares no vertex with comp, so seg is H's canonical form in the
     # contraction too, whose searches never reach comp's inner edges.
-    contracted = contract_subgraph(g, comp)
+    try:
+        contracted = contract_subgraph(g, comp)
+    except ValueError as exc:  # comp is the DFS's: a refusal is a finder fault
+        raise CoherenceViolated(f"a detached component must contract: {exc}") from exc
     boundary = [e for _, e in contracted.adjacency[g.n]]  # in edge-id order
     if not boundary or not bridges.issuperset(boundary):
         raise CoherenceViolated("a detached component must hang on bridges")

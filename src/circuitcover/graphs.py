@@ -639,9 +639,7 @@ def contract_subgraph(g: Graph, w: Iterable[int]) -> Graph:
         row = list(rows[x])
         row[row.index((v, e))] = (n, e)
         rows[x] = tuple(row)
-        row = list(rows[v])
-        row.remove((x, e))
-        rows[v] = tuple(row)
+        rows[v] = tuple(xe for xe in rows[v] if xe[1] != e)
     rows.append(tuple(sorted(ends.items(), key=lambda xe: xe[1])))
     # a Graph built without __post_init__, its adjacency filled in
     c = object.__new__(Graph)

@@ -321,6 +321,28 @@ class TestDetachedCase:
                 find_circuit(g, rng.sample(range(g.m), k))
         assert len(compared) >= 20, len(compared)
 
+    @pytest.mark.parametrize("bad", ["disconnected", "shared_outside_end"])
+    def test_a_bad_component_is_an_internal_fault(self, monkeypatch, bad):
+        # the DFS's component is the finder's own, so a component that
+        # contract_subgraph refuses must surface as CoherenceViolated, not as
+        # the ValueError that reports bad input
+        # 0-1-2-0 hangs on the bridge 2-3; 3 carries the 2-edge-connected
+        # square 3-4-5-6-3 that the extension through (4, 5) must reach
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])
+        real = finder.bridges_and_2ec_components
+
+        def dfs(g_, barred, eid):
+            bridges, comp = real(g_, barred, eid)
+            if comp == {3, 4, 5, 6}:
+                # {4, 6} is not connected; {4, 5, 6}'s boundary edges (3, 4)
+                # and (3, 6) share the outside end 3
+                comp = {4, 6} if bad == "disconnected" else {4, 5, 6}
+            return bridges, comp
+
+        monkeypatch.setattr(finder, "bridges_and_2ec_components", dfs)
+        with pytest.raises(CoherenceViolated, match="must contract"):
+            find_circuit(g, [0, 5])
+
 
 class TestFindCircuit:
     def test_cycle_any_subset(self):
