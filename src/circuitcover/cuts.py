@@ -1,17 +1,18 @@
-"""Odd-cut detection: Gomory-Hu tree, parity scan, and brute-force oracle.
+"""Odd-cut detection: bounded Gusfield tree, parity scan, brute-force oracle.
 
 An odd cut is an edge boundary of odd cardinality.  The boundary of A is odd
 exactly when A contains an odd number of odd-degree vertices, so minimum odd
 cuts reduce to minimum T-cuts for T = odd-degree vertices, and those are
-attained among the fundamental cuts of a Gomory-Hu tree.
+attained among the fundamental cuts of a Gomory-Hu tree (Padberg & Rao
+1982).  The tree is working state of min_odd_cut and edge_connectivity:
+each builds it only up to the bound its answer needs, and neither returns it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .errors import BadParam, CoherenceViolated, DisconnectedInput, TooLarge
+from .errors import CoherenceViolated, DisconnectedInput, TooLarge
 from .graphs import FlowNetwork, Graph, edge_boundary, is_connected
 
 
@@ -50,98 +51,19 @@ def certify(g: Graph, side: Iterable[int]) -> CutCertificate:
     return CutCertificate(s, edge_boundary(g, s))
 
 
-@dataclass(frozen=True)
-class GomoryHuTree:
-    """All-pairs min cuts of a connected graph, as a parent array.
-
-    parent[root] == -1; capacity[v] is the min cut value between v and
-    parent[v], and the fundamental partition under each tree edge is an
-    actual minimum cut between its endpoints.
-    """
-
-    parent: tuple[int, ...]
-    capacity: tuple[int, ...]
-
-    @property
-    def root(self) -> int:
-        return self.parent.index(-1)
-
-    def min_cut_value(self, s: int, t: int) -> int:
-        n = len(self.parent)
-        if not (0 <= s < n and 0 <= t < n) or s == t:
-            raise BadParam(f"need two distinct vertices in 0..{n - 1}, got {s} and {t}")
-        depth = self._depths()
-        best = None
-        a, b = s, t
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            best = self.capacity[a] if best is None else min(best, self.capacity[a])
-            a = self.parent[a]
-        return best
-
-    def _depths(self) -> list[int]:
-        n = len(self.parent)
-        depth = [-1] * n
-        depth[self.root] = 0
-        for v in range(n):
-            path = []
-            u = v
-            while depth[u] == -1:
-                path.append(u)
-                u = self.parent[u]
-            d = depth[u]
-            for u in reversed(path):
-                d += 1
-                depth[u] = d
-        return depth
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex children, each in increasing vertex order."""
-        out: list[list[int]] = [[] for _ in self.parent]
-        for u, p in enumerate(self.parent):
-            if p != -1:
-                out[p].append(u)
-        return tuple(tuple(c) for c in out)
-
-    def subtree(self, v: int) -> frozenset:
-        """Vertices on v's side of the tree edge (v, parent[v])."""
-        if not (0 <= v < len(self.parent)):
-            raise BadParam(f"vertex {v} out of range (n={len(self.parent)})")
-        out = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(self._children[u])
-        return frozenset(out)
-
-
-def gomory_hu_tree(g: Graph) -> GomoryHuTree:
-    """Gusfield's cut tree (unit edge capacities), rooted at vertex 0.
+def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
+    """Parent and capacity arrays of Gusfield's cut tree of a connected
+    graph, rooted at vertex 0, with every flow stopped at bound.
 
     Gusfield, "Very simple methods for all pairs network flow analysis",
-    SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction,
-    each on a fresh flow over g's own edges.
-    """
-    if g.n == 0:
-        raise BadParam("a Gomory-Hu tree needs a root vertex; the graph is empty")
-    if not is_connected(g):
-        raise DisconnectedInput("Gomory-Hu tree requires a connected graph")
-    parent, capacity = _gusfield(g)
-    return GomoryHuTree(tuple(parent), tuple(capacity))
-
-
-def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]:
-    """Parent and capacity arrays of Gusfield's tree of a connected graph.
-
-    With a bound, every flow stops once it reaches the bound (the k-partial
-    tree of Bhalgat, Hariharan, Kavitha & Panigrahi, STOC 2007).  A pair s, t
-    whose flow reaches it is separated by no cut below the bound, so s is in
-    effect contracted into t: it stays a leaf under t with capacity = bound,
-    without a source side or relabelling.  Tree edges below the bound are
-    exact; an edge at the bound means "at least the bound".
+    SIAM J. Comput. 1990: n-1 max flows on the graph itself, no contraction.
+    Stopping at the bound gives the k-partial tree of Bhalgat, Hariharan,
+    Kavitha & Panigrahi, STOC 2007.  A pair s, t whose flow reaches the
+    bound is separated by no cut below it, so s is in effect contracted into
+    t: it stays a leaf under t with capacity = bound, without a source side
+    or relabelling.  Tree edges below the bound are exact; an edge at the
+    bound means "at least the bound".  No cut reaches n, so with bound g.n
+    the tree is the full, exact one.
 
     Only a flow's value and, below the bound, its source side are read, and
     neither depends on the augmenting paths, so each flow is a pair flow
@@ -153,9 +75,8 @@ def _gusfield(g: Graph, bound: int | None = None) -> tuple[list[int], list[int]]
     for s in range(1, g.n):
         t = parent[s]
         net = FlowNetwork(g)
-        units = bound if bound is not None else g.degree(s)
-        value = net.pair_flow(s, t, units)
-        if bound is not None and value >= bound:
+        value = net.pair_flow(s, t, bound)
+        if value >= bound:
             capacity[s] = bound
             continue
         capacity[s] = value
@@ -214,11 +135,12 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     attained at a T-odd tree edge (Padberg & Rao 1982).
     """
     parent, capacity = _gusfield(g, bound)
-    # capped edges mean "at least bound": this tree never leaves the function
-    tree = GomoryHuTree(tuple(parent), tuple(capacity))
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v in range(1, g.n):
+        children[parent[v]].append(v)
     order = [0]
     for v in order:  # breadth-first: every parent precedes its children
-        order.extend(tree._children[v])
+        order.extend(children[v])
     odd = [g.degree(v) % 2 for v in range(g.n)]
     # leaves first, odd[v] becomes the number of odd-degree vertices under v
     for v in reversed(order[1:]):
@@ -227,8 +149,15 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     if not t_odd:
         return None
     size = min(capacity[v] for v in t_odd)
+
+    def subtree(v: int) -> tuple[int, ...]:
+        out = [v]
+        for u in out:
+            out.extend(children[u])
+        return tuple(sorted(out))
+
     # the root is vertex 0, so no subtree contains it
-    side = min(tuple(sorted(tree.subtree(v))) for v in t_odd if capacity[v] == size)
+    side = min(subtree(v) for v in t_odd if capacity[v] == size)
     return _checked_cut(g, side, size)
 
 
@@ -265,16 +194,6 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
     if best is None:
         raise CoherenceViolated("an odd-degree vertex exists, yet no bipartition is odd")
     return certify(g, best[1])
-
-
-def has_odd_cut_leq(g: Graph, k: int) -> CutCertificate | None:
-    """An odd cut of size at most k, or None."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    cert = min_odd_cut(g)
-    if cert is not None and cert.size <= k:
-        return cert
-    return None
 
 
 def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:

@@ -131,24 +131,6 @@ def _tree_path(parent: dict[int, tuple[int, int] | None], v: int) -> Trail:
     return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
-def compute_reach(
-    g: Graph, seg: SegmentedCircuit, excluded: int, x: Iterable[int]
-) -> tuple[frozenset, dict]:
-    """H-vertices admissibly reachable from x, each with one witness trail.
-
-    Search runs in G-E(H)-excluded; vertices of V(H) outside x absorb the
-    search, so witness paths have all inner vertices off H.
-    """
-    g.endpoints(excluded)  # raises BadEdgeId
-    x = set(x)
-    bad = sorted(v for v in x if not 0 <= v < g.n)
-    if bad:
-        raise BadParam(f"source vertex {bad[0]} out of range (n={g.n})")
-    parent = _admissible_search(g, seg, excluded, x)
-    reached = {v: _tree_path(parent, v) for v in parent if v in seg.h_vertices}
-    return frozenset(reached), reached
-
-
 def hopping_fixpoint(
     g: Graph, seg: SegmentedCircuit, excluded: int, a: int, b: int
 ) -> ReachState | CutCertificate:

@@ -55,16 +55,12 @@ def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCe
 def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
     """Minimum component count over all even supersets of s, by enumerating
     the cycle space (desk-scale guard)."""
-    from .oracle import _mask_to_edges, cycle_space_basis, even_set_masks
+    from .oracle import _edge_mask, _mask_to_edges, cycle_space_basis, even_set_masks
 
-    s_set = frozenset(s)
     basis = cycle_space_basis(g)
     if g.n > 20 or basis.dim > 24:
         raise TooLarge(f"guard: n={g.n}, cycle-space dim={basis.dim}")
-    s_mask = 0
-    for eid in s_set:
-        g.endpoints(eid)  # raises BadEdgeId
-        s_mask |= 1 << eid
+    s_mask = _edge_mask(g, s)
     best: int | None = None
     for f in even_set_masks(basis):
         if s_mask & ~f:

@@ -61,6 +61,15 @@ def _mask_to_edges(mask: int) -> frozenset:
     return frozenset(out)
 
 
+def _edge_mask(g: Graph, s: Iterable[int]) -> int:
+    """The edge ids of s as a bitmask; an id g lacks raises BadEdgeId."""
+    mask = 0
+    for eid in s:
+        g.endpoints(eid)  # raises BadEdgeId
+        mask |= 1 << eid
+    return mask
+
+
 def _is_connected_edge_set(g: Graph, edges: frozenset) -> bool:
     return len(connected_components(g, edges)) <= 1
 
@@ -68,15 +77,10 @@ def _is_connected_edge_set(g: Graph, edges: frozenset) -> bool:
 def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
     """Euler tour of the first connected even superset of s in Gray-code
     order, or None when no such edge set exists."""
-    s_set = frozenset(s)
     basis = cycle_space_basis(g)
     if basis.dim > _DIM_GUARD:
         raise TooLarge(f"cycle-space dimension {basis.dim} exceeds guard {_DIM_GUARD}")
-    s_mask = 0
-    for eid in s_set:
-        if not (0 <= eid < g.m):
-            raise ValueError(f"edge id {eid} out of range")
-        s_mask |= 1 << eid
+    s_mask = _edge_mask(g, s)
     for f in even_set_masks(basis):
         if s_mask & ~f:
             continue
@@ -97,21 +101,6 @@ def enumerate_connected_even_sets(g: Graph) -> list[int]:
             out.append(f)
     out.sort(key=lambda mask: -mask.bit_count())
     return out
-
-
-def feasible_subsets(g: Graph, max_size: int) -> frozenset:
-    """Every feasible prescribed set of size 1..max_size, as frozensets.
-
-    Batch counterpart of feasible_by_bruteforce: S is feasible iff it lies
-    inside some connected even edge set.
-    """
-    out: set[frozenset] = set()
-    for mask in enumerate_connected_even_sets(g):
-        edges = sorted(_mask_to_edges(mask))
-        for size in range(1, min(max_size, len(edges)) + 1):
-            for combo in combinations(edges, size):
-                out.add(frozenset(combo))
-    return frozenset(out)
 
 
 def check_parity_monotonicity(g: Graph, k: int) -> bool:

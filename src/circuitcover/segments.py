@@ -52,13 +52,6 @@ def _canonical_cut(h: Trail, s_set: frozenset) -> tuple[int, list[int]]:
     return cut, [(i - cut) % size for i in slots[idx:] + slots[:idx]]
 
 
-def canonical_rotation(h: Trail, s_prefix: Iterable[int]) -> Trail:
-    """Rotate so separators appear in circuit order with the smallest-id
-    separator first; the closing edge is then the last separator."""
-    cut, _ = _canonical_cut(h, frozenset(s_prefix))
-    return rotate_closed(h, cut)
-
-
 @dataclass(frozen=True)
 class SegmentedCircuit:
     """Canonically rotated circuit with its segments H_1..H_k.

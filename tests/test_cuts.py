@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitcover.cuts import (
+    _gusfield,
+    _odd_cut_below,
     brute_force_min_odd_cut,
     edge_connectivity,
-    gomory_hu_tree,
-    has_odd_cut_leq,
     min_odd_cut,
     odd_cut_within,
 )
@@ -218,40 +218,49 @@ class TestFlowNetwork:
         assert net.out == [-1] * 3  # nothing was sent
 
 
+def _subtree(parent, v):
+    """Vertices on v's side of the tree edge (v, parent[v])."""
+    out = [v]
+    for u in out:
+        out.extend(w for w, p in enumerate(parent) if p == u)
+    return frozenset(out)
+
+
+def _path_min(parent, capacity, s, t):
+    """The smallest capacity on the tree path between s and t."""
+
+    def ancestors(v):
+        out = [v]
+        while parent[out[-1]] != -1:
+            out.append(parent[out[-1]])
+        return out
+
+    a, b = ancestors(s), ancestors(t)
+    common = set(a) & set(b)
+    # each vertex below the meeting point stands for its edge to its parent
+    return min(capacity[v] for v in a + b if v not in common)
+
+
 class TestGomoryHu:
-    def test_empty_graph_rejected(self):
-        with pytest.raises(BadParam):
-            gomory_hu_tree(Graph(0, ()))
-
-    @pytest.mark.parametrize("s, t", [(0, 0), (5, 5), (0, 99), (99, 0), (-1, 3), (2, 8)])
-    def test_min_cut_value_rejects_equal_or_missing_vertices(self, s, t):
-        tree = gomory_hu_tree(ladder(4).graph)
-        with pytest.raises(BadParam):
-            tree.min_cut_value(s, t)
-
-    @pytest.mark.parametrize("v", [-1, 8, 99])
-    def test_subtree_rejects_a_missing_vertex(self, v):
-        tree = gomory_hu_tree(ladder(4).graph)
-        with pytest.raises(BadParam):
-            tree.subtree(v)
+    """The full, exact tree: no cut reaches n, so no flow stops at g.n."""
 
     @given(connected_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_tree_answers_all_pairs(self, g):
-        tree = gomory_hu_tree(g)
+        parent, capacity = _gusfield(g, g.n)
         for s in range(g.n):
             for t in range(s + 1, g.n):
-                assert tree.min_cut_value(s, t) == _flow_value(g, s, t)
+                assert _path_min(parent, capacity, s, t) == _flow_value(g, s, t)
 
     @given(connected_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_fundamental_partitions_are_min_cuts(self, g):
-        tree = gomory_hu_tree(g)
+        parent, capacity = _gusfield(g, g.n)
         for v in range(g.n):
-            if tree.parent[v] == -1:
+            if parent[v] == -1:
                 continue
-            side = tree.subtree(v)
-            assert len(edge_boundary(g, side)) == tree.capacity[v]
+            side = _subtree(parent, v)
+            assert len(edge_boundary(g, side)) == capacity[v]
 
 
 class TestGusfieldSelfCheck:
@@ -265,7 +274,7 @@ class TestGusfieldSelfCheck:
     def test_wrong_flow_value_is_caught(self, monkeypatch):
         self._one_unit_short(monkeypatch)
         g = ladder(4).graph
-        for tool in (gomory_hu_tree, min_odd_cut, edge_connectivity):
+        for tool in (lambda g: _gusfield(g, g.n), min_odd_cut, edge_connectivity):
             with pytest.raises(CoherenceViolated, match="not a maximum flow"):
                 tool(g)
 
@@ -354,13 +363,16 @@ class TestBruteForce:
 
 
 class TestHasOddCutLeq:
+    """Is there an odd cut of size at most k?  The bounded tree answers it:
+    _odd_cut_below(g, k + 1) is the minimum odd cut when it is at most k."""
+
     def test_ladder_thresholds(self):
         g = ladder(4).graph
-        assert has_odd_cut_leq(g, 3).size == 3
-        assert has_odd_cut_leq(g, 2) is None
+        assert _odd_cut_below(g, 4).size == 3
+        assert _odd_cut_below(g, 3) is None
 
     def test_even_graph_always_none(self):
-        assert has_odd_cut_leq(cycle_graph(6), 100) is None
+        assert _odd_cut_below(cycle_graph(6), 101) is None
 
 
 class TestOddCutWithin:
@@ -435,23 +447,23 @@ class TestAgainstNetworkx:
         nx = pytest.importorskip("networkx")
         nx_tree, nx_size = _nx_tree_and_min_odd_cut(nx, g)
         assert min_odd_cut(g).size == nx_size
-        tree = gomory_hu_tree(g)
+        parent, capacity = _gusfield(g, g.n)
         rng = random.Random(g.n)
         for _ in range(10):
             s, t = rng.sample(range(g.n), 2)
             path = nx.shortest_path(nx_tree, s, t)
             want = min(nx_tree[a][b]["weight"] for a, b in zip(path, path[1:]))
-            assert tree.min_cut_value(s, t) == want
+            assert _path_min(parent, capacity, s, t) == want
         assert edge_connectivity(g) == min(_flow_value(g, 0, v) for v in range(1, g.n))
 
 
 def _full_tree_min_odd_cut_size(g):
     """The parity scan over the full, exact Gomory-Hu tree."""
-    tree = gomory_hu_tree(g)
+    parent, capacity = _gusfield(g, g.n)
     return min(
-        tree.capacity[v]
+        capacity[v]
         for v in range(1, g.n)
-        if sum(g.degree(u) % 2 for u in tree.subtree(v)) % 2 == 1
+        if sum(g.degree(u) % 2 for u in _subtree(parent, v)) % 2 == 1
     )
 
 
@@ -528,12 +540,14 @@ class TestBelowSmallestOddDegree:
     def test_bounded_answers_match_the_full_tree(self, graphs):
         for g in graphs:
             full = _full_tree_min_odd_cut_size(g)
-            for k in range(_smallest_odd_degree(g) + 2):
-                cert = has_odd_cut_leq(g, k)
-                assert (cert is None) == (full > k)
+            assert min_odd_cut(g).size == full
+            # every bound, not only the d - 1 that min_odd_cut passes
+            for bound in range(_smallest_odd_degree(g) + 3):
+                cert = _odd_cut_below(g, bound)
+                assert (cert is None) == (full >= bound)
                 if cert is not None:
                     assert cert.size == full and cert.odd and cert.is_valid_for(g)
-            assert edge_connectivity(g) == min(gomory_hu_tree(g).capacity[1:])
+            assert edge_connectivity(g) == min(_gusfield(g, g.n)[1][1:])
 
 
 class TestPinnedCutAnswers:
@@ -566,9 +580,9 @@ class TestPinnedCutAnswers:
         below = 0
         for g in self._corpus():
             cert = min_odd_cut(g)
-            tree = gomory_hu_tree(g)
+            parent, capacity = _gusfield(g, g.n)
             cut = None if cert is None else (sorted(cert.side), sorted(cert.boundary), cert.size)
-            key = (cut, tree.parent, tree.capacity, edge_connectivity(g))
+            key = (cut, tuple(parent), tuple(capacity), edge_connectivity(g))
             digest.update(repr(key).encode())
             below += cert is not None and cert.size < _smallest_odd_degree(g)
         assert below >= 20, "the corpus must reach below the smallest odd degree"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitcover import finder, hopping
-from circuitcover.cuts import CutCertificate, min_odd_cut
+from circuitcover.cuts import CutCertificate, certify, min_odd_cut
 from circuitcover.errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from circuitcover.finder import (
     _trail_through_edge,
@@ -343,6 +343,25 @@ class TestDetachedCase:
         with pytest.raises(CoherenceViolated, match="must contract"):
             find_circuit(g, [0, 5])
 
+    @pytest.mark.parametrize("bad", ["other_boundary", "even"])
+    def test_a_certificate_that_does_not_lift_is_an_internal_fault(self, monkeypatch, bad):
+        # two triangles joined by the bridge 6: extending through edge 3
+        # contracts the far triangle to vertex g.n, and the cut bridge_case
+        # returns there must lift to an odd cut of g with the same boundary
+        g = two_cycles_bridge(3, 3).graph
+        real = finder.bridge_case
+
+        def fake(g_, seg, eid):
+            if g_.n != g.n + 1:
+                return real(g_, seg, eid)
+            if bad == "other_boundary":  # g.n lifts to {3, 4, 5}, boundary {6}
+                return CutCertificate(frozenset({g.n}), frozenset({0}))
+            return certify(g_, {1})  # the even cut {0, 1} round vertex 1
+
+        monkeypatch.setattr(finder, "bridge_case", fake)
+        with pytest.raises(CoherenceViolated, match="did not lift"):
+            find_circuit(g, {0, 3})
+
 
 class TestFindCircuit:
     def test_cycle_any_subset(self):
@@ -406,6 +425,15 @@ class TestFindCircuit:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedInput):
             find_circuit(g, {0})
+
+    @pytest.mark.parametrize("side", [{1}, {0, 1}], ids=["larger-than-S", "even"])
+    def test_a_certificate_beyond_the_bound_is_caught(self, monkeypatch, side):
+        # K4 with S = {0, 5}: the star of vertex 1 is an odd cut of size
+        # 3 = |S| + 1, and {0, 1} bounds the even cut of size 4
+        g = complete_graph(4)
+        monkeypatch.setattr(finder, "extend_circuit", lambda g_, h, placed, e: certify(g, side))
+        with pytest.raises(CoherenceViolated, match="odd cut of size <= |S|"):
+            find_circuit(g, {0, 5})
 
     def test_deterministic(self):
         g = complete_graph(5)

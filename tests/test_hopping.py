@@ -16,7 +16,6 @@ from circuitcover.graphs import Graph, Trail, verify_circuit
 from circuitcover.hopping import (
     bridge_case,
     check_coherent,
-    compute_reach,
     hopping_fixpoint,
     initial_coherent_trail,
     reroute_descent,
@@ -62,46 +61,50 @@ def repeat_fixture():
 
 
 class TestComputeReach:
+    """The first reach level of each side, read off the fixpoint's state."""
+
     def test_empty_source(self):
         g, seg = k4_fixture()
-        reached, witness = compute_reach(g, seg, 2, set())
-        assert reached == frozenset() and witness == {}
+        assert hopping._admissible_search(g, seg, 2, set()) == {}
 
     def test_k4_reach_of_far_endpoint(self):
         g, seg = k4_fixture()
-        reached, witness = compute_reach(g, seg, 2, {3})
-        assert reached == frozenset({1, 2})
-        assert witness[1].vertices == (3, 1)
-        assert witness[2].vertices == (3, 2)
+        state = hopping_fixpoint(g, seg, 2, 0, 3)
+        assert state.b_levels[1] == frozenset({1, 2})
+        assert state.witness("B", 1).vertices == (3, 1)
+        assert state.witness("B", 2).vertices == (3, 2)
 
     def test_k4_reach_of_near_endpoint_is_trivial(self):
         g, seg = k4_fixture()
-        reached, witness = compute_reach(g, seg, 2, {0})
-        assert reached == frozenset({0})
-        assert witness[0].vertices == (0,)
+        state = hopping_fixpoint(g, seg, 2, 0, 3)
+        assert state.a_levels[1] == frozenset({0})
+        assert state.witness("A", 0).vertices == (0,)
 
     def test_inner_vertices_stay_off_the_circuit(self):
+        # level 2 of A grows from the closure {1, 2} of A_1 and reaches 5
         g, h, seg, excluded = two_level_fixture()
-        reached, witness = compute_reach(g, seg, excluded, {1, 2})
-        assert 5 in reached
-        assert witness[5].vertices == (1, 10, 5)
-        for trail in witness.values():
-            for v in trail.vertices[1:-1]:
-                assert v not in seg.h_vertices
+        state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        assert 5 in state.a_levels[2]
+        assert state.witness("A", 5).vertices == (1, 10, 5)
+        for side, trees in (("A", state.a_trees), ("B", state.b_trees)):
+            for v in trees:
+                for u in state.witness(side, v).vertices[1:-1]:
+                    assert u not in seg.h_vertices
 
 
 class TestEntryValidation:
     @pytest.mark.parametrize("source", [-1, 4, 7])
     def test_reach_rejects_a_source_outside_the_graph(self, source):
+        # the reach grows from the ends of the excluded edge
         g, seg = k4_fixture()
         with pytest.raises(BadParam):
-            compute_reach(g, seg, 2, {source})
+            hopping_fixpoint(g, seg, 2, source, 3)
 
     @pytest.mark.parametrize("excluded", [-1, 6, 99])
     def test_reach_rejects_a_bad_excluded_edge(self, excluded):
         g, seg = k4_fixture()
         with pytest.raises(BadEdgeId):
-            compute_reach(g, seg, excluded, {3})
+            bridge_case(g, seg, excluded)
 
     @pytest.mark.parametrize(
         "excluded, a, b", [(99, 0, 3), (-1, 0, 3), (2, -1, 3), (2, 0, 1), (2, 0, 0)]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover.errors import TooLarge
+from circuitcover.errors import BadEdgeId, TooLarge
 from circuitcover.generators import double_clique, ladder, two_cycles_bridge
 from circuitcover.graphs import verify_circuit
 from circuitcover.oracle import (
@@ -10,7 +10,6 @@ from circuitcover.oracle import (
     cycle_space_basis,
     enumerate_connected_even_sets,
     feasible_by_bruteforce,
-    feasible_subsets,
 )
 
 from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
@@ -57,10 +56,17 @@ class TestFeasibility:
         with pytest.raises(TooLarge):
             feasible_by_bruteforce(g, {0})
 
+    @pytest.mark.parametrize("eid", [-1, 10])
+    def test_rejects_an_edge_id_out_of_range(self, eid):
+        g = complete_graph(5)  # m = 10
+        with pytest.raises(BadEdgeId):
+            feasible_by_bruteforce(g, {0, eid})
+
     @given(connected_graphs(max_n=7, max_extra=5), st.data())
     @settings(max_examples=60)
     def test_batch_table_matches_single_queries(self, g, data):
-        table = feasible_subsets(g, 3)
+        # S is feasible iff it lies inside some connected even edge set
+        table = enumerate_connected_even_sets(g)
         for _ in range(5):
             size = data.draw(st.integers(1, min(3, g.m)))
             s = frozenset(
@@ -70,7 +76,8 @@ class TestFeasibility:
             )
             if not s:
                 continue
-            assert (feasible_by_bruteforce(g, s) is not None) == (s in table)
+            inside = any(sum(1 << e for e in s) & ~f == 0 for f in table)
+            assert (feasible_by_bruteforce(g, s) is not None) == inside
 
 
 class TestConnectedEvenSets:

@@ -5,7 +5,7 @@ from circuitcover import finder
 from circuitcover.cuts import CutCertificate
 from circuitcover.finder import extend_circuit, find_circuit
 from circuitcover.graphs import Graph, Trail, validate_trail
-from circuitcover.segments import canonical_rotation, rotate_closed, segment
+from circuitcover.segments import rotate_closed, segment
 
 from conftest import bowtie, cycle_graph, sparse_random_graphs
 
@@ -89,9 +89,9 @@ class TestSegment:
                 assert result == find_circuit(g, s)
         assert rotated and detoured, (rotated, detoured)
 
-    def test_canonical_rotation_puts_smallest_separator_first(self):
+    def test_canonical_form_puts_smallest_separator_first(self):
         g, h, s = three_segment_hub()
-        rot = canonical_rotation(h, s)
+        rot = segment(g, h, s).trail
         slots = [i for i, e in enumerate(rot.edges) if e in s]
         assert rot.edges[slots[0]] == min(s)
         assert slots[-1] == len(rot.edges) - 1

@@ -59,3 +59,30 @@ def test_public_names_are_the_imported_names():
     assert len(set(public)) == len(public)
     assert set(public) == imported
     assert [name for name in public if not hasattr(circuitcover, name)] == []
+
+
+def test_public_surface_is_pinned():
+    # the finder's own steps (segmenting, the reach, the descent, the
+    # contraction) stay in their submodules, out of the package's surface
+    assert circuitcover.__all__ == [
+        "Graph",
+        "Trail",
+        "CutCertificate",
+        "EvenExtension",
+        "NamedInstance",
+        "find_circuit",
+        "verify_circuit",
+        "min_odd_cut",
+        "brute_force_min_odd_cut",
+        "edge_connectivity",
+        "odd_cut_within",
+        "extend_to_even_subgraph",
+        "min_components_even_extension",
+        "feasible_by_bruteforce",
+        "check_parity_monotonicity",
+        "ladder",
+        "double_clique",
+        "two_cycles_bridge",
+        "gk_lower_witness",
+        "random_connected",
+    ]
