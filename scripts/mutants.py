@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Apply one-line mutations to a copy of the program and report which ones
+the tests catch.
+
+    python3 scripts/mutants.py
+
+Each row of MUTANTS names a file of the checkout, a text that must occur in
+it exactly once, the text that replaces it, and the tests expected to kill
+the mutant.  The script copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory and first runs the named tests there unmutated: a
+mutant counts as killed only by tests that pass on the program as it is.
+Then, for each row, it applies the mutation, runs `python -m pytest -x` on
+the row's tests with the copy's `src/` on PYTHONPATH, prints `killed` when
+a test fails and `survived` when they all pass, and restores the file.  It
+exits 1 when a mutant survives or a run errs, 2 when the unmutated tests
+fail.  It needs only the standard library and pytest, and is not part of
+the test suite.  Later changes add their mutations as rows of the table.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    what: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_oracle_equivalence"
+DETACHED = "tests/test_finder.py::TestDetachedCase"
+
+MUTANTS = [
+    Mutant(
+        "odd-cut scan takes a cut at the bound",
+        "src/circuitcover/cuts.py",
+        "capacity[v] < bound]",
+        "capacity[v] <= bound]",
+        (CRITERION_1,),
+    ),
+    Mutant(
+        "lowlink DFS ignores back edges to the root",
+        "src/circuitcover/graphs.py",
+        "if d < low[v]:",
+        "if 0 < d < low[v]:",
+        (CRITERION_1,),
+    ),
+    Mutant(
+        "find_circuit lets a cut of size |S| + 1 through",
+        "src/circuitcover/finder.py",
+        "result.size > len(s_list):",
+        "result.size > len(s_list) + 1:",
+        ("tests/test_finder.py::TestFindCircuit::test_a_certificate_beyond_the_bound_is_caught",),
+    ),
+    Mutant(
+        "the detached case lifts a cut unchecked",
+        "src/circuitcover/finder.py",
+        "if cert.boundary != outcome.boundary or not cert.odd:",
+        "if False:",
+        (f"{DETACHED}::test_a_certificate_that_does_not_lift_is_an_internal_fault",),
+    ),
+    Mutant(
+        "the DFS hands out every bridge as comp's boundary",
+        "src/circuitcover/graphs.py",
+        "tuple(sorted(e for e, p in parent_end.items() if p in comp))",
+        "tuple(sorted(parent_end))",
+        ("tests/test_graphs.py::TestBridges::test_components_partition_the_non_bridges",),
+    ),
+    Mutant(
+        "the contraction takes an edge without exactly one end in w",
+        "src/circuitcover/graphs.py",
+        "if (a in wset) == (b in wset):",
+        "if False:",
+        (
+            "tests/test_graphs.py::TestContraction::test_an_edge_without_one_end_in_w_is_rejected",
+            f"{DETACHED}::test_a_bad_component_is_an_internal_fault",
+        ),
+    ),
+    Mutant(
+        "the contraction makes parallel edges at a shared outside end",
+        "src/circuitcover/graphs.py",
+        "if x in ends:",
+        "if False:",
+        (
+            "tests/test_graphs.py::TestContraction::test_matches_the_checked_build",
+            f"{DETACHED}::test_a_bad_component_is_an_internal_fault",
+        ),
+    ),
+]
+
+
+def _pytest(copy: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    for i, m in enumerate(MUTANTS, 1):
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"{i}. {m.what}: the old text occurs {count} times in {m.file}")
+            return 1
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        if _pytest(copy, named) != 0:
+            print("the named tests fail on the unmutated program:", *named, sep="\n  ")
+            return 2
+        status = 0
+        for i, m in enumerate(MUTANTS, 1):
+            path = copy / m.file
+            text = path.read_text()
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                code = _pytest(copy, m.tests)
+            finally:
+                path.write_text(text)
+            # pytest exits 1 when a test failed; any other failure is no kill
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            status = max(status, int(code != 1))
+            print(f"{i}. {verdict}: {m.what}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

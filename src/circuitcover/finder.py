@@ -16,7 +16,9 @@ one up costs the circuit's length, not G's size.  A bridge goes through the
 rerouting machinery, which either succeeds or emits an odd cut of size at
 most the number of edges placed so far, and so at most |S|.  A component
 that misses the circuit is contracted to one vertex in G's own edge ids,
-and the bridge case runs there on the same segmented circuit.
+and the bridge case runs there on the same segmented circuit.  The DFS
+names the component's boundary as well, and the contraction trusts it
+after O(|boundary|) checks, so the component is searched once.
 """
 from __future__ import annotations
 
@@ -161,9 +163,12 @@ def extend_circuit(
     flows and the DFS bar H's edges instead of listing the leftover.  When
     e_next lies in a 2-edge-connected component of G - E(H) that shares no
     vertex with H, the component is contracted to the new vertex g.n
-    (`contract_subgraph`) in g's own edge ids.  H and its canonical form are
-    the same there, so bridge_case extends seg itself through the smallest
-    boundary bridge, and its circuit or cut lifts back with no edge mapping.
+    (`contract_subgraph`) in g's own edge ids.  The DFS names the
+    component's boundary, and the contraction trusts it after O(|boundary|)
+    checks instead of searching the component again.  H and its canonical
+    form are the same there, so bridge_case extends seg itself through the
+    smallest boundary bridge, and its circuit or cut lifts back with no edge
+    mapping.
     """
     seg = segment(g, h, s_prefix)
     h = seg.trail
@@ -185,7 +190,7 @@ def extend_circuit(
         star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is not None:
             return _splice(g, seg, e_next, star)
-    bridges, comp = bridges_and_2ec_components(g, seg.h_edges, e_next)
+    bridges, comp, boundary = bridges_and_2ec_components(g, seg.h_edges, e_next)
     if comp is None:
         return bridge_case(g, seg, e_next)
     shared = comp & seg.h_vertices
@@ -198,14 +203,15 @@ def extend_circuit(
     # detached component: contract it, extend through its smallest boundary
     # bridge, then open the contracted vertex into a trail through e_next.
     # H shares no vertex with comp, so seg is H's canonical form in the
-    # contraction too, whose searches never reach comp's inner edges.
-    try:
-        contracted = contract_subgraph(g, comp)
-    except ValueError as exc:  # comp is the DFS's: a refusal is a finder fault
-        raise CoherenceViolated(f"a detached component must contract: {exc}") from exc
-    boundary = [e for _, e in contracted.adjacency[g.n]]  # in edge-id order
+    # contraction too, whose searches never reach comp's inner edges.  comp
+    # and its boundary are the DFS's, checked only in O(|boundary|); the
+    # lift check below and find_circuit's last check still guard the answer.
     if not boundary or not bridges.issuperset(boundary):
         raise CoherenceViolated("a detached component must hang on bridges")
+    try:
+        contracted = contract_subgraph(g, comp, boundary)
+    except ValueError as exc:  # a refusal of the DFS's answer is a finder fault
+        raise CoherenceViolated(f"a detached component must contract: {exc}") from exc
     outcome = bridge_case(contracted, seg, boundary[0])
     if isinstance(outcome, CutCertificate):
         side = outcome.side

@@ -297,16 +297,24 @@ def is_connected(g: Graph) -> bool:
 
 def bridges_and_2ec_components(
     g: Graph, barred: Iterable[int], eid: int
-) -> tuple[EdgeIds, frozenset | None]:
-    """Bridges of eid's connected component of g - barred, and the vertex
-    set of the maximal 2-edge-connected subgraph of g - barred that holds
-    eid, or None when eid is a bridge.  A barred eid raises BadParam.
+) -> tuple[EdgeIds, frozenset | None, tuple[int, ...]]:
+    """(bridges, comp, boundary) for the edge eid of g - barred.
+
+    bridges are the bridges of eid's connected component of g - barred;
+    comp is the vertex set of the maximal 2-edge-connected subgraph of
+    g - barred that holds eid, or None when eid is a bridge; boundary is
+    comp's boundary in g - barred, in edge-id order, () when eid is a
+    bridge.  A barred eid raises BadParam.
 
     One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid that
     skips the barred edges.  Each vertex goes onto a stack when it is
     discovered; a non-root vertex that finishes with lowlink equal to its
     discovery time was entered by a bridge, and pops its component off the
-    stack.  What is left on the stack when the root finishes is the root's.
+    stack.  What is left on the stack when the root finishes is the root's
+    component comp.  Every edge that leaves comp is a bridge, hence a tree
+    edge, and the root lies in comp, so its parent end is in comp and its
+    child's side was popped.  The boundary is thus the bridges whose parent
+    end is still on the stack, found without a second search over comp.
     """
     barred = frozenset(barred)
     if barred and (min(barred) < 0 or max(barred) >= g.m):
@@ -321,31 +329,38 @@ def bridges_and_2ec_components(
     disc[root] = 0
     timer = 1
     stack = [root]  # discovered vertices whose component is still open
-    bridges = set()
+    parent_end = {}  # bridge -> its end nearer the root
     frames = [(root, -1, iter(adjacency[root]))]  # (vertex, entering edge, scan)
     while frames:
         v, in_eid, scan = frames[-1]
         for w, e in scan:
             if e == in_eid or e in barred:
                 continue
-            if disc[w] == -1:
+            d = disc[w]
+            if d == -1:
                 disc[w] = low[w] = timer
                 timer += 1
                 stack.append(w)
                 frames.append((w, e, iter(adjacency[w])))
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
+            if d < low[v]:
+                low[v] = d
         else:
             frames.pop()
             if frames:  # v is not the root
                 p = frames[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] == disc[v]:  # nothing below v reaches above it
-                    bridges.add(in_eid)
+                lv = low[v]
+                if lv == disc[v]:  # nothing below v reaches above it
+                    parent_end[in_eid] = p
                     while stack.pop() != v:
                         pass
-    return frozenset(bridges), None if eid in bridges else frozenset(stack)
+                elif lv < low[p]:  # a bridge's lv exceeds disc[p] >= low[p]
+                    low[p] = lv
+    bridges = frozenset(parent_end)
+    if eid in bridges:
+        return bridges, None, ()
+    comp = frozenset(stack)
+    return bridges, comp, tuple(sorted(e for e, p in parent_end.items() if p in comp))
 
 
 # ---------------------------------------------------------------------------
@@ -587,60 +602,47 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
 # contraction
 
 
-def contract_subgraph(g: Graph, w: Iterable[int]) -> Graph:
+def contract_subgraph(g: Graph, w: Iterable[int], boundary: Iterable[int]) -> Graph:
     """g with the connected vertex set w contracted to the new vertex g.n.
 
-    Every edge keeps its id; each boundary edge of w has its end in w moved
-    to g.n.  w's vertices keep only their inner edges, an island that no
-    search from outside w reaches.  Every other row of the adjacency is
-    g's own, except at the boundary's outside ends, whose entry is moved to
-    g.n in place; g.n's row is in edge-id order.  Two edges from w to one
-    outside vertex would be parallel, which raises ValueError; otherwise the
-    result is simple because g is, so Graph's O(m) checks are not run again.
+    boundary must be w's boundary, the edges with exactly one end in w.  The
+    finder takes w and its boundary from the lowlink DFS that found w, so
+    the contraction trusts both and runs no search over w.  It keeps two
+    O(|boundary|) checks: an edge without exactly one end in w, or two edges
+    to one outside vertex (they would be parallel), raise ValueError.
+
+    Every edge keeps its id; each boundary edge has its end in w moved to
+    g.n.  w's vertices keep only their inner edges, an island that no search
+    from outside w reaches.  Every other row of the adjacency is g's own,
+    except at the boundary's outside ends, whose entry is moved to g.n in
+    place; g.n's row is in edge-id order.  The result is simple because g
+    is, so Graph's O(m) checks are not run again.
     """
     wset = frozenset(w)
     if not wset:
         raise BadParam("cannot contract an empty vertex set")
-    n = g.n
-    first, last = min(wset), max(wset)
-    if first < 0 or last >= n:
-        raise ValueError(f"vertex {first if first < 0 else last} out of range")
-    adjacency = g.adjacency
-    # w is connected iff a search over its inner edges reaches all of it;
-    # it collects the boundary as (end in w, outside end, id) on the way.
-    mark = [0] * n  # 0 outside w, 1 in w and unseen, 2 seen
-    for v in wset:
-        mark[v] = 1
-    mark[first] = 2
-    unseen = len(wset) - 1
-    stack = [first]
-    crossing = []
-    while stack:
-        v = stack.pop()
-        for x, e in adjacency[v]:
-            k = mark[x]
-            if k == 1:
-                mark[x] = 2
-                unseen -= 1
-                stack.append(x)
-            elif not k:
-                crossing.append((v, x, e))
-    if unseen:
-        raise NotConnected("vertex set to contract is not connected")
+    n, m = g.n, g.m
     edges = list(g.edges)
-    rows = list(adjacency)
-    ends = {}
-    for v, x, e in crossing:
+    rows = list(g.adjacency)
+    ends = {}  # outside end -> boundary edge, in edge-id order
+    for e in sorted(boundary):
+        if not 0 <= e < m:
+            raise BadEdgeId(f"edge id {e} out of range (m={m})")
+        a, b = edges[e]
+        if (a in wset) == (b in wset):
+            raise ValueError(f"edge {e} does not have exactly one end in the set")
+        v, x = (a, b) if a in wset else (b, a)
         if x in ends:
             raise ValueError(f"edges {ends[x]} and {e} to {x}: the contraction duplicates an edge")
         ends[x] = e
-        a, b = edges[e]
         edges[e] = (n, b) if a == v else (a, n)
         row = list(rows[x])
         row[row.index((v, e))] = (n, e)
         rows[x] = tuple(row)
-        rows[v] = tuple(xe for xe in rows[v] if xe[1] != e)
-    rows.append(tuple(sorted(ends.items(), key=lambda xe: xe[1])))
+        row = list(rows[v])
+        row.remove((x, e))
+        rows[v] = tuple(row)
+    rows.append(tuple(ends.items()))
     # a Graph built without __post_init__, its adjacency filled in
     c = object.__new__(Graph)
     c.__dict__.update(n=n + 1, edges=tuple(edges), adjacency=tuple(rows))

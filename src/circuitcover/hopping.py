@@ -107,14 +107,14 @@ def _admissible_search(
     vertex, edge id) on the search tree, in the order reached.
     """
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sorted(set(x)))
-    banned = seg.h_edges | {excluded}
+    adjacency, h_edges, h_vertices = g.adjacency, seg.h_edges, seg.h_vertices
     queue = deque(parent)
     while queue:
         v = queue.popleft()
-        if v in seg.h_vertices and parent[v] is not None:
+        if v in h_vertices and parent[v] is not None:
             continue  # absorbing: admissible trails end at H-vertices
-        for w, eid in g.adjacency[v]:
-            if eid not in banned and w not in parent:
+        for w, eid in adjacency[v]:
+            if w not in parent and eid != excluded and eid not in h_edges:
                 parent[w] = (v, eid)
                 queue.append(w)
     return parent

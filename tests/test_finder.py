@@ -42,7 +42,7 @@ class TestBaseCircuit:
     def test_unit_cut_exactly_on_bridges(self):
         for g in sparse_random_graphs():
             for eid in range(g.m):
-                bridges, comp = bridges_and_2ec_components(g, (), eid)
+                bridges, comp, _ = bridges_and_2ec_components(g, (), eid)
                 assert (comp is None) == (eid in bridges)
                 out = find_circuit(g, [eid])
                 if comp is None:
@@ -58,7 +58,7 @@ class TestTrailThroughEdge:
         rng = random.Random(7)
         for g in sparse_random_graphs():
             for eid in range(g.m):
-                _, comp = bridges_and_2ec_components(g, (), eid)
+                _, comp, _ = bridges_and_2ec_components(g, (), eid)
                 if comp is None:
                     continue
                 verts = sorted(comp)
@@ -128,7 +128,7 @@ def _splice_by_dfs(g, h, e_next):
     """The splice as the finder made it when it classified e_next first:
     the 2EC query, v = min(comp & V(h)), the flow to v and an Euler tour.
     Returns (v, circuit), or None when e_next is no splice."""
-    _, comp = bridges_and_2ec_components(g, h.edge_set(), e_next)
+    _, comp, _ = bridges_and_2ec_components(g, h.edge_set(), e_next)
     shared = comp and comp & frozenset(h.vertices)
     if not shared:
         return None
@@ -321,26 +321,43 @@ class TestDetachedCase:
                 find_circuit(g, rng.sample(range(g.m), k))
         assert len(compared) >= 20, len(compared)
 
-    @pytest.mark.parametrize("bad", ["disconnected", "shared_outside_end"])
-    def test_a_bad_component_is_an_internal_fault(self, monkeypatch, bad):
-        # the DFS's component is the finder's own, so a component that
-        # contract_subgraph refuses must surface as CoherenceViolated, not as
-        # the ValueError that reports bad input
-        # 0-1-2-0 hangs on the bridge 2-3; 3 carries the 2-edge-connected
-        # square 3-4-5-6-3 that the extension through (4, 5) must reach
+    # 0-1-2-0 hangs on the bridge 2-3 (edge 3); 3 carries the 2-edge-connected
+    # square 3-4-5-6-3 (edges 4 to 7) that the extension through edge 5 must
+    # reach.  The DFS's answer for it is comp {3, 4, 5, 6} with boundary (3,).
+    # Each case swaps in a bad (comp, boundary), and adds the boundary to
+    # the bridges where the case is meant for the contraction's own checks.
+    @pytest.mark.parametrize(
+        "comp, boundary, as_bridges, fault",
+        [
+            # {4, 6} is not connected; its boundary edges are no bridges
+            ({4, 6}, (4, 5, 6, 7), False, "must hang on bridges"),
+            # {4, 5, 6}'s boundary edges (3, 4) and (3, 6) share the end 3
+            ({4, 5, 6}, (4, 7), True, "must contract.*duplicates"),
+            # the boundary misses comp's one crossing edge, the bridge 3
+            ({3, 4, 5, 6}, (), False, "must hang on bridges"),
+            # edge 4 = (3, 4) has both ends in comp
+            ({3, 4, 5, 6}, (3, 4), True, "must contract.*exactly one end"),
+        ],
+        ids=["disconnected", "shared_outside_end", "missed_crossing_edge", "both_ends_inside"],
+    )
+    def test_a_bad_component_is_an_internal_fault(
+        self, monkeypatch, comp, boundary, as_bridges, fault
+    ):
+        # the DFS's component and boundary are the finder's own, so one that
+        # the finder's checks or contract_subgraph refuse must surface as
+        # CoherenceViolated, not as the ValueError that reports bad input
         g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])
         real = finder.bridges_and_2ec_components
 
         def dfs(g_, barred, eid):
-            bridges, comp = real(g_, barred, eid)
-            if comp == {3, 4, 5, 6}:
-                # {4, 6} is not connected; {4, 5, 6}'s boundary edges (3, 4)
-                # and (3, 6) share the outside end 3
-                comp = {4, 6} if bad == "disconnected" else {4, 5, 6}
-            return bridges, comp
+            answer = real(g_, barred, eid)
+            if answer[1:] != (frozenset({3, 4, 5, 6}), (3,)):
+                return answer
+            bridges = answer[0] | set(boundary) if as_bridges else answer[0]
+            return bridges, frozenset(comp), boundary
 
         monkeypatch.setattr(finder, "bridges_and_2ec_components", dfs)
-        with pytest.raises(CoherenceViolated, match="must contract"):
+        with pytest.raises(CoherenceViolated, match=fault):
             find_circuit(g, [0, 5])
 
     @pytest.mark.parametrize("bad", ["other_boundary", "even"])

@@ -116,8 +116,8 @@ class TestRandomConnected:
         for seed in range(5):
             g = random_connected(9, 14, 2, seed=seed).graph
             # g is connected, so any edge sees the bridges of all of g
-            bridges, comp = bridges_and_2ec_components(g, (), 0)
-            assert not bridges and comp == frozenset(range(g.n))
+            bridges, comp, boundary = bridges_and_2ec_components(g, (), 0)
+            assert not bridges and comp == frozenset(range(g.n)) and boundary == ()
             assert all(u in comp and v in comp for u, v in g.edges)
 
     def test_deterministic_per_seed(self):

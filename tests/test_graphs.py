@@ -203,8 +203,8 @@ def _chained_graphs(draw):
 
 
 def _classify_each(g, f):
-    """eid -> (bridges, component's vertex set) in (V, f) for every edge eid
-    of f, which bars the other edges."""
+    """eid -> (bridges, component's vertex set, its boundary) in (V, f) for
+    every edge eid of f, which bars the other edges."""
     barred = g.all_edges() - frozenset(f)
     return {eid: bridges_and_2ec_components(g, barred, eid) for eid in f}
 
@@ -217,15 +217,15 @@ def _inner_edges(g, f, verts):
 class TestBridges:
     def test_tree_is_all_bridges(self):
         g = path_graph(5)
-        for bridges, comp in _classify_each(g, g.all_edges()).values():
+        for bridges, comp, boundary in _classify_each(g, g.all_edges()).values():
             assert bridges == g.all_edges()
-            assert comp is None
+            assert comp is None and boundary == ()
 
     def test_cycle_has_none(self):
         g = cycle_graph(5)
-        for bridges, comp in _classify_each(g, g.all_edges()).values():
+        for bridges, comp, boundary in _classify_each(g, g.all_edges()).values():
             assert bridges == frozenset()
-            assert comp == frozenset(range(5))
+            assert comp == frozenset(range(5)) and boundary == ()
             assert _inner_edges(g, g.all_edges(), comp) == g.all_edges()
 
     def test_star_left_by_removing_triangle_from_k4(self):
@@ -234,17 +234,17 @@ class TestBridges:
         star = g.all_edges() - frozenset(
             eid for eid, (u, v) in enumerate(g.edges) if u != 0 and v != 0
         )
-        for bridges, comp in _classify_each(g, star).values():
+        for bridges, comp, boundary in _classify_each(g, star).values():
             assert bridges == star and len(bridges) == 3
-            assert comp is None
+            assert comp is None and boundary == ()
 
     @given(connected_graphs())
     @settings(max_examples=60)
     def test_bridge_removal_disconnects(self, g):
         answers = _classify_each(g, g.all_edges())
         # g is connected, so every edge sees the bridges of all of g
-        (bridges,) = {b for b, _ in answers.values()}
-        for eid, (_, comp) in answers.items():
+        (bridges,) = {b for b, _, _ in answers.values()}
+        for eid, (_, comp, _) in answers.items():
             assert (comp is None) == (eid in bridges)
             rest = g.all_edges() - {eid}
             u, v = g.endpoints(eid)
@@ -258,22 +258,29 @@ class TestBridges:
     def test_components_partition_the_non_bridges(self, g, data):
         f = g.all_edges() - data.draw(st.sets(st.integers(0, g.m - 1)))
         answers = _classify_each(g, f)
-        bridges = frozenset().union(*(b for b, _ in answers.values()))
-        comps = {c for _, c in answers.values() if c is not None}
+        bridges = frozenset().union(*(b for b, _, _ in answers.values()))
+        comps = {c for _, c, _ in answers.values() if c is not None}
         # a component's edges: the non-bridge edges of f with both ends in it
         comp_edges = {c: _inner_edges(g, f, c) for c in comps}
         assert not any(edges & bridges for edges in comp_edges.values())
         parts = [bridges] + list(comp_edges.values())
         assert sum(len(p) for p in parts) == len(f)
         assert frozenset().union(*parts) == f
-        for eid, (own_bridges, comp) in answers.items():
+        for eid, (own_bridges, comp, boundary) in answers.items():
             assert (comp is None) == (eid in bridges)
             # the bridges returned are those of eid's connected component
             reach = next(c for c in connected_components(g, f) if g.edges[eid][0] in c)
             assert own_bridges == frozenset(b for b in bridges if g.edges[b][0] in reach)
             if comp is None:
+                assert boundary == ()
                 continue
             assert eid in comp_edges[comp]
+            # comp is connected in (V, f), and the boundary is its boundary
+            # there, in edge-id order
+            assert connected_components(g, comp_edges[comp]) == [comp]
+            assert boundary == tuple(
+                sorted(e for e in f if (g.edges[e][0] in comp) != (g.edges[e][1] in comp))
+            )
         for a, b in combinations(comps, 2):
             assert not a & b
 
@@ -298,9 +305,9 @@ class TestBridges:
         # barring the edge 5-0 leaves the 4-cycle 0-1-2-3 with the path
         # 3-4-5 of two bridges hanging off it
         g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
-        assert bridges_and_2ec_components(g, [6], 0) == (frozenset(), frozenset(range(6)))
+        assert bridges_and_2ec_components(g, [6], 0) == (frozenset(), frozenset(range(6)), ())
         assert bridges_and_2ec_components(g, [5], 6) == (
-            frozenset({3, 4}), frozenset({0, 1, 2, 3})
+            frozenset({3, 4}), frozenset({0, 1, 2, 3}), (3,)
         )
 
     @staticmethod
@@ -312,15 +319,22 @@ class TestBridges:
         two_ec = list(nx.k_edge_components(h, k=2))
         barred = g.all_edges() - frozenset(f)
         for eid in f:
-            bridges, comp = bridges_and_2ec_components(g, barred, eid)
+            bridges, comp, boundary = bridges_and_2ec_components(g, barred, eid)
             u, v = g.edges[eid]
             reach = nx.node_connected_component(h, u)
             assert {frozenset(g.edges[b]) for b in bridges} == {
                 b for b in nx_bridges if b <= reach
             }
             assert (comp is None) == (frozenset((u, v)) in nx_bridges)
-            if comp is not None:
-                assert comp == next(c for c in two_ec if u in c and v in c)
+            if comp is None:
+                assert boundary == ()
+                continue
+            assert comp == next(c for c in two_ec if u in c and v in c)
+            assert nx.is_connected(h.subgraph(comp))
+            assert list(boundary) == sorted(set(boundary))
+            assert {frozenset(g.edges[e]) for e in boundary} == {
+                frozenset(b) for b in nx.edge_boundary(h, comp)
+            }
 
     @given(_chained_graphs(), st.data())
     @settings(max_examples=60)
@@ -544,7 +558,7 @@ def _has_parallel_boundary(g, w):
 class TestContraction:
     def test_singleton_moves_to_the_new_vertex(self):
         g = complete_graph(4)
-        c = contract_subgraph(g, {2})
+        c = contract_subgraph(g, {2}, edge_boundary(g, {2}))
         assert c.n == 5 and c.m == g.m and c.degree(2) == 0
         moved = tuple(tuple(4 if x == 2 else x for x in e) for e in g.edges)
         assert c.edges == moved
@@ -556,7 +570,7 @@ class TestContraction:
         from circuitcover.generators import double_clique
 
         g = double_clique(3).graph
-        c = contract_subgraph(g, {3, 4, 5})
+        c = contract_subgraph(g, {3, 4, 5}, edge_boundary(g, {3, 4, 5}))
         assert c.n == 7 and c.m == g.m == 9
         # the triangle stays behind as an island, cut off from the rest
         assert [c.degree(v) for v in (3, 4, 5)] == [2, 2, 2]
@@ -572,17 +586,25 @@ class TestContraction:
 
     def test_contract_everything(self):
         g = cycle_graph(5)
-        c = contract_subgraph(g, range(5))
+        c = contract_subgraph(g, range(5), edge_boundary(g, range(5)))
         assert c.n == 6 and c.edges == g.edges
         assert c.adjacency[:5] == g.adjacency and c.adjacency[5] == ()
 
-    def test_disconnected_set_rejected(self):
-        with pytest.raises(NotConnected):
-            contract_subgraph(path_graph(3), {0, 2})
-
     def test_empty_set_rejected(self):
         with pytest.raises(BadParam):
-            contract_subgraph(cycle_graph(4), [])
+            contract_subgraph(cycle_graph(4), [], [])
+
+    # path 0-1-2-3 with edges 0, 1, 2: edge 0 lies inside {0, 1}, edge 2 has
+    # no end in it, and the boundary is edge 1 alone
+    @pytest.mark.parametrize("boundary", [[1, 0], [1, 2]], ids=["inner", "outside"])
+    def test_an_edge_without_one_end_in_w_is_rejected(self, boundary):
+        with pytest.raises(ValueError, match="exactly one end"):
+            contract_subgraph(path_graph(4), {0, 1}, boundary)
+
+    def test_an_edge_id_out_of_range_is_rejected(self):
+        for e in (-1, 3):
+            with pytest.raises(BadEdgeId):
+                contract_subgraph(path_graph(4), {0, 1}, [1, e])
 
     @given(connected_graphs(min_n=3), st.data())
     @settings(max_examples=100)
@@ -592,9 +614,9 @@ class TestContraction:
         w = _ball(g, data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, 2)))
         if _has_parallel_boundary(g, w):
             with pytest.raises(ValueError, match="duplicates"):
-                contract_subgraph(g, w)
+                contract_subgraph(g, w, edge_boundary(g, w))
             return
-        c = contract_subgraph(g, w)
+        c = contract_subgraph(g, w, edge_boundary(g, w))
         checked = Graph(g.n + 1, c.edges)
         assert c.edges == checked.edges and c.adjacency == checked.adjacency
         moved = {x for e in edge_boundary(g, w) for x in g.edges[e]}
@@ -609,9 +631,9 @@ class TestContraction:
         if _has_parallel_boundary(g, w):
             # two edges from w to one outside vertex would become parallel
             with pytest.raises(ValueError, match="duplicates"):
-                contract_subgraph(g, w)
+                contract_subgraph(g, w, edge_boundary(g, w))
             return
-        c = contract_subgraph(g, w)
+        c = contract_subgraph(g, w, edge_boundary(g, w))
         # a side of the contraction off w's island lifts with no id mapping
         side = data.draw(st.sets(st.sampled_from(sorted(set(range(c.n)) - w))))
         lifted = (side - {g.n}) | (w if g.n in side else set())
