@@ -94,6 +94,20 @@ MUTANTS = [
             f"{DETACHED}::test_a_bad_component_is_an_internal_fault",
         ),
     ),
+    Mutant(
+        "the segment walk skips the detour cut",
+        "src/circuitcover/segments.py",
+        "if len(set(run)) == len(run):",
+        "if True:",
+        ("tests/test_segments.py::TestOneWalk",),
+    ),
+    Mutant(
+        "reroute_descent skips its entry check",
+        "src/circuitcover/hopping.py",
+        "    check_coherent(q, state, seg)\n    guard = q.n + q.m + 1",
+        "    guard = q.n + q.m + 1",
+        ("tests/test_hopping.py::TestCoherenceChecks::test_a_corrupt_initial_trail_is_caught",),
+    ),
 ]
 
 

@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="minimum odd cut and the universal verdict")
     p.add_argument("graph")
     p.add_argument("--k", type=int, default=0)
-    _output_flags(p)
+    _output_flags(p, with_json=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("find", help="circuit through --edges or an odd-cut certificate")
@@ -372,13 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["ladder", "gk-witness", "corollary"])
     p.add_argument("--r", type=int, nargs="*", default=[4, 5, 6])
     p.add_argument("--graphs", nargs="*", default=[], help="graph files for corollary")
-    _output_flags(p)
+    _output_flags(p, with_json=True)
     p.set_defaults(func=cmd_experiment)
     return parser
 
 
-def _output_flags(p) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output only")
+def _output_flags(p, with_json: bool = False) -> None:
+    """--quiet for every command; --json for those with a text and a JSON
+    report (check, experiment): find, oracle and verify print only JSON and
+    generate only text."""
+    if with_json:
+        p.add_argument("--json", action="store_true", help="machine-readable output only")
     p.add_argument("--quiet", action="store_true")
 
 

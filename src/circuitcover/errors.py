@@ -33,16 +33,8 @@ class NotConnected(ValueError):
     """Edge set or vertex set is not connected where connectivity is required."""
 
 
-class NoSharedSegment(ValueError):
-    """No segment is reachable from both endpoints of the excluded edge."""
-
-
 class CoherenceViolated(RuntimeError):
     """A coherent-trail invariant (C1/C2/C3 or a disjointness claim) failed."""
-
-
-class DescentStalled(RuntimeError):
-    """The rerouting descent failed to strictly decrease its level measure."""
 
 
 class TooLarge(ValueError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .cuts import CutCertificate, certify
-from .errors import BadParam, CoherenceViolated, DescentStalled, NoSharedSegment
+from .errors import BadParam, CoherenceViolated
 from .graphs import Graph, Trail, trail_concat, validate_trail
 from .segments import SegmentedCircuit
 
@@ -279,7 +279,8 @@ def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> Coherent
 
     Picks the segment with the smallest sum of its first A and B levels,
     and walks H from the chosen start vertex around through every separator
-    to the chosen end vertex, skipping only part of that segment.
+    to the chosen end vertex, skipping only part of that segment.  The trail
+    is not checked here: reroute_descent checks it on entry.
     """
     candidates = []
     for j in range(seg.k):
@@ -288,7 +289,7 @@ def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> Coherent
         if la is not None and lb is not None:
             candidates.append((la + lb, j, la, lb))
     if not candidates:
-        raise NoSharedSegment("no segment is reached from both endpoints")
+        raise CoherenceViolated("no segment is reached from both endpoints")
     _, j, la, lb = min(candidates)
     n, m = la - 1, lb - 1
     # the walk is closed when both ends are one H position of segment j, which
@@ -310,15 +311,13 @@ def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> Coherent
         walk = range(ga, gb - big_l - 1, -1)
         edges = seg.trail.edges[:ga][::-1] + seg.trail.edges[gb:][::-1]
     at = tuple(t % big_l for t in walk)
-    q = CoherentTrail(
+    return CoherentTrail(
         vertices=tuple(seg.trail.vertices[t] for t in at),
         edges=edges,
         n=n,
         m=m,
         at=at,
     )
-    check_coherent(q, state, seg)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def _reroute_a_side(
         (i for i in range(n + 1) if q.vertices[c] in frontiers[i]), None
     )
     if n_prime is None or n_prime >= n:
-        raise DescentStalled(f"anchor level {n_prime} does not drop below {n}")
+        raise CoherenceViolated(f"anchor level {n_prime} does not drop below {n}")
     if state.spans("B", m)[j] is not None or x in state.level("B", m + 1):
         raise CoherenceViolated(f"segment {j} is shared below the initial level sum")
     if set(p.edges) & set(q.edges):
@@ -401,14 +400,16 @@ def reroute_descent(
     n >= 1 and else the mirrored B side, and strictly lowers that side's
     level.  q must come from initial_coherent_trail or an earlier step (see
     the module docstring); a trail with an end inside its own level, or on
-    a segment shared at a smaller level sum, raises CoherenceViolated.
+    a segment shared at a smaller level sum, raises CoherenceViolated.  q
+    is checked on entry and every step's trail after it, so each trail of
+    the descent is checked once.
     """
     check_coherent(q, state, seg)
     guard = q.n + q.m + 1
     while (q.n, q.m) != (0, 0):
         guard -= 1
         if guard < 0:
-            raise DescentStalled("level sum failed to reach zero in budget")
+            raise CoherenceViolated("level sum failed to reach zero in budget")
         before = q.n + q.m
         if q.n >= 1:
             q = _reroute_a_side(q, state, seg)
@@ -416,7 +417,7 @@ def reroute_descent(
             q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
         check_coherent(q, state, seg)
         if q.n + q.m >= before:
-            raise DescentStalled(
+            raise CoherenceViolated(
                 f"level sum did not decrease: {before} -> {q.n + q.m}"
             )
     return q

@@ -1,10 +1,11 @@
 """Decompose a circuit through prescribed edges into separator-free segments.
 
 segment puts a circuit H through separators e_1..e_k in canonical form
-H_1 e_1 H_2 e_2 ... H_k e_k (e_1 = the separator with the smallest edge id):
-it rotates H and excises every closed detour inside a segment, so that each
-segment is a path, which is the only structural property the rerouting
-machinery needs.  Detours that span a separator are kept.
+H_1 e_1 H_2 e_2 ... H_k e_k (e_1 = the separator with the smallest edge id)
+in one walk: it rotates H and cuts every closed detour inside a segment out
+at its repeated vertex, so that each segment is a path, which is the only
+structural property the rerouting machinery needs.  Detours that span a
+separator are kept.
 """
 from __future__ import annotations
 
@@ -14,14 +15,6 @@ from typing import Iterable
 
 from .errors import CoherenceViolated
 from .graphs import Graph, Trail, validate_trail
-
-
-def _separator_slots(h: Trail, s_prefix: frozenset) -> list[int]:
-    slots = [i for i, eid in enumerate(h.edges) if eid in s_prefix]
-    found = {h.edges[i] for i in slots}
-    if found != s_prefix:
-        raise ValueError(f"circuit is missing prescribed edges {sorted(s_prefix - found)}")
-    return slots
 
 
 def rotate_closed(h: Trail, cut: int) -> Trail:
@@ -34,22 +27,6 @@ def rotate_closed(h: Trail, cut: int) -> Trail:
     verts = h.vertices[cut:-1] + h.vertices[: cut + 1]
     edges = h.edges[cut:] + h.edges[:cut]
     return Trail(verts, edges)
-
-
-def _canonical_cut(h: Trail, s_set: frozenset) -> tuple[int, list[int]]:
-    """The vertex position the canonical rotation cuts closed h at, and the
-    separator slots of the rotated trail, in order.
-
-    The separators are found on h once: rotating moves each slot back by
-    the cut, cyclically, so the slots from the smallest-id separator on come
-    first and the cyclic predecessor's slot becomes the last edge.
-    """
-    slots = _separator_slots(h, s_set)
-    edges = h.edges
-    idx = min(range(len(slots)), key=lambda i: edges[slots[i]])
-    size = len(edges)
-    cut = (slots[idx - 1] + 1) % size
-    return cut, [(i - cut) % size for i in slots[idx:] + slots[:idx]]
 
 
 @dataclass(frozen=True)
@@ -128,10 +105,13 @@ class SegmentedCircuit:
 def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     """Circuit h in canonical form, with the edges of s_prefix as separators.
 
-    h is validated once, rotated, and each closed detour inside a segment is
-    cut out at its repeated vertex until every segment is a path.  The
-    result's trail is a circuit through s_prefix no longer than h, and
-    segmenting it again gives the same SegmentedCircuit.
+    h is validated and its separators found once.  It is rotated to start
+    just after the separator before the smallest-id one, and one walk over
+    the segments makes each a path: a segment with distinct vertices stays
+    as it is, and in any other a stack pass truncates the path back to a
+    repeated vertex's earlier visit.  The result's trail is a circuit
+    through s_prefix no longer than h, the rotated trail itself when nothing
+    is cut, and segmenting it again gives the same SegmentedCircuit.
     """
     s_set = frozenset(s_prefix)
     if not s_set:
@@ -139,37 +119,50 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     validate_trail(g, h)
     if not h.is_closed:
         raise ValueError("h must be a closed trail")
-    cut, slots = _canonical_cut(h, s_set)
-    cur = rotate_closed(h, cut)
-    while (detour := _first_detour(cur, slots)) is not None:
-        # edges i1..i2-1 lie inside one segment, so every separator after
-        # them moves back by their count
-        i1, i2 = detour
-        verts = cur.vertices[: i1 + 1] + cur.vertices[i2 + 1 :]
-        edges = cur.edges[:i1] + cur.edges[i2:]
-        cur = Trail(verts, edges)
-        slots = [p if p < i1 else p - (i2 - i1) for p in slots]
-    if slots[-1] != len(cur.edges) - 1:
+    edges = h.edges
+    slots = [i for i, eid in enumerate(edges) if eid in s_set]
+    if len(slots) != len(s_set):  # h's edges are distinct
+        raise ValueError(f"circuit is missing prescribed edges {sorted(s_set.difference(edges))}")
+    # rotating moves each slot back by the cut, cyclically
+    idx = slots.index(edges.index(min(s_set)))
+    size = len(edges)
+    cut = (slots[idx - 1] + 1) % size
+    slots = [(i - cut) % size for i in slots[idx:] + slots[:idx]]
+    if slots[-1] != size - 1:
         raise CoherenceViolated("canonical rotation must end on a separator")
+    trail = rotate_closed(h, cut)
+    verts, edges = trail.vertices, trail.edges
+    # segment j is verts[start:slot + 1], and its separator edges[slot] follows
+    out_v, out_e, out_slots = [], [], []
+    start = 0
+    for slot in slots:
+        run = verts[start : slot + 1]
+        if len(set(run)) == len(run):
+            out_v += run
+            out_e += edges[start : slot + 1]
+        else:
+            keep, pos = [], {}  # the path's trail indices; edges[i - 1] enters i
+            for i in range(start, slot + 1):
+                p = pos.get(verts[i])
+                if p is None:
+                    pos[verts[i]] = len(keep)
+                    keep.append(i)
+                else:  # a detour closes at verts[i]: cut it out
+                    for r in keep[p + 1 :]:
+                        del pos[verts[r]]
+                    del keep[p + 1 :]
+            out_v += [verts[i] for i in keep]
+            out_e += [edges[i - 1] for i in keep[1:]] + [edges[slot]]
+        out_slots.append(len(out_e) - 1)
+        start = slot + 1
+    if len(out_e) < size:
+        trail = Trail(tuple(out_v) + verts[-1:], tuple(out_e))
+        slots = out_slots
     # sep_ids comes from a list, not a generator: a tuple filled from a
     # generator is resized as it grows, which, once per extension, left
     # find_dense's small-object allocator 3 MB of arenas larger
     return SegmentedCircuit(
-        trail=cur,
+        trail=trail,
         sep_slots=tuple(slots),
-        sep_ids=tuple([cur.edges[i] for i in slots]),
+        sep_ids=tuple([trail.edges[i] for i in slots]),
     )
-
-
-def _first_detour(h: Trail, sep_slots: list[int]) -> tuple[int, int] | None:
-    """First within-segment repeated vertex, as a vertex-index pair."""
-    start = 0
-    for slot in sep_slots:
-        seen: dict[int, int] = {}
-        for i in range(start, slot + 1):
-            v = h.vertices[i]
-            if v in seen:
-                return seen[v], i
-            seen[v] = i
-        start = slot + 1
-    return None

@@ -181,6 +181,14 @@ class TestFind:
         assert main(["find", str(c6_file), "--edges", "99"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_json_flag_is_a_usage_error(self, c6_file, capsys):
+        # find prints JSON anyway; only check and experiment take --json
+        code = main(["find", str(c6_file), "--edges", "0,3", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "--json" in captured.err
+
 
 class TestQuiet:
     """--quiet prints nothing to stdout; the exit code still gives the outcome."""

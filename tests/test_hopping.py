@@ -10,7 +10,7 @@ import pytest
 
 from circuitcover import hopping
 from circuitcover.cuts import CutCertificate, brute_force_min_odd_cut
-from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated, NoSharedSegment
+from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated
 from circuitcover.finder import find_circuit
 from circuitcover.graphs import Graph, Trail, verify_circuit
 from circuitcover.hopping import (
@@ -164,6 +164,7 @@ class TestInitialCoherentTrail:
         q = initial_coherent_trail(state, seg)
         assert q.level == (0, 0)
         assert q.vertices == (0, 1) and q.edges == (0,)
+        check_coherent(q, state, seg)
 
     def test_two_level_fixture_starts_at_one_zero(self):
         g, h, seg, excluded = two_level_fixture()
@@ -341,6 +342,47 @@ class TestDerivedSubtrails:
         assert seen["trails"] >= 100 and seen["reroutes"] >= 1, seen
 
 
+class TestCoherenceChecks:
+    def test_each_trail_of_a_descent_is_checked_once(self, monkeypatch):
+        # initial_coherent_trail leaves its trail to reroute_descent's entry
+        # check, so a seeded corpus checks one trail per descent and one per
+        # reroute
+        seen = {"checks": 0, "descents": 0, "reroutes": 0}
+        check, descent = hopping.check_coherent, hopping.reroute_descent
+        reroute = hopping._reroute_a_side
+
+        def counted(key, f):
+            def call(*args):
+                seen[key] += 1
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(hopping, "check_coherent", counted("checks", check))
+        monkeypatch.setattr(hopping, "reroute_descent", counted("descents", descent))
+        monkeypatch.setattr(hopping, "_reroute_a_side", counted("reroutes", reroute))
+        rng = random.Random(31)
+        for g in sparse_random_graphs():
+            for _ in range(40):
+                find_circuit(g, rng.sample(range(g.m), rng.randint(2, min(4, g.m))))
+        assert seen["descents"] >= 100 and seen["reroutes"] >= 1, seen
+        assert seen["checks"] == seen["descents"] + seen["reroutes"], seen
+
+    def test_a_corrupt_initial_trail_is_caught(self, monkeypatch):
+        # K4 extends the triangle 0-1-2 by the edge 0-3 at level (0, 0), so
+        # only the descent's entry check sees the trail: its first tag, made
+        # to name the second vertex, must not reach the circuit
+        initial = hopping.initial_coherent_trail
+
+        def corrupt(state, seg):
+            q = initial(state, seg)
+            return replace(q, at=(q.at[1],) + q.at[1:])
+
+        monkeypatch.setattr(hopping, "initial_coherent_trail", corrupt)
+        with pytest.raises(CoherenceViolated, match="C3: tag .* at position 0 names vertex"):
+            find_circuit(complete_graph(4), {0, 2})
+
+
 class TestDescentPrecondition:
     def test_every_descent_starts_at_the_smallest_first_hit_sum(self, monkeypatch):
         # the module docstring's argument that a descent needs no restart and
@@ -396,7 +438,7 @@ class TestRerouteDescent:
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
         unshared = replace(state, b_spans=tuple((None,) * seg.k for _ in state.b_spans))
-        with pytest.raises(NoSharedSegment):
+        with pytest.raises(CoherenceViolated, match="no segment is reached from both endpoints"):
             initial_coherent_trail(unshared, seg)
 
     def test_two_level_fixture_splices_witness(self):

@@ -1,6 +1,8 @@
 import random
 from collections import deque
 
+import pytest
+
 from circuitcover import finder
 from circuitcover.cuts import CutCertificate
 from circuitcover.finder import extend_circuit, find_circuit
@@ -123,6 +125,126 @@ def _detour_off(g, h, v):
                     parent[y] = (x, f)
                     queue.append(y)
     return None
+
+
+def _first_detour(h, sep_slots):
+    """First within-segment repeated vertex, as a vertex-index pair."""
+    start = 0
+    for slot in sep_slots:
+        seen = {}
+        for i in range(start, slot + 1):
+            v = h.vertices[i]
+            if v in seen:
+                return seen[v], i
+            seen[v] = i
+        start = slot + 1
+    return None
+
+
+def _rescanned(h, s):
+    """segment's trail and separator slots by the loop the one walk replaced,
+    with its number of cuts: rotate h at the canonical cut, then cut out the
+    first detour inside a segment and scan again from segment 0 until none
+    is left."""
+    size = len(h.edges)
+    slots = [i for i, e in enumerate(h.edges) if e in s]
+    idx = min(range(len(slots)), key=lambda i: h.edges[slots[i]])
+    cut = (slots[idx - 1] + 1) % size
+    cur = rotate_closed(h, cut)
+    slots = [(i - cut) % size for i in slots[idx:] + slots[:idx]]
+    cuts = 0
+    while (detour := _first_detour(cur, slots)) is not None:
+        i1, i2 = detour
+        verts = cur.vertices[: i1 + 1] + cur.vertices[i2 + 1 :]
+        cur = Trail(verts, cur.edges[:i1] + cur.edges[i2:])
+        slots = [p if p < i1 else p - (i2 - i1) for p in slots]
+        cuts += 1
+    return cur, tuple(slots), cuts
+
+
+def _circuit_graph(verts, rng=None):
+    """The closed walk verts, which repeats no vertex pair, as a trail of the
+    graph of its steps, the edge ids shuffled when rng is given."""
+    ids = list(range(len(verts) - 1))
+    if rng is not None:
+        rng.shuffle(ids)
+    pairs = [None] * len(ids)
+    for k, eid in enumerate(ids):
+        pairs[eid] = (verts[k], verts[k + 1])
+    return Graph.from_edges(max(verts) + 1, pairs), Trail(tuple(verts), tuple(ids))
+
+
+def _planted_circuit(rng):
+    """A cycle with closed walks over unused vertex pairs planted at random
+    positions, so that detours nest, come back to any visited vertex and
+    may span a separator."""
+    n = rng.randint(4, 9)
+    verts = rng.sample(range(n), rng.randint(3, n))
+    verts.append(verts[0])
+    used = {frozenset(p) for p in zip(verts, verts[1:])}
+    for _ in range(rng.randint(0, 5)):
+        i = rng.randrange(len(verts))
+        walk = [verts[i]]
+        while len(walk) < 5 and (len(walk) == 1 or walk[-1] != walk[0]):
+            free = [u for u in range(n) if u != walk[-1] and frozenset((walk[-1], u)) not in used]
+            if not free:
+                break
+            walk.append(rng.choice(free))
+            used.add(frozenset(walk[-2:]))
+        if walk[-1] != walk[0] and frozenset((walk[-1], walk[0])) not in used:
+            walk.append(walk[0])
+            used.add(frozenset(walk[-2:]))
+        if len(walk) > 3 and walk[-1] == walk[0]:
+            verts[i : i + 1] = walk
+    return _circuit_graph(verts, rng)
+
+
+class TestOneWalk:
+    """segment against the rescan loop it replaced, kept here as the reference."""
+
+    def _matches_the_rescan(self, g, h, s):
+        seg = segment(g, h, s)
+        trail, slots, cuts = _rescanned(h, frozenset(s))
+        assert (seg.trail, seg.sep_slots) == (trail, slots)
+        assert seg.sep_ids == tuple(trail.edges[i] for i in slots)
+        again = segment(g, seg.trail, seg.sep_ids)
+        assert again == seg and again.trail is seg.trail
+        return seg, cuts
+
+    @pytest.mark.parametrize(
+        "verts, seps, expect, cuts",
+        [
+            # segment 0 starts at 0 and comes back to it twice
+            ((0, 1, 2, 0, 3, 4, 0, 5, 6, 0), {8}, (0, 5, 6, 0), 2),
+            # the detour 2-3-4-2 nests in the detour 1-2-5-1
+            ((0, 1, 2, 3, 4, 2, 5, 1, 6, 0), {8}, (0, 1, 6, 0), 2),
+            # vertex 0 repeats only across the separators 1 and 3: kept
+            ((0, 1, 2, 0, 3, 4, 0), {1, 3}, (3, 4, 0, 1, 2, 0, 3), 0),
+            # one detour in each of two segments
+            ((0, 1, 2, 3, 1, 4, 5, 6, 7, 5, 0), {4, 9}, (0, 1, 4, 5, 0), 2),
+        ],
+        ids=["back-to-first-vertex", "nested", "across-a-separator", "one-per-segment"],
+    )
+    def test_planted_detours(self, verts, seps, expect, cuts):
+        g, h = _circuit_graph(verts)
+        seg, cut = self._matches_the_rescan(g, h, seps)
+        assert seg.trail.vertices == expect and cut == cuts
+
+    def test_a_canonical_circuit_comes_back_as_itself(self):
+        g, h, s = three_segment_hub()
+        assert segment(g, h, s).trail is h
+
+    def test_random_planted_detours(self):
+        rng = random.Random(23)
+        seen = {"cut": 0, "cut twice": 0, "kept a repeat": 0}
+        for _ in range(400):
+            g, h = _planted_circuit(rng)
+            s = rng.sample(h.edges, rng.randint(1, min(4, len(h.edges))))
+            seg, cuts = self._matches_the_rescan(g, h, s)
+            seen["cut"] += cuts > 0
+            seen["cut twice"] += cuts > 1
+            seen["kept a repeat"] += len(set(seg.trail.vertices)) < len(seg.trail)
+        assert all(count >= 20 for count in seen.values()), seen
 
 
 class TestNormalize:
