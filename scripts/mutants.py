@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_oracle_equivalence"
 DETACHED = "tests/test_finder.py::TestDetachedCase"
+BRIDGE_PATH = "tests/test_cuts.py::TestBridgePath"
 
 MUTANTS = [
     Mutant(
@@ -52,6 +53,43 @@ MUTANTS = [
         "if d < low[v]:",
         "if 0 < d < low[v]:",
         (CRITERION_1,),
+    ),
+    Mutant(
+        "the bridge path takes the largest side, not the smallest",
+        "src/circuitcover/cuts.py",
+        "side = min((sorted(side) for side in _bridge_sides(g)), default=None)",
+        "side = max((sorted(side) for side in _bridge_sides(g)), default=None)",
+        (
+            f"{BRIDGE_PATH}::test_odd_cut_matches_the_bound_two_tree",
+            f"{BRIDGE_PATH}::test_atlas_agrees_with_brute_force",
+        ),
+    ),
+    Mutant(
+        "the bridge path swallows bound 4",
+        "src/circuitcover/cuts.py",
+        "if bound == 2:",
+        "if bound <= 4:",
+        (
+            "tests/test_cuts.py::TestHasOddCutLeq::test_ladder_thresholds",
+            "tests/test_cuts.py::TestBelowSmallestOddDegree::test_two_halves_agree_with_networkx",
+        ),
+    ),
+    Mutant(
+        "the bridge DFS ignores back edges to the root",
+        "src/circuitcover/cuts.py",
+        "if d < low[v]:",
+        "if 0 < d < low[v]:",
+        (f"{BRIDGE_PATH}::test_atlas_agrees_with_brute_force",),
+    ),
+    Mutant(
+        "edge_connectivity sees no bridge at minimum degree 2",
+        "src/circuitcover/cuts.py",
+        "next(_bridge_sides(g), None)",
+        "None",
+        (
+            "tests/test_cuts.py::TestEdgeConnectivity::test_values",
+            f"{BRIDGE_PATH}::test_edge_connectivity_matches_the_tree",
+        ),
     ),
     Mutant(
         "find_circuit lets a cut of size |S| + 1 through",

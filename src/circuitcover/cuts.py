@@ -1,4 +1,4 @@
-"""Odd-cut detection: bounded Gusfield tree, parity scan, brute-force oracle.
+"""Odd cuts: bridges, bounded Gusfield tree, parity scan, brute-force oracle.
 
 An odd cut is an edge boundary of odd cardinality.  The boundary of A is odd
 exactly when A contains an odd number of odd-degree vertices, so minimum odd
@@ -6,11 +6,13 @@ cuts reduce to minimum T-cuts for T = odd-degree vertices, and those are
 attained among the fundamental cuts of a Gomory-Hu tree (Padberg & Rao
 1982).  The tree is working state of min_odd_cut and edge_connectivity:
 each builds it only up to the bound its answer needs, and neither returns it.
+A cut below 2 is a bridge, so a bound of 2 needs no tree: one lowlink DFS
+finds every such cut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CoherenceViolated, DisconnectedInput, TooLarge
 from .graphs import FlowNetwork, Graph, edge_boundary, is_connected
@@ -106,7 +108,9 @@ def min_odd_cut(g: Graph) -> CutCertificate | None:
     d, and an odd cut below d has size at most d - 2.  So every flow of the
     Gomory-Hu construction stops at d - 1, and only the fundamental cuts
     below it are scanned for sides containing an odd number of odd-degree
-    vertices; the minimum T-cut below d is attained there.
+    vertices; the minimum T-cut below d is attained there.  For d = 3 the
+    cuts below d - 1 are the bridges, which one DFS finds without a tree,
+    and for d = 1 no cut is below d - 1.
     Among equally small T-odd cuts below d, the one whose sorted side is
     lexicographically smallest is reported.  Otherwise the answer has size d
     and its side is the smallest odd vertex of degree d.  No reported side
@@ -129,11 +133,21 @@ def min_odd_cut(g: Graph) -> CutCertificate | None:
 def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     """The minimum odd cut of a connected graph if it is below bound, else None.
 
-    Parity scan over the Gusfield tree whose flows stop at bound: a cut below
-    bound separates no pair the tree joined, so it is a cut of the graph with
-    those pairs contracted, whose tree is exact, and its minimum T-cut is
-    attained at a T-odd tree edge (Padberg & Rao 1982).
+    No cut of a connected graph is below 1.  A cut below 2 is a bridge, and
+    its boundary of one edge is odd, so with bound 2 the answer is the
+    bridge whose far side from vertex 0, sorted, is lexicographically
+    smallest: the side the tree scan below would pick, since the tree's
+    edges below 2 are the graph's bridges.  Above 2, parity scan over the
+    Gusfield tree whose flows stop at bound: a cut below bound separates no
+    pair the tree joined, so it is a cut of the graph with those pairs
+    contracted, whose tree is exact, and its minimum T-cut is attained at a
+    T-odd tree edge (Padberg & Rao 1982).
     """
+    if bound <= 1:
+        return None
+    if bound == 2:
+        side = min((sorted(side) for side in _bridge_sides(g)), default=None)
+        return None if side is None else _checked_cut(g, side, 1)
     parent, capacity = _gusfield(g, bound)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(1, g.n):
@@ -161,10 +175,49 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     return _checked_cut(g, side, size)
 
 
+def _bridge_sides(g: Graph) -> Iterator[list[int]]:
+    """The far side from vertex 0 of each bridge of a connected graph, in
+    the order the DFS finishes them.
+
+    One iterative lowlink DFS (Tarjan, IPL 1974) from vertex 0.  A non-root
+    vertex v that finishes with lowlink equal to its discovery time was
+    entered by a bridge, and the bridge's far side is v's DFS subtree: the
+    vertices discovered from v on, since v has just finished.
+    """
+    adjacency = g.adjacency
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    order = [0]  # vertices in discovery order: disc[order[i]] == i
+    frames = [(0, -1, iter(adjacency[0]))]  # (vertex, entering edge, scan)
+    while frames:
+        v, in_eid, scan = frames[-1]
+        for w, e in scan:
+            if e == in_eid:
+                continue
+            d = disc[w]
+            if d == -1:
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                frames.append((w, e, iter(adjacency[w])))
+                break
+            if d < low[v]:
+                low[v] = d
+        else:
+            frames.pop()
+            if frames:  # v is not the root
+                p = frames[-1][0]
+                lv = low[v]
+                if lv == disc[v]:
+                    yield order[lv:]
+                elif lv < low[p]:
+                    low[p] = lv
+
+
 def _checked_cut(g: Graph, side: Iterable[int], size: int) -> CutCertificate:
     cert = certify(g, side)
     if cert.size != size or not cert.odd:
-        raise CoherenceViolated("Gomory-Hu cut property violated")
+        raise CoherenceViolated(f"the side found is not an odd cut of size {size}")
     return cert
 
 
@@ -212,9 +265,14 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
 def edge_connectivity(g: Graph) -> int:
     """Global edge connectivity: the smallest capacity of the Gomory-Hu tree.
 
-    It is at most the minimum degree, so every flow stops there.
+    It is at most the minimum degree, so every flow stops there.  Below 2
+    it is decided without the tree: a vertex of degree 1 hangs on a bridge,
+    and a graph of minimum degree 2 has connectivity 1 exactly when the
+    lowlink DFS finds a bridge.
     """
     if g.n <= 1 or not is_connected(g):
         return 0
     min_degree = min(g.degree(v) for v in range(g.n))
+    if min_degree <= 2:
+        return 1 if min_degree == 1 or next(_bridge_sides(g), None) is not None else 2
     return min(_gusfield(g, min_degree)[1][1:])  # vertex 0 is the root

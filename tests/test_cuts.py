@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitcover import cuts
 from circuitcover.cuts import (
     _gusfield,
     _odd_cut_below,
     brute_force_min_odd_cut,
+    certify,
     edge_connectivity,
     min_odd_cut,
     odd_cut_within,
@@ -263,7 +265,22 @@ class TestGomoryHu:
             assert len(edge_boundary(g, side)) == capacity[v]
 
 
+def _under_python_optimize(script):
+    """stdout of script run by a python -O that imports this checkout's src."""
+    # -O strips assert statements; the checks must not depend on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestGusfieldSelfCheck:
+    # double_clique(5) is 5-regular: its smallest odd degree and its minimum
+    # degree are 5, so min_odd_cut and edge_connectivity both build the tree
     @staticmethod
     def _one_unit_short(monkeypatch):
         pair_flow = FlowNetwork.pair_flow
@@ -273,32 +290,49 @@ class TestGusfieldSelfCheck:
 
     def test_wrong_flow_value_is_caught(self, monkeypatch):
         self._one_unit_short(monkeypatch)
-        g = ladder(4).graph
+        g = double_clique(5).graph
         for tool in (lambda g: _gusfield(g, g.n), min_odd_cut, edge_connectivity):
             with pytest.raises(CoherenceViolated, match="not a maximum flow"):
                 tool(g)
 
     def test_caught_under_python_optimize(self):
-        # -O strips assert statements; the check must not depend on them
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         script = (
             "from circuitcover.cuts import min_odd_cut\n"
             "from circuitcover.errors import CoherenceViolated\n"
-            "from circuitcover.generators import ladder\n"
+            "from circuitcover.generators import double_clique\n"
             "from circuitcover.graphs import FlowNetwork\n"
             "pair_flow = FlowNetwork.pair_flow\n"
             "FlowNetwork.pair_flow = lambda net, s, t, units: pair_flow(net, s, t, units) - 1\n"
             "try:\n"
-            "    min_odd_cut(ladder(4).graph)\n"
+            "    min_odd_cut(double_clique(5).graph)\n"
             "except CoherenceViolated as exc:\n"
             "    print(exc)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        assert "not a maximum flow" in _under_python_optimize(script)
+
+
+class TestBridgeSelfCheck:
+    # two triangles joined by a bridge: the smallest odd degree is 3, so
+    # min_odd_cut takes the bridge path; each side loses its first vertex
+    def test_wrong_bridge_side_is_caught(self, monkeypatch):
+        sides = cuts._bridge_sides
+        monkeypatch.setattr(cuts, "_bridge_sides", lambda g: (side[1:] for side in sides(g)))
+        with pytest.raises(CoherenceViolated, match="not an odd cut"):
+            min_odd_cut(two_cycles_bridge(3, 3).graph)
+
+    def test_caught_under_python_optimize(self):
+        script = (
+            "from circuitcover import cuts\n"
+            "from circuitcover.errors import CoherenceViolated\n"
+            "from circuitcover.generators import two_cycles_bridge\n"
+            "sides = cuts._bridge_sides\n"
+            "cuts._bridge_sides = lambda g: (side[1:] for side in sides(g))\n"
+            "try:\n"
+            "    cuts.min_odd_cut(two_cycles_bridge(3, 3).graph)\n"
+            "except CoherenceViolated as exc:\n"
+            "    print(exc)\n"
         )
-        assert "not a maximum flow" in proc.stdout, proc.stderr
+        assert "not an odd cut" in _under_python_optimize(script)
 
 
 class TestMinOddCut:
@@ -548,6 +582,64 @@ class TestBelowSmallestOddDegree:
                 if cert is not None:
                     assert cert.size == full and cert.odd and cert.is_valid_for(g)
             assert edge_connectivity(g) == min(_gusfield(g, g.n)[1][1:])
+
+
+def _tree_odd_cut_below(g, bound):
+    """The parity scan over the Gusfield tree whose flows stop at bound, as
+    _odd_cut_below ran it for every bound before cuts below 2 were bridges."""
+    parent, capacity = _gusfield(g, bound)
+    scan = [(capacity[v], sorted(_subtree(parent, v))) for v in range(1, g.n) if capacity[v] < bound]
+    t_odd = [(c, side) for c, side in scan if sum(g.degree(u) % 2 for u in side) % 2 == 1]
+    if not t_odd:
+        return None
+    size, side = min(t_odd)
+    cert = certify(g, side)
+    assert cert.size == size
+    return cert
+
+
+class TestBridgePath:
+    """Cuts below 2 are bridges, found by one lowlink DFS and no tree."""
+
+    def test_odd_cut_matches_the_bound_two_tree(self):
+        bridged = 0
+        for g in BLOCK_GRAPHS + HALVES_GRAPHS:
+            cert = _odd_cut_below(g, 2)
+            assert cert == _tree_odd_cut_below(g, 2)
+            bridged += cert is not None
+        assert bridged >= 200, "the corpus must have bridges"
+
+    def test_edge_connectivity_matches_the_tree(self):
+        seen = set()
+        for g in BLOCK_GRAPHS + HALVES_GRAPHS:
+            min_degree = min(g.degree(v) for v in range(g.n))
+            if min_degree <= 2:
+                value = edge_connectivity(g)
+                assert value == min(_gusfield(g, min_degree)[1][1:])
+                seen.add((min_degree, value))
+        assert seen == {(1, 1), (2, 1), (2, 2)}
+
+    def test_atlas_agrees_with_brute_force(self):
+        nx = pytest.importorskip("networkx")
+        atlas = [
+            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+            for a in nx.graph_atlas_g()
+            if a.number_of_nodes() >= 2 and nx.is_connected(a)
+        ]
+        assert len(atlas) == 995
+        bound_two = bridged = 0
+        for g in atlas:
+            cert, brute = min_odd_cut(g), brute_force_min_odd_cut(g)
+            assert (cert is None) == (brute is None)
+            if cert is None:
+                continue
+            assert cert.size == brute.size and cert.odd and cert.is_valid_for(g)
+            if _smallest_odd_degree(g) == 3:
+                bound_two += 1
+                if cert.size == 1:
+                    assert cert.side == brute.side
+                    bridged += 1
+        assert bound_two >= 480 and bridged >= 6, (bound_two, bridged)
 
 
 class TestPinnedCutAnswers:
