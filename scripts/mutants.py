@@ -52,13 +52,13 @@ MUTANTS = [
         "src/circuitcover/graphs.py",
         "if d < low[v]:",
         "if 0 < d < low[v]:",
-        (CRITERION_1,),
+        (CRITERION_1, f"{BRIDGE_PATH}::test_atlas_agrees_with_brute_force"),
     ),
     Mutant(
         "the bridge path takes the largest side, not the smallest",
         "src/circuitcover/cuts.py",
-        "side = min((sorted(side) for side in _bridge_sides(g)), default=None)",
-        "side = max((sorted(side) for side in _bridge_sides(g)), default=None)",
+        "side = min((sorted(order[lo:hi]) for lo, hi in runs.values()), default=None)",
+        "side = max((sorted(order[lo:hi]) for lo, hi in runs.values()), default=None)",
         (
             f"{BRIDGE_PATH}::test_odd_cut_matches_the_bound_two_tree",
             f"{BRIDGE_PATH}::test_atlas_agrees_with_brute_force",
@@ -72,23 +72,6 @@ MUTANTS = [
         (
             "tests/test_cuts.py::TestHasOddCutLeq::test_ladder_thresholds",
             "tests/test_cuts.py::TestBelowSmallestOddDegree::test_two_halves_agree_with_networkx",
-        ),
-    ),
-    Mutant(
-        "the bridge DFS ignores back edges to the root",
-        "src/circuitcover/cuts.py",
-        "if d < low[v]:",
-        "if 0 < d < low[v]:",
-        (f"{BRIDGE_PATH}::test_atlas_agrees_with_brute_force",),
-    ),
-    Mutant(
-        "edge_connectivity sees no bridge at minimum degree 2",
-        "src/circuitcover/cuts.py",
-        "next(_bridge_sides(g), None)",
-        "None",
-        (
-            "tests/test_cuts.py::TestEdgeConnectivity::test_values",
-            f"{BRIDGE_PATH}::test_edge_connectivity_matches_the_tree",
         ),
     ),
     Mutant(
@@ -108,8 +91,15 @@ MUTANTS = [
     Mutant(
         "the DFS hands out every bridge as comp's boundary",
         "src/circuitcover/graphs.py",
-        "tuple(sorted(e for e, p in parent_end.items() if p in comp))",
-        "tuple(sorted(parent_end))",
+        "tuple(sorted(boundary))",
+        "tuple(sorted(bridges))",
+        ("tests/test_graphs.py::TestBridges::test_components_partition_the_non_bridges",),
+    ),
+    Mutant(
+        "the DFS cuts a nested run out of comp again",
+        "src/circuitcover/graphs.py",
+        "if hi <= i:",
+        "if True:",
         ("tests/test_graphs.py::TestBridges::test_components_partition_the_non_bridges",),
     ),
     Mutant(

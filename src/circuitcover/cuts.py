@@ -6,16 +6,16 @@ cuts reduce to minimum T-cuts for T = odd-degree vertices, and those are
 attained among the fundamental cuts of a Gomory-Hu tree (Padberg & Rao
 1982).  The tree is working state of min_odd_cut and edge_connectivity:
 each builds it only up to the bound its answer needs, and neither returns it.
-A cut below 2 is a bridge, so a bound of 2 needs no tree: one lowlink DFS
-finds every such cut.
+A cut below 2 is a bridge, so min_odd_cut needs no tree for a bound of 2:
+one lowlink DFS (graphs.bridge_runs) finds every such cut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CoherenceViolated, DisconnectedInput, TooLarge
-from .graphs import FlowNetwork, Graph, edge_boundary, is_connected
+from .graphs import FlowNetwork, Graph, bridge_runs, edge_boundary, is_connected
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     if bound <= 1:
         return None
     if bound == 2:
-        side = min((sorted(side) for side in _bridge_sides(g)), default=None)
+        order, runs = bridge_runs(g, 0)
+        side = min((sorted(order[lo:hi]) for lo, hi in runs.values()), default=None)
         return None if side is None else _checked_cut(g, side, 1)
     parent, capacity = _gusfield(g, bound)
     children: list[list[int]] = [[] for _ in range(g.n)]
@@ -173,45 +174,6 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
     # the root is vertex 0, so no subtree contains it
     side = min(subtree(v) for v in t_odd if capacity[v] == size)
     return _checked_cut(g, side, size)
-
-
-def _bridge_sides(g: Graph) -> Iterator[list[int]]:
-    """The far side from vertex 0 of each bridge of a connected graph, in
-    the order the DFS finishes them.
-
-    One iterative lowlink DFS (Tarjan, IPL 1974) from vertex 0.  A non-root
-    vertex v that finishes with lowlink equal to its discovery time was
-    entered by a bridge, and the bridge's far side is v's DFS subtree: the
-    vertices discovered from v on, since v has just finished.
-    """
-    adjacency = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    disc[0] = 0
-    order = [0]  # vertices in discovery order: disc[order[i]] == i
-    frames = [(0, -1, iter(adjacency[0]))]  # (vertex, entering edge, scan)
-    while frames:
-        v, in_eid, scan = frames[-1]
-        for w, e in scan:
-            if e == in_eid:
-                continue
-            d = disc[w]
-            if d == -1:
-                disc[w] = low[w] = len(order)
-                order.append(w)
-                frames.append((w, e, iter(adjacency[w])))
-                break
-            if d < low[v]:
-                low[v] = d
-        else:
-            frames.pop()
-            if frames:  # v is not the root
-                p = frames[-1][0]
-                lv = low[v]
-                if lv == disc[v]:
-                    yield order[lv:]
-                elif lv < low[p]:
-                    low[p] = lv
 
 
 def _checked_cut(g: Graph, side: Iterable[int], size: int) -> CutCertificate:
@@ -265,14 +227,9 @@ def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
 def edge_connectivity(g: Graph) -> int:
     """Global edge connectivity: the smallest capacity of the Gomory-Hu tree.
 
-    It is at most the minimum degree, so every flow stops there.  Below 2
-    it is decided without the tree: a vertex of degree 1 hangs on a bridge,
-    and a graph of minimum degree 2 has connectivity 1 exactly when the
-    lowlink DFS finds a bridge.
+    It is at most the minimum degree, so every flow stops there.
     """
     if g.n <= 1 or not is_connected(g):
         return 0
     min_degree = min(g.degree(v) for v in range(g.n))
-    if min_degree <= 2:
-        return 1 if min_degree == 1 or next(_bridge_sides(g), None) is not None else 2
     return min(_gusfield(g, min_degree)[1][1:])  # vertex 0 is the root

@@ -295,6 +295,55 @@ def is_connected(g: Graph) -> bool:
 # bridges and 2-edge-connected components
 
 
+def bridge_runs(
+    g: Graph, root: int, barred: Iterable[int] = frozenset()
+) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """(order, runs) of one lowlink DFS of g - barred from root.
+
+    order lists root's connected component of g - barred in discovery
+    order.  runs maps each bridge of that component to (lo, hi), in the
+    order the DFS finishes them: the bridge's far side from root is
+    order[lo:hi].  The runs nest like the subtrees they are.
+
+    One iterative lowlink DFS (Tarjan, IPL 1974).  A non-root vertex v that
+    finishes with lowlink equal to its discovery time was entered by a
+    bridge, and the bridge's far side is v's DFS subtree: the vertices
+    discovered from v on, since v has just finished.
+    """
+    adjacency = g.adjacency
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[root] = 0
+    timer = 1
+    order = [root]  # disc[order[i]] == i
+    runs = {}
+    frames = [(root, -1, iter(adjacency[root]))]  # (vertex, entering edge, scan)
+    while frames:
+        v, in_eid, scan = frames[-1]
+        for w, e in scan:
+            if e == in_eid or e in barred:
+                continue
+            d = disc[w]
+            if d == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                order.append(w)
+                frames.append((w, e, iter(adjacency[w])))
+                break
+            if d < low[v]:
+                low[v] = d
+        else:
+            frames.pop()
+            if frames:  # v is not the root
+                p = frames[-1][0]
+                lv = low[v]
+                if lv == disc[v]:  # nothing below v reaches above it
+                    runs[in_eid] = (lv, timer)
+                elif lv < low[p]:  # a bridge's lv exceeds disc[p] >= low[p]
+                    low[p] = lv
+    return order, runs
+
+
 def bridges_and_2ec_components(
     g: Graph, barred: Iterable[int], eid: int
 ) -> tuple[EdgeIds, frozenset | None, tuple[int, ...]]:
@@ -306,15 +355,12 @@ def bridges_and_2ec_components(
     comp's boundary in g - barred, in edge-id order, () when eid is a
     bridge.  A barred eid raises BadParam.
 
-    One iterative lowlink DFS (Tarjan, IPL 1974) from an end of eid that
-    skips the barred edges.  Each vertex goes onto a stack when it is
-    discovered; a non-root vertex that finishes with lowlink equal to its
-    discovery time was entered by a bridge, and pops its component off the
-    stack.  What is left on the stack when the root finishes is the root's
-    component comp.  Every edge that leaves comp is a bridge, hence a tree
-    edge, and the root lies in comp, so its parent end is in comp and its
-    child's side was popped.  The boundary is thus the bridges whose parent
-    end is still on the stack, found without a second search over comp.
+    bridge_runs from an end of eid.  The root lies in comp, and every edge
+    that leaves comp is a bridge whose far side is a run of the discovery
+    order; those runs are the outermost ones, since any other run lies
+    inside the far side of a bridge that leaves comp.  So comp is the
+    discovery order with the outermost runs cut out, and the boundary is
+    their bridges, found without a second search over comp.
     """
     barred = frozenset(barred)
     if barred and (min(barred) < 0 or max(barred) >= g.m):
@@ -323,44 +369,20 @@ def bridges_and_2ec_components(
     root = g.endpoints(eid)[0]
     if eid in barred:
         raise BadParam(f"edge {eid} is barred")
-    adjacency = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    disc[root] = 0
-    timer = 1
-    stack = [root]  # discovered vertices whose component is still open
-    parent_end = {}  # bridge -> its end nearer the root
-    frames = [(root, -1, iter(adjacency[root]))]  # (vertex, entering edge, scan)
-    while frames:
-        v, in_eid, scan = frames[-1]
-        for w, e in scan:
-            if e == in_eid or e in barred:
-                continue
-            d = disc[w]
-            if d == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append(w)
-                frames.append((w, e, iter(adjacency[w])))
-                break
-            if d < low[v]:
-                low[v] = d
-        else:
-            frames.pop()
-            if frames:  # v is not the root
-                p = frames[-1][0]
-                lv = low[v]
-                if lv == disc[v]:  # nothing below v reaches above it
-                    parent_end[in_eid] = p
-                    while stack.pop() != v:
-                        pass
-                elif lv < low[p]:  # a bridge's lv exceeds disc[p] >= low[p]
-                    low[p] = lv
-    bridges = frozenset(parent_end)
+    order, runs = bridge_runs(g, root, barred)
+    bridges = frozenset(runs)
     if eid in bridges:
         return bridges, None, ()
-    comp = frozenset(stack)
-    return bridges, comp, tuple(sorted(e for e, p in parent_end.items() if p in comp))
+    boundary = []
+    i = len(order)
+    # latest finished first, so each run lies inside the run cut out last
+    # or ends at or before that run's start: DFS subtrees nest or are apart
+    for e, (lo, hi) in reversed(runs.items()):
+        if hi <= i:
+            del order[lo:hi]
+            boundary.append(e)
+            i = lo
+    return bridges, frozenset(order), tuple(sorted(boundary))
 
 
 # ---------------------------------------------------------------------------

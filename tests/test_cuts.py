@@ -311,12 +311,17 @@ class TestGusfieldSelfCheck:
         assert "not a maximum flow" in _under_python_optimize(script)
 
 
+def _runs_one_short(g, root, _real=cuts.bridge_runs):
+    """bridge_runs with each bridge's far side one vertex short."""
+    order, runs = _real(g, root)
+    return order, {e: (lo + 1, hi) for e, (lo, hi) in runs.items()}
+
+
 class TestBridgeSelfCheck:
     # two triangles joined by a bridge: the smallest odd degree is 3, so
     # min_odd_cut takes the bridge path; each side loses its first vertex
     def test_wrong_bridge_side_is_caught(self, monkeypatch):
-        sides = cuts._bridge_sides
-        monkeypatch.setattr(cuts, "_bridge_sides", lambda g: (side[1:] for side in sides(g)))
+        monkeypatch.setattr(cuts, "bridge_runs", _runs_one_short)
         with pytest.raises(CoherenceViolated, match="not an odd cut"):
             min_odd_cut(two_cycles_bridge(3, 3).graph)
 
@@ -325,8 +330,11 @@ class TestBridgeSelfCheck:
             "from circuitcover import cuts\n"
             "from circuitcover.errors import CoherenceViolated\n"
             "from circuitcover.generators import two_cycles_bridge\n"
-            "sides = cuts._bridge_sides\n"
-            "cuts._bridge_sides = lambda g: (side[1:] for side in sides(g))\n"
+            "runs = cuts.bridge_runs\n"
+            "def one_short(g, root):\n"
+            "    order, found = runs(g, root)\n"
+            "    return order, {e: (lo + 1, hi) for e, (lo, hi) in found.items()}\n"
+            "cuts.bridge_runs = one_short\n"
             "try:\n"
             "    cuts.min_odd_cut(two_cycles_bridge(3, 3).graph)\n"
             "except CoherenceViolated as exc:\n"
@@ -608,16 +616,6 @@ class TestBridgePath:
             assert cert == _tree_odd_cut_below(g, 2)
             bridged += cert is not None
         assert bridged >= 200, "the corpus must have bridges"
-
-    def test_edge_connectivity_matches_the_tree(self):
-        seen = set()
-        for g in BLOCK_GRAPHS + HALVES_GRAPHS:
-            min_degree = min(g.degree(v) for v in range(g.n))
-            if min_degree <= 2:
-                value = edge_connectivity(g)
-                assert value == min(_gusfield(g, min_degree)[1][1:])
-                seen.add((min_degree, value))
-        assert seen == {(1, 1), (2, 1), (2, 2)}
 
     def test_atlas_agrees_with_brute_force(self):
         nx = pytest.importorskip("networkx")

@@ -9,6 +9,7 @@ from circuitcover.errors import BadEdgeId, BadParam, NotConnected, NotEven
 from circuitcover.graphs import (
     Graph,
     Trail,
+    bridge_runs,
     bridges_and_2ec_components,
     connected_components,
     contract_subgraph,
@@ -283,6 +284,17 @@ class TestBridges:
             )
         for a, b in combinations(comps, 2):
             assert not a & b
+
+    @given(connected_graphs())
+    @settings(max_examples=60)
+    def test_runs_are_the_far_sides(self, g):
+        order, runs = bridge_runs(g, 0)
+        assert sorted(order) == list(range(g.n))
+        for e, (lo, hi) in runs.items():
+            rest = Graph.from_edges(g.n, [uv for i, uv in enumerate(g.edges) if i != e])
+            near = next(c for c in connected_components(rest) if 0 in c)
+            assert len(near) < g.n  # e is a bridge
+            assert frozenset(order[lo:hi]) == frozenset(range(g.n)) - near
 
     # f is the barred edge set
     @pytest.mark.parametrize(
