@@ -11,8 +11,8 @@ set of size 1..4 in `itertools.combinations` order.  Each answer is
 checked: a circuit must pass `verify_circuit`, a cut must be a valid odd cut
 of size at most |S|, and a cut may come only when the brute-force minimum
 odd cut is at most |S|.  The script prints the calls, the detached cases
-(`contract_subgraph` calls), the descent's reroutes (`_reroute_a_side`
-calls, mirrored ones included) and a SHA-256 over the answers, each hashed
+(`contract_subgraph` calls), the descent's reroutes (`_reroute` calls,
+A and B steps alike) and a SHA-256 over the answers, each hashed
 by `scripts/answer_digest.py`'s `answer_key`.  It exits 1 when a check fails.
 Run it from the root of a source checkout: the program comes from `src/`.
 It makes 707,981 calls and takes a few minutes.
@@ -59,7 +59,7 @@ def sweep(max_size: int) -> dict:
     """Calls, detached cases, reroutes and the answers' SHA-256 of the sweep
     up to max_size; raises RuntimeError on the first failed check."""
     counts = {"calls": 0, "detached": 0, "reroutes": 0}
-    wrapped = [(finder, "contract_subgraph", "detached"), (hopping, "_reroute_a_side", "reroutes")]
+    wrapped = [(finder, "contract_subgraph", "detached"), (hopping, "_reroute", "reroutes")]
     saved = [getattr(module, name) for module, name, _ in wrapped]
 
     def counted(fn, key):

@@ -136,6 +136,20 @@ MUTANTS = [
         "    guard = q.n + q.m + 1",
         ("tests/test_hopping.py::TestCoherenceChecks::test_a_corrupt_initial_trail_is_caught",),
     ),
+    Mutant(
+        "the B step reroutes on A's reach",
+        "src/circuitcover/hopping.py",
+        "_reroute(_mirror(q), state.b, state.a, seg)",
+        "_reroute(_mirror(q), state.a, state.b, seg)",
+        ("tests/test_hopping.py::TestDerivedSubtrails",),
+    ),
+    Mutant(
+        "C1 reads the end's level from A's reach",
+        "src/circuitcover/hopping.py",
+        "b_next = state.b.level(q.m + 1)",
+        "b_next = state.a.level(q.m + 1)",
+        ("tests/test_hopping.py::TestInitialCoherentTrail",),
+    ),
 ]
 
 

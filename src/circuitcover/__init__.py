@@ -15,7 +15,6 @@ from .cuts import (
     brute_force_min_odd_cut,
     edge_connectivity,
     min_odd_cut,
-    odd_cut_within,
 )
 from .finder import find_circuit
 from .generators import (
@@ -27,8 +26,12 @@ from .generators import (
     two_cycles_bridge,
 )
 from .graphs import Graph, Trail, verify_circuit
-from .jaeger import EvenExtension, extend_to_even_subgraph, min_components_even_extension
-from .oracle import check_parity_monotonicity, feasible_by_bruteforce
+from .jaeger import EvenExtension, extend_to_even_subgraph, odd_cut_within
+from .oracle import (
+    check_parity_monotonicity,
+    feasible_by_bruteforce,
+    min_components_even_extension,
+)
 
 __all__ = [
     "Graph",

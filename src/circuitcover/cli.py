@@ -36,8 +36,12 @@ from .graphio import (
     write_instance,
 )
 from .graphs import verify_circuit
-from .jaeger import EvenExtension, extend_to_even_subgraph, min_components_even_extension
-from .oracle import check_parity_monotonicity, feasible_by_bruteforce
+from .jaeger import EvenExtension, extend_to_even_subgraph
+from .oracle import (
+    check_parity_monotonicity,
+    feasible_by_bruteforce,
+    min_components_even_extension,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1

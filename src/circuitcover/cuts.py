@@ -211,19 +211,6 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
     return certify(g, best[1])
 
 
-def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
-    """An odd cut of g lying inside the edge set s, or None.
-
-    This is extend_to_even_subgraph's certificate: each component of G-S has
-    all its outgoing edges in S, and bounds an odd cut exactly when it holds
-    an odd number of vertices of odd degree in (V, S).
-    """
-    from .jaeger import extend_to_even_subgraph
-
-    outcome = extend_to_even_subgraph(g, s)
-    return outcome if isinstance(outcome, CutCertificate) else None
-
-
 def edge_connectivity(g: Graph) -> int:
     """Global edge connectivity: the smallest capacity of the Gomory-Hu tree.
 

@@ -77,34 +77,6 @@ def write_instance(inst: NamedInstance, directory: str | Path) -> tuple[Path, Pa
     return gpath, jpath
 
 
-def read_instance(graph_path: str | Path) -> NamedInstance:
-    """The graph and, from a `.json` sidecar when there is one, its label and
-    prescribed edge ids; ParseError, with the sidecar's name, when the
-    sidecar is not JSON or has the wrong shape."""
-    graph_path = Path(graph_path)
-    g = read_graph(graph_path)
-    sidecar = graph_path.with_suffix(".json")
-    if not sidecar.exists():
-        return NamedInstance(g, frozenset(), graph_path.stem)
-    try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"sidecar {sidecar.name} is not JSON: {exc.msg}", exc.lineno) from None
-    if not isinstance(meta, dict):
-        raise ParseError(f"sidecar {sidecar.name} must hold a JSON object", 1)
-    prescribed = meta.get("prescribed", [])
-    if not isinstance(prescribed, list) or not all(
-        type(e) is int and 0 <= e < g.m for e in prescribed
-    ):
-        raise ParseError(
-            f"sidecar {sidecar.name}: 'prescribed' must be a list of edge ids below m={g.m}", 1
-        )
-    label = meta.get("label", graph_path.stem)
-    if not isinstance(label, str):
-        raise ParseError(f"sidecar {sidecar.name}: 'label' must be a string", 1)
-    return NamedInstance(g, frozenset(prescribed), label)
-
-
 def circuit_result(t: Trail, method: str | None = None) -> dict:
     out = {
         "status": "circuit",

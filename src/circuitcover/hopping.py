@@ -8,7 +8,8 @@ at most k+1.
 Vocabulary (all relative to the segmented circuit H and the excluded e):
   admissible trail  - trail in G-E(H)-e whose inner vertices avoid V(H);
   reach of X        - H-vertices admissibly reachable from X;
-  levels A_i / B_i  - iterated reach closures grown from a and b;
+  levels A_i / B_i  - iterated reach closures grown from a and b, held as
+                      one Reach per side;
   spans             - per level and segment, the smallest and largest path
                       positions of the level's vertices on that segment; the
                       closure of a level is every segment between its span;
@@ -45,8 +46,7 @@ B end and m, and a B step is its mirror image.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cuts import CutCertificate, certify
 from .errors import BadParam, CoherenceViolated
@@ -54,47 +54,36 @@ from .graphs import Graph, Trail, trail_concat, validate_trail
 from .segments import SegmentedCircuit
 
 
-@dataclass(frozen=True)
-class ReachState:
-    """Level sets grown from both endpoints of the excluded edge, each with
-    its segment spans; a_trees and b_trees map each reached H-vertex to the
-    search tree (parent map) of the first level that reached it, and its
-    witness trail is its tree path."""
+class Reach(NamedTuple):
+    """Level sets grown from one endpoint of the excluded edge, with their
+    segment spans; trees maps each reached H-vertex to the search tree
+    (parent map) of the first level that reached it, and its witness trail
+    is its tree path.  An index past the fixpoint reads the last level."""
+
+    levels: tuple[frozenset, ...]  # level 0 = empty, 1, ... (stabilized)
+    spans: tuple[tuple, ...]  # SegmentedCircuit.spans of each level
+    trees: dict
+
+    def level(self, i: int) -> frozenset:
+        return self.levels[min(i, len(self.levels) - 1)]
+
+    def span(self, i: int) -> tuple[tuple[int, int] | None, ...]:
+        return self.spans[min(i, len(self.spans) - 1)]
+
+    def witness(self, v: int) -> Trail:
+        return _tree_path(self.trees[v], v)
+
+    def first_hit(self, j: int) -> int | None:
+        return next((i for i, s in enumerate(self.spans) if i and s[j]), None)
+
+
+class ReachState(NamedTuple):
+    """The reach from each endpoint of the excluded edge: a from a, b from b."""
 
     graph: Graph
     excluded: int
-    a_levels: tuple[frozenset, ...]  # A_0 = empty, A_1, ... (stabilized)
-    b_levels: tuple[frozenset, ...]
-    a_spans: tuple[tuple, ...]  # SegmentedCircuit.spans of each level
-    b_spans: tuple[tuple, ...]
-    a_trees: dict
-    b_trees: dict
-
-    def level(self, side: str, i: int) -> frozenset:
-        levels = self.a_levels if side == "A" else self.b_levels
-        return levels[min(i, len(levels) - 1)]
-
-    def spans(self, side: str, i: int) -> tuple[tuple[int, int] | None, ...]:
-        spans = self.a_spans if side == "A" else self.b_spans
-        return spans[min(i, len(spans) - 1)]
-
-    def witness(self, side: str, v: int) -> Trail:
-        return _tree_path((self.a_trees if side == "A" else self.b_trees)[v], v)
-
-    def swapped(self) -> "ReachState":
-        return replace(
-            self,
-            a_levels=self.b_levels,
-            b_levels=self.a_levels,
-            a_spans=self.b_spans,
-            b_spans=self.a_spans,
-            a_trees=self.b_trees,
-            b_trees=self.a_trees,
-        )
-
-    def first_hit_level(self, side: str, j: int) -> int | None:
-        spans = self.a_spans if side == "A" else self.b_spans
-        return next((i for i in range(1, len(spans)) if spans[i][j]), None)
+    a: Reach
+    b: Reach
 
 
 def _admissible_search(
@@ -143,7 +132,7 @@ def hopping_fixpoint(
     if not 0 <= excluded < g.m or {a, b} != set(g.edges[excluded]):
         raise BadParam(f"{a} and {b} are not the endpoints of edge {excluded}")
 
-    def grow(start: int) -> tuple[tuple[frozenset, ...], tuple[tuple, ...], dict]:
+    def grow(start: int) -> Reach:
         levels = [frozenset()]
         spans = [(None,) * seg.k]
         trees: dict[int, dict] = {}
@@ -155,24 +144,21 @@ def hopping_fixpoint(
                     trees.setdefault(v, parent)
             nxt = frozenset(trees)
             if len(levels) > 1 and nxt == levels[-1]:  # A_1 stays even if empty
-                return tuple(levels), tuple(spans), trees
+                return Reach(tuple(levels), tuple(spans), trees)
             levels.append(nxt)
             spans.append(seg.spans(nxt))
             sources = seg.closure(spans[-1])
 
-    a_levels, a_spans, a_trees = grow(a)
-    b_levels, b_spans, b_trees = grow(b)
-    if any(sa and sb for sa, sb in zip(a_spans[-1], b_spans[-1])):
-        return ReachState(
-            g, excluded, a_levels, b_levels, a_spans, b_spans, a_trees, b_trees
-        )
-    hits_a = sum(1 for span in a_spans[-1] if span)
-    hits_b = sum(1 for span in b_spans[-1] if span)
+    reach_a, reach_b = grow(a), grow(b)
+    if any(sa and sb for sa, sb in zip(reach_a.spans[-1], reach_b.spans[-1])):
+        return ReachState(g, excluded, reach_a, reach_b)
+    hits_a = sum(1 for span in reach_a.spans[-1] if span)
+    hits_b = sum(1 for span in reach_b.spans[-1] if span)
     if hits_a <= hits_b:
-        side_vertices, endpoint, other = a_levels[-1], a, b
+        side, endpoint, other = reach_a, a, b
     else:
-        side_vertices, endpoint, other = b_levels[-1], b, a
-    region = _admissible_search(g, seg, excluded, set(side_vertices) | {endpoint})
+        side, endpoint, other = reach_b, b, a
+    region = _admissible_search(g, seg, excluded, set(side.levels[-1]) | {endpoint})
     cert = certify(g, region)
     if other in region or excluded not in cert.boundary:
         raise CoherenceViolated("fixpoint region leaked across the excluded edge")
@@ -183,8 +169,7 @@ def hopping_fixpoint(
     return cert
 
 
-@dataclass
-class CoherentTrail:
+class CoherentTrail(NamedTuple):
     """Trail through all separators, each vertex tagged with its H position.
 
     at[r] is the index on seg.trail of the H position that vertices[r] came
@@ -199,10 +184,6 @@ class CoherentTrail:
     n: int
     m: int
     at: tuple[int, ...]
-
-    @property
-    def level(self) -> tuple[int, int]:
-        return (self.n, self.m)
 
     def trail(self) -> Trail:
         return Trail(self.vertices, self.edges)
@@ -228,14 +209,14 @@ def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -
     # C1: all separators covered, endpoints at the next levels
     if not set(seg.sep_ids) <= set(q.edges):
         raise CoherenceViolated("C1: trail misses a separator edge")
-    if q.vertices[0] not in state.level("A", q.n + 1):
+    a_next = state.a.level(q.n + 1)
+    b_next = state.b.level(q.m + 1)
+    if q.vertices[0] not in a_next:
         raise CoherenceViolated("C1: start vertex not at level n+1")
-    if q.vertices[-1] not in state.level("B", q.m + 1):
+    if q.vertices[-1] not in b_next:
         raise CoherenceViolated("C1: end vertex not at level m+1")
     # C2: the stretches between consecutive H-vertices; C1 put both trail
     # ends on H, and a stretch with inner vertices has only non-H edges
-    a_next = state.level("A", q.n + 1)
-    b_next = state.level("B", q.m + 1)
     on_h = [i for i, v in enumerate(q.vertices) if v in seg.h_vertices]
     for r, tt in zip(on_h, on_h[1:]):
         if tt == r + 1 and q.edges[r] in seg.h_edges:
@@ -261,8 +242,8 @@ def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -
                 f"C3: tag {tag} at position {r} names vertex {h[tag]}, not {v}"
             )
     pos = _positions(q)
-    for side, lvl in (("A", q.n), ("B", q.m)):
-        for j, span in enumerate(state.spans(side, lvl)):
+    for side, spans in (("A", state.a.span(q.n)), ("B", state.b.span(q.m))):
+        for j, span in enumerate(spans):
             if span is None:
                 continue
             vs = seg.seg_bounds[j][0]
@@ -282,10 +263,10 @@ def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> Coherent
     to the chosen end vertex, skipping only part of that segment.  The trail
     is not checked here: reroute_descent checks it on entry.
     """
+    a, b = state.a, state.b
     candidates = []
     for j in range(seg.k):
-        la = state.first_hit_level("A", j)
-        lb = state.first_hit_level("B", j)
+        la, lb = a.first_hit(j), b.first_hit(j)
         if la is not None and lb is not None:
             candidates.append((la + lb, j, la, lb))
     if not candidates:
@@ -294,14 +275,14 @@ def initial_coherent_trail(state: ReachState, seg: SegmentedCircuit) -> Coherent
     n, m = la - 1, lb - 1
     # the walk is closed when both ends are one H position of segment j, which
     # no closure at levels (n, m) may then reach
-    if state.spans("A", n)[j] or state.spans("B", m)[j]:
+    if a.span(n)[j] or b.span(m)[j]:
         raise CoherenceViolated(
             "chosen segment has a nonempty closure below its first level"
         )
     vs, _ = seg.seg_bounds[j]
     big_l = len(seg.trail.edges)
-    ga = vs + state.spans("A", la)[j][0]
-    gb = vs + state.spans("B", lb)[j][0]
+    ga = vs + a.span(la)[j][0]
+    gb = vs + b.span(lb)[j][0]
     # H positions are taken mod L, so the walk passes the rotation point as
     # position 0, where segment 0 starts
     if gb <= ga:
@@ -329,25 +310,26 @@ def _mirror(q: CoherentTrail) -> CoherentTrail:
     return CoherentTrail(q.vertices[::-1], q.edges[::-1], q.m, q.n, q.at[::-1])
 
 
-def _reroute_a_side(
-    q: CoherentTrail, state: ReachState, seg: SegmentedCircuit
+def _reroute(
+    q: CoherentTrail, near: Reach, far: Reach, seg: SegmentedCircuit
 ) -> CoherentTrail:
-    """One rerouting step on the A side (n >= 1, start vertex fresh at n+1).
+    """One rerouting step on the start's side, whose reach is near (n >= 1,
+    start vertex fresh at n+1); far is the end's reach.
 
     Splices the witness trail of the start vertex into the trail, replacing
     the stretch of segment j between the frontier anchor and the witness
-    source; the A level strictly drops.  q must be coherent, so each
-    closure's subtrail is found through the tags.
+    source; n strictly drops.  q must be coherent, so each closure's
+    subtrail is found through the tags.  Messages call the start's side A.
     """
     n, m = q.n, q.m
     start = q.vertices[0]
-    if start in state.level("A", n):
+    if start in near.level(n):
         raise CoherenceViolated(f"start vertex {start} is already in A_{n}")
-    p = state.witness("A", start)
+    p = near.witness(start)
     x = p.vertices[0]
     if p.vertices[-1] != start:
         raise CoherenceViolated("witness trail does not end at the start vertex")
-    spans_n = state.spans("A", n)
+    spans_n = near.span(n)
     inside = [
         (j, px)
         for j, px in seg.places.get(x, ())
@@ -361,7 +343,7 @@ def _reroute_a_side(
     path = seg.seg_paths[j]
     frontiers = []  # frontiers[i]: the end vertices of A_{i+1}'s span on j
     for i in range(1, n + 2):
-        span = state.spans("A", i)[j]
+        span = near.span(i)[j]
         frontiers.append(set() if span is None else {path[span[0]], path[span[1]]})
     frontier_union = set().union(*frontiers[:n])
     c = next((r for r in range(d, -1, -1) if q.vertices[r] in frontier_union), None)
@@ -372,7 +354,7 @@ def _reroute_a_side(
     )
     if n_prime is None or n_prime >= n:
         raise CoherenceViolated(f"anchor level {n_prime} does not drop below {n}")
-    if state.spans("B", m)[j] is not None or x in state.level("B", m + 1):
+    if far.span(m)[j] is not None or x in far.level(m + 1):
         raise CoherenceViolated(f"segment {j} is shared below the initial level sum")
     if set(p.edges) & set(q.edges):
         raise CoherenceViolated("witness trail shares an edge with the trail")
@@ -412,9 +394,9 @@ def reroute_descent(
             raise CoherenceViolated("level sum failed to reach zero in budget")
         before = q.n + q.m
         if q.n >= 1:
-            q = _reroute_a_side(q, state, seg)
+            q = _reroute(q, state.a, state.b, seg)
         else:
-            q = _mirror(_reroute_a_side(_mirror(q), state.swapped(), seg))
+            q = _mirror(_reroute(_mirror(q), state.b, state.a, seg))
         check_coherent(q, state, seg)
         if q.n + q.m >= before:
             raise CoherenceViolated(
@@ -441,8 +423,8 @@ def bridge_case(
     q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
     a1 = q.vertices[0]
     b1 = q.vertices[-1]
-    p_a = state.witness("A", a1)
-    p_b = state.witness("B", b1)
+    p_a = state.a.witness(a1)
+    p_b = state.b.witness(b1)
     if p_a.vertices[0] != a or p_b.vertices[0] != b:
         raise CoherenceViolated("entry witnesses do not start at the edge endpoints")
     if set(p_a.vertices) & set(p_b.vertices):

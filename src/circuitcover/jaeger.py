@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cuts import CutCertificate, certify
-from .errors import CoherenceViolated, NotExtendable, TooLarge
+from .errors import CoherenceViolated
 from .graphs import Graph, connected_components, is_even_subgraph, spanning_forest
 
 
@@ -52,23 +52,12 @@ def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCe
     return EvenExtension(even, len(comps))
 
 
-def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
-    """Minimum component count over all even supersets of s, by enumerating
-    the cycle space (desk-scale guard)."""
-    from .oracle import _edge_mask, _mask_to_edges, cycle_space_basis, even_set_masks
+def odd_cut_within(g: Graph, s: Iterable[int]) -> CutCertificate | None:
+    """An odd cut of g lying inside the edge set s, or None.
 
-    basis = cycle_space_basis(g)
-    if g.n > 20 or basis.dim > 24:
-        raise TooLarge(f"guard: n={g.n}, cycle-space dim={basis.dim}")
-    s_mask = _edge_mask(g, s)
-    best: int | None = None
-    for f in even_set_masks(basis):
-        if s_mask & ~f:
-            continue
-        edges = _mask_to_edges(f)
-        comps = len(connected_components(g, edges)) if edges else 0
-        if best is None or comps < best:
-            best = comps
-    if best is None:
-        raise NotExtendable("no even edge set contains the prescribed edges")
-    return best
+    This is extend_to_even_subgraph's certificate: each component of G-S has
+    all its outgoing edges in S, and bounds an odd cut exactly when it holds
+    an odd number of vertices of odd degree in (V, S).
+    """
+    outcome = extend_to_even_subgraph(g, s)
+    return outcome if isinstance(outcome, CutCertificate) else None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import TooLarge
+from .errors import NotExtendable, TooLarge
 from .graphs import Graph, Trail, connected_components, euler_circuit, spanning_forest
 
 _DIM_GUARD = 24
@@ -88,6 +88,26 @@ def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
         if _is_connected_edge_set(g, edges):
             return euler_circuit(g, edges)
     return None
+
+
+def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
+    """Minimum component count over all even supersets of s, by enumerating
+    the cycle space (desk-scale guard)."""
+    basis = cycle_space_basis(g)
+    if g.n > 20 or basis.dim > _DIM_GUARD:
+        raise TooLarge(f"guard: n={g.n}, cycle-space dim={basis.dim}")
+    s_mask = _edge_mask(g, s)
+    best: int | None = None
+    for f in even_set_masks(basis):
+        if s_mask & ~f:
+            continue
+        edges = _mask_to_edges(f)
+        comps = len(connected_components(g, edges)) if edges else 0
+        if best is None or comps < best:
+            best = comps
+    if best is None:
+        raise NotExtendable("no even edge set contains the prescribed edges")
+    return best
 
 
 def enumerate_connected_even_sets(g: Graph) -> list[int]:

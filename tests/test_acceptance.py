@@ -28,19 +28,15 @@ from circuitcover.generators import (
 )
 from circuitcover.graphs import Trail, verify_circuit
 from circuitcover.hopping import bridge_case
-from circuitcover.jaeger import (
-    EvenExtension,
-    extend_to_even_subgraph,
-    min_components_even_extension,
-)
+from circuitcover.jaeger import EvenExtension, extend_to_even_subgraph, odd_cut_within
 from circuitcover.oracle import (
     check_parity_monotonicity,
     cycle_space_basis,
     enumerate_connected_even_sets,
     feasible_by_bruteforce,
+    min_components_even_extension,
 )
 from circuitcover.segments import segment
-from circuitcover.cuts import odd_cut_within
 
 from conftest import complete_graph, cycle_graph
 

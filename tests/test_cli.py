@@ -10,7 +10,7 @@ from circuitcover import cli
 from circuitcover.cli import main
 from circuitcover.errors import TooLarge
 from circuitcover.generators import ladder
-from circuitcover.graphio import format_graph, parse_graph, read_instance, write_instance
+from circuitcover.graphio import format_graph, parse_graph, read_graph, write_instance
 from circuitcover.errors import ParseError
 
 from conftest import cycle_graph
@@ -51,47 +51,13 @@ class TestGraphFormat:
 
     def test_instance_sidecar_round_trip(self, tmp_path):
         inst = ladder(4)
-        write_instance(inst, tmp_path)
-        back = read_instance(tmp_path / "ladder-4.graph")
-        assert back.graph == inst.graph
-        assert back.prescribed == inst.prescribed
-
-    @pytest.mark.parametrize(
-        "sidecar",
-        [
-            [1],
-            "ladder",
-            {"prescribed": "ab"},
-            {"prescribed": {"0": 1}},
-            {"prescribed": [7]},
-            {"prescribed": [-1]},
-            {"prescribed": [True]},
-            {"prescribed": [1.0]},
-            {"label": 3},
-            {"label": None, "prescribed": [0]},
-        ],
-    )
-    def test_malformed_sidecar_is_a_parse_error(self, tmp_path, sidecar):
-        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
-        (tmp_path / "tri.json").write_text(json.dumps(sidecar))
-        with pytest.raises(ParseError, match="sidecar tri.json"):
-            read_instance(tmp_path / "tri.graph")
-
-    def test_sidecar_that_is_not_json_is_a_parse_error(self, tmp_path):
-        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
-        (tmp_path / "tri.json").write_text('{\n  "prescribed": [0,\n}\n')
-        with pytest.raises(ParseError, match="sidecar tri.json is not JSON") as exc:
-            read_instance(tmp_path / "tri.graph")
-        assert exc.value.line == 3  # the decoder's line
-
-    def test_sidecar_fields_default(self, tmp_path):
-        (tmp_path / "tri.graph").write_text("3 3\n0 1\n1 2\n2 0\n")
-        (tmp_path / "tri.json").write_text('{"prescribed": [0, 2]}')
-        inst = read_instance(tmp_path / "tri.graph")
-        assert inst.label == "tri" and inst.prescribed == {0, 2}
-        (tmp_path / "tri.json").write_text('{"label": "t"}')
-        inst = read_instance(tmp_path / "tri.graph")
-        assert inst.label == "t" and inst.prescribed == frozenset()
+        gpath, jpath = write_instance(inst, tmp_path)
+        assert gpath == tmp_path / "ladder-4.graph"
+        assert read_graph(gpath) == inst.graph
+        assert json.loads(jpath.read_text()) == {
+            "label": "ladder-4",
+            "prescribed": sorted(inst.prescribed),
+        }
 
 
 class TestCheck:

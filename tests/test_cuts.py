@@ -19,12 +19,12 @@ from circuitcover.cuts import (
     certify,
     edge_connectivity,
     min_odd_cut,
-    odd_cut_within,
 )
 from circuitcover.errors import BadEdgeId, BadParam, CoherenceViolated, DisconnectedInput
 from circuitcover.finder import _two_walks
 from circuitcover.generators import double_clique, ladder, random_connected, two_cycles_bridge
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
+from circuitcover.jaeger import odd_cut_within
 
 from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
 

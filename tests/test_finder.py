@@ -541,7 +541,7 @@ class TestPinnedAnswers:
             (finder, "euler_circuit"),
             (finder, "bridge_case"),
             (finder, "contract_subgraph"),
-            (hopping, "_reroute_a_side"),
+            (hopping, "_reroute"),
             (hopping, "_mirror"),
         ]
         reached = dict.fromkeys((name for _, name in targets), 0)

@@ -4,7 +4,6 @@ The frozen values below were derived by hand on paper-sized instances and
 double-checked against the cut oracle and the circuit verifier.
 """
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -70,25 +69,25 @@ class TestComputeReach:
     def test_k4_reach_of_far_endpoint(self):
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
-        assert state.b_levels[1] == frozenset({1, 2})
-        assert state.witness("B", 1).vertices == (3, 1)
-        assert state.witness("B", 2).vertices == (3, 2)
+        assert state.b.levels[1] == frozenset({1, 2})
+        assert state.b.witness(1).vertices == (3, 1)
+        assert state.b.witness(2).vertices == (3, 2)
 
     def test_k4_reach_of_near_endpoint_is_trivial(self):
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
-        assert state.a_levels[1] == frozenset({0})
-        assert state.witness("A", 0).vertices == (0,)
+        assert state.a.levels[1] == frozenset({0})
+        assert state.a.witness(0).vertices == (0,)
 
     def test_inner_vertices_stay_off_the_circuit(self):
         # level 2 of A grows from the closure {1, 2} of A_1 and reaches 5
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
-        assert 5 in state.a_levels[2]
-        assert state.witness("A", 5).vertices == (1, 10, 5)
-        for side, trees in (("A", state.a_trees), ("B", state.b_trees)):
-            for v in trees:
-                for u in state.witness(side, v).vertices[1:-1]:
+        assert 5 in state.a.levels[2]
+        assert state.a.witness(5).vertices == (1, 10, 5)
+        for reach in (state.a, state.b):
+            for v in reach.trees:
+                for u in reach.witness(v).vertices[1:-1]:
                     assert u not in seg.h_vertices
 
 
@@ -117,8 +116,8 @@ class TestEntryValidation:
     def test_fixpoint_takes_the_ends_in_either_order(self):
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 3, 0)
-        assert state.a_levels[-1] == frozenset({1, 2})
-        assert state.b_levels[-1] == frozenset({0})
+        assert state.a.levels[-1] == frozenset({1, 2})
+        assert state.b.levels[-1] == frozenset({0})
 
 
 class TestHoppingFixpoint:
@@ -126,15 +125,15 @@ class TestHoppingFixpoint:
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
         assert not isinstance(state, CutCertificate)
-        assert state.a_levels[-1] == frozenset({0})
-        assert state.b_levels[-1] == frozenset({1, 2})
-        assert state.a_spans[-1][0] and state.b_spans[-1][0]
+        assert state.a.levels[-1] == frozenset({0})
+        assert state.b.levels[-1] == frozenset({1, 2})
+        assert state.a.spans[-1][0] and state.b.spans[-1][0]
 
     def test_two_level_fixture_levels(self):
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
-        assert [sorted(s) for s in state.a_levels] == [[], [1, 2], [1, 2, 5]]
-        assert [sorted(s) for s in state.b_levels] == [[], [6]]
+        assert [sorted(s) for s in state.a.levels] == [[], [1, 2], [1, 2, 5]]
+        assert [sorted(s) for s in state.b.levels] == [[], [6]]
 
     def test_bridged_triangles_give_unit_cut(self):
         g = triangles_with_bridge()
@@ -162,7 +161,7 @@ class TestInitialCoherentTrail:
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
         q = initial_coherent_trail(state, seg)
-        assert q.level == (0, 0)
+        assert (q.n, q.m) == (0, 0)
         assert q.vertices == (0, 1) and q.edges == (0,)
         check_coherent(q, state, seg)
 
@@ -170,7 +169,7 @@ class TestInitialCoherentTrail:
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
         q = initial_coherent_trail(state, seg)
-        assert q.level == (1, 0)
+        assert (q.n, q.m) == (1, 0)
         assert q.vertices == (5, 4, 3, 2, 1, 0, 7, 6)
         check_coherent(q, state, seg)
 
@@ -193,7 +192,7 @@ class TestCheckCoherentRejects:
     def test_c2_stretch_with_both_ends_in_one_level(self):
         _, _, _, spliced = self._initial_and_spliced()
         assert spliced.vertices == (1, 2, 3, 4, 5, 10, 1, 0, 7, 6)
-        self._rejects(replace(spliced, n=1), "C2")  # 5-10-1 lies in A_2
+        self._rejects(spliced._replace(n=1), "C2")  # 5-10-1 lies in A_2
 
     def test_c2_single_chord_with_both_ends_in_one_level(self):
         # the fixture plus a chord 1-5 off H, which the splice takes in place
@@ -206,12 +205,12 @@ class TestCheckCoherentRejects:
         assert spliced.vertices == (1, 2, 3, 4, 5, 1, 0, 7, 6)
         assert spliced.edges[4] == g.m - 1
         with pytest.raises(CoherenceViolated, match="C2"):
-            check_coherent(replace(spliced, n=1), state, seg)
+            check_coherent(spliced._replace(n=1), state, seg)
 
     def test_c1_start_above_its_level(self):
         _, _, initial, _ = self._initial_and_spliced()
-        assert initial.level == (1, 0)
-        self._rejects(replace(initial, n=0), "C1: start vertex")
+        assert (initial.n, initial.m) == (1, 0)
+        self._rejects(initial._replace(n=0), "C1: start vertex")
 
     def test_c3_tag_names_another_vertex(self):
         # position 0 holds vertex 1 but claims H position 4, segment two's
@@ -219,12 +218,12 @@ class TestCheckCoherentRejects:
         _, _, _, spliced = self._initial_and_spliced()
         assert spliced.at[0] == 1
         at = (4,) + spliced.at[1:]
-        self._rejects(replace(spliced, at=at), "C3: tag 4 at position 0 names vertex 4, not 1")
+        self._rejects(spliced._replace(at=at), "C3: tag 4 at position 0 names vertex 4, not 1")
 
     def test_c3_closure_without_tags(self):
         _, _, initial, _ = self._initial_and_spliced()
         at = (-1,) * len(initial.vertices)
-        self._rejects(replace(initial, at=at), "C3: A closure on segment 0 is off the trail")
+        self._rejects(initial._replace(at=at), "C3: A closure on segment 0 is off the trail")
 
     def test_c3_closure_partly_tagged(self):
         # A_1's closure on segment one is H positions 1 and 2; drop the tag
@@ -232,7 +231,7 @@ class TestCheckCoherentRejects:
         _, _, initial, _ = self._initial_and_spliced()
         assert initial.at == (5, 4, 3, 2, 1, 0, 7, 6)
         at = (5, 4, 3, -1, 1, 0, 7, 6)
-        self._rejects(replace(initial, at=at), "C3: A closure on segment 0 is off the trail")
+        self._rejects(initial._replace(at=at), "C3: A closure on segment 0 is off the trail")
 
     def test_c3_closure_not_consecutive(self):
         # swap the tags of the two visits to vertex 1: every tag still names
@@ -243,7 +242,7 @@ class TestCheckCoherentRejects:
         q = initial_coherent_trail(state, seg)
         assert q.vertices == (1, 3, 2, 1, 0, 4) and q.at == (1, 0, 5, 4, 3, 2)
         with pytest.raises(CoherenceViolated, match="C3: A closure on segment 1 is not a subtrail"):
-            check_coherent(replace(q, at=(4, 0, 5, 1, 3, 2)), state, seg)
+            check_coherent(q._replace(at=(4, 0, 5, 1, 3, 2)), state, seg)
 
     @pytest.mark.parametrize(
         "at, match",
@@ -261,7 +260,7 @@ class TestCheckCoherentRejects:
         # CoherenceViolated, never an IndexError
         state, seg, initial, _ = self._initial_and_spliced()
         with pytest.raises(CoherenceViolated, match=match):
-            reroute_descent(replace(initial, at=at), state, seg)
+            reroute_descent(initial._replace(at=at), state, seg)
 
 
 class TestSpanTable:
@@ -283,15 +282,15 @@ class TestSpanTable:
             for _ in range(40):
                 find_circuit(g, rng.sample(range(g.m), rng.randint(2, min(4, g.m))))
         assert len(reached) >= 100
-        assert any(len(state.a_levels) > 2 for _, state in reached)
+        assert any(len(state.a.levels) > 2 for _, state in reached)
         for seg, state in reached:
-            for side, levels in (("A", state.a_levels), ("B", state.b_levels)):
-                for i, level in enumerate(levels):
+            for reach in (state.a, state.b):
+                for i, level in enumerate(reach.levels):
                     expect = []
                     for path in seg.seg_paths:
                         hits = [path.index(v) for v in level if v in path]
                         expect.append((min(hits), max(hits)) if hits else None)
-                    assert state.spans(side, i) == tuple(expect)
+                    assert reach.span(i) == tuple(expect)
 
 
 def _located_subtrail(q, seg, lo, hi) -> range:
@@ -314,13 +313,13 @@ class TestDerivedSubtrails:
         # nonempty closure of A_n or B_m is found on the trail by its
         # segment's H edges, in order, and the tags put it at that place
         seen = {"trails": 0, "reroutes": 0}
-        check, reroute = hopping.check_coherent, hopping._reroute_a_side
+        check, reroute = hopping.check_coherent, hopping._reroute
 
         def checked(q, state, seg):
             check(q, state, seg)
             seen["trails"] += 1
-            for side, lvl in (("A", q.n), ("B", q.m)):
-                for (vs, _), span in zip(seg.seg_bounds, state.spans(side, lvl)):
+            for spans in (state.a.span(q.n), state.b.span(q.m)):
+                for (vs, _), span in zip(seg.seg_bounds, spans):
                     if span is not None:
                         lo, hi = vs + span[0], vs + span[1]
                         if hi == lo:
@@ -334,7 +333,7 @@ class TestDerivedSubtrails:
             return reroute(*args)
 
         monkeypatch.setattr(hopping, "check_coherent", checked)
-        monkeypatch.setattr(hopping, "_reroute_a_side", counted)
+        monkeypatch.setattr(hopping, "_reroute", counted)
         rng = random.Random(31)
         for g in sparse_random_graphs():
             for _ in range(40):
@@ -349,7 +348,7 @@ class TestCoherenceChecks:
         # reroute
         seen = {"checks": 0, "descents": 0, "reroutes": 0}
         check, descent = hopping.check_coherent, hopping.reroute_descent
-        reroute = hopping._reroute_a_side
+        reroute = hopping._reroute
 
         def counted(key, f):
             def call(*args):
@@ -360,7 +359,7 @@ class TestCoherenceChecks:
 
         monkeypatch.setattr(hopping, "check_coherent", counted("checks", check))
         monkeypatch.setattr(hopping, "reroute_descent", counted("descents", descent))
-        monkeypatch.setattr(hopping, "_reroute_a_side", counted("reroutes", reroute))
+        monkeypatch.setattr(hopping, "_reroute", counted("reroutes", reroute))
         rng = random.Random(31)
         for g in sparse_random_graphs():
             for _ in range(40):
@@ -376,7 +375,7 @@ class TestCoherenceChecks:
 
         def corrupt(state, seg):
             q = initial(state, seg)
-            return replace(q, at=(q.at[1],) + q.at[1:])
+            return q._replace(at=(q.at[1],) + q.at[1:])
 
         monkeypatch.setattr(hopping, "initial_coherent_trail", corrupt)
         with pytest.raises(CoherenceViolated, match="C3: tag .* at position 0 names vertex"):
@@ -389,15 +388,15 @@ class TestDescentPrecondition:
         # no demotion rests on this: bridge_case starts each descent at
         # n + m + 2 = min over segments j of la(j) + lb(j)
         seen = {"descents": 0, "reroutes": 0}
-        descent, reroute = hopping.reroute_descent, hopping._reroute_a_side
+        descent, reroute = hopping.reroute_descent, hopping._reroute
 
         def checked(q, state, seg):
             sums = []
             for j in range(seg.k):
-                la, lb = state.first_hit_level("A", j), state.first_hit_level("B", j)
+                la, lb = state.a.first_hit(j), state.b.first_hit(j)
                 if la is not None and lb is not None:
                     sums.append(la + lb)
-            assert q.n + q.m + 2 == min(sums), (q.level, sums)
+            assert q.n + q.m + 2 == min(sums), ((q.n, q.m), sums)
             seen["descents"] += 1
             return descent(q, state, seg)
 
@@ -406,7 +405,7 @@ class TestDescentPrecondition:
             return reroute(*args)
 
         monkeypatch.setattr(hopping, "reroute_descent", checked)
-        monkeypatch.setattr(hopping, "_reroute_a_side", counted)
+        monkeypatch.setattr(hopping, "_reroute", counted)
         rng = random.Random(31)
         for g in sparse_random_graphs():
             for _ in range(40):
@@ -419,7 +418,8 @@ class TestRerouteDescent:
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
         q = initial_coherent_trail(state, seg)
-        assert reroute_descent(q, state, seg) is q or reroute_descent(q, state, seg).level == (0, 0)
+        out = reroute_descent(q, state, seg)
+        assert out is q or (out.n, out.m) == (0, 0)
 
     def test_start_already_in_its_level_is_rejected(self):
         # the level sequences stabilize, so a level-(0,0) trail is also
@@ -428,16 +428,17 @@ class TestRerouteDescent:
         # own level (hopping's module docstring), so the descent rejects it
         g, seg = k4_fixture()
         state = hopping_fixpoint(g, seg, 2, 0, 3)
-        lifted = replace(initial_coherent_trail(state, seg), n=1)
+        lifted = initial_coherent_trail(state, seg)._replace(n=1)
         check_coherent(lifted, state, seg)
-        assert lifted.vertices[0] in state.level("A", 1)
+        assert lifted.vertices[0] in state.a.level(1)
         with pytest.raises(CoherenceViolated, match="start vertex 0 is already in A_1"):
             reroute_descent(lifted, state, seg)
 
     def test_initial_trail_needs_a_shared_segment(self):
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
-        unshared = replace(state, b_spans=tuple((None,) * seg.k for _ in state.b_spans))
+        no_spans = tuple((None,) * seg.k for _ in state.b.spans)
+        unshared = state._replace(b=state.b._replace(spans=no_spans))
         with pytest.raises(CoherenceViolated, match="no segment is reached from both endpoints"):
             initial_coherent_trail(unshared, seg)
 
@@ -445,7 +446,7 @@ class TestRerouteDescent:
         g, h, seg, excluded = two_level_fixture()
         state = hopping_fixpoint(g, seg, excluded, 8, 9)
         q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
-        assert q.level == (0, 0)
+        assert (q.n, q.m) == (0, 0)
         assert q.vertices == (1, 2, 3, 4, 5, 10, 1, 0, 7, 6)
         check_coherent(q, state, seg)
 
@@ -473,7 +474,7 @@ class TestRerouteDescent:
         state = hopping_fixpoint(g, seg, 13, 8, 9)
         assert not isinstance(state, CutCertificate)
         q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
-        assert q.level == (0, 0)
+        assert (q.n, q.m) == (0, 0)
         check_coherent(q, state, seg)
 
 

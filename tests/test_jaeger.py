@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover.cuts import CutCertificate, odd_cut_within
+from circuitcover.cuts import CutCertificate
 from circuitcover.errors import BadEdgeId, TooLarge
 from circuitcover.generators import ladder, random_connected
 from circuitcover.graphs import Graph, connected_components, is_connected, is_even_subgraph
-from circuitcover.jaeger import (
-    EvenExtension,
-    extend_to_even_subgraph,
-    min_components_even_extension,
-)
-from circuitcover.oracle import cycle_space_basis
+from circuitcover.jaeger import EvenExtension, extend_to_even_subgraph, odd_cut_within
+from circuitcover.oracle import cycle_space_basis, min_components_even_extension
 
 from conftest import complete_graph, connected_graphs, cycle_graph
 

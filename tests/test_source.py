@@ -86,3 +86,19 @@ def test_public_surface_is_pinned():
         "gk_lower_witness",
         "random_connected",
     ]
+
+
+def test_imports_sit_at_module_level():
+    # every module names what it depends on at its head, so an import cycle
+    # cannot hide inside a function body
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(found) == []
