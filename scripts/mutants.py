@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_oracle_equivalence"
 DETACHED = "tests/test_finder.py::TestDetachedCase"
 BRIDGE_PATH = "tests/test_cuts.py::TestBridgePath"
+CLASSES = "tests/test_cuts.py::TestBoundClasses"
 
 MUTANTS = [
     Mutant(
@@ -72,6 +73,26 @@ MUTANTS = [
         (
             "tests/test_cuts.py::TestHasOddCutLeq::test_ladder_thresholds",
             "tests/test_cuts.py::TestBelowSmallestOddDegree::test_two_halves_agree_with_networkx",
+        ),
+    ),
+    Mutant(
+        "the class step merges at k - 1",
+        "src/circuitcover/cuts.py",
+        "if ry >= k:",
+        "if ry >= k - 1:",
+        (
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_on_the_atlas",
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_below_both_bounds",
+        ),
+    ),
+    Mutant(
+        "the tree skips a pair whose classes differ",
+        "src/circuitcover/cuts.py",
+        "if label[s] == label[t]:",
+        "if label[s] == label[t] or s == g.n - 1:",
+        (
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_on_the_atlas",
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_below_both_bounds",
         ),
     ),
     Mutant(

@@ -111,6 +111,7 @@ def cmd_find(args) -> int:
     elapsed = round(time.perf_counter() - t0, 6)
     if isinstance(outcome, CutCertificate):
         payload = cut_result(outcome)
+        payload["prescribed"] = sorted(s)
         if args.certify:
             payload["certified"] = not _cut_fault(g, payload, len(s))
         if args.oracle_fallback:
@@ -122,6 +123,7 @@ def cmd_find(args) -> int:
         _print_json(args, payload)
         return EXIT_CERTIFICATE
     payload = circuit_result(outcome)
+    payload["prescribed"] = sorted(s)
     if args.certify:
         payload["certified"] = bool(verify_circuit(g, outcome, s))
     payload["timings"] = {"find_s": elapsed}
@@ -144,19 +146,40 @@ def cmd_verify(args) -> int:
     g = read_graph(args.graph)
     s = _parse_edges(args.edges, g.m) if args.edges else None
     raw = sys.stdin.read() if args.result == "-" else Path(args.result).read_text()
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except RecursionError:
+        raise ValueError("result JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("result must be a JSON object")
+    s, mismatch = _prescribed(g, s, data)
     if data.get("status") == "odd-cut":
-        reason = _cut_fault(g, data, None if s is None else len(s))
-        ok = not reason
+        fault = _cut_fault(g, data, None if s is None else len(s))
     elif data.get("status") == "circuit":
-        res = verify_circuit(g, trail_from_result(data), s or frozenset())
-        ok, reason = res.ok, res.reason
+        fault = verify_circuit(g, trail_from_result(data), s or frozenset()).reason
     else:
         raise ValueError("nothing to verify: status is not circuit/odd-cut")
-    _print_json(args, {"verified": ok, "reason": reason})
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    reason = fault or mismatch
+    _print_json(args, {"verified": not reason, "reason": reason})
+    return EXIT_CERTIFICATE if reason else EXIT_OK
+
+
+def _prescribed(g, edges: frozenset | None, data: dict) -> tuple[frozenset | None, str]:
+    """The prescribed set S to check a result against, and why the result
+    fails even when it holds for S, or "".
+
+    S is --edges when given, else the `prescribed` ids that find records in
+    its result.  A result whose ids lie outside the graph or differ from
+    --edges is rejected.
+    """
+    if "prescribed" not in data:
+        return edges, ""
+    recorded = frozenset(result_ints(data, "prescribed"))
+    if not all(0 <= e < g.m for e in recorded):
+        return edges, "prescribed edge id out of range"
+    if edges is not None and edges != recorded:
+        return edges, f"--edges {sorted(edges)} differs from the prescribed {sorted(recorded)}"
+    return recorded, ""
 
 
 def _cut_fault(g, data: dict, bound: int | None) -> str:

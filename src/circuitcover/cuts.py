@@ -7,7 +7,12 @@ attained among the fundamental cuts of a Gomory-Hu tree (Padberg & Rao
 1982).  The tree is working state of min_odd_cut and edge_connectivity:
 each builds it only up to the bound its answer needs, and neither returns it.
 A cut below 2 is a bridge, so min_odd_cut needs no tree for a bound of 2:
-one lowlink DFS (graphs.bridge_runs) finds every such cut.
+one lowlink DFS (graphs.bridge_runs) finds every such cut.  Above 2, most
+of the tree's pairs are at least bound-edge-connected, and a maximum-
+adjacency ordering certifies that without a flow (Nagamochi & Ibaraki,
+"Computing edge-connectivity in multigraphs and capacitated graphs", SIAM
+J. Discrete Math. 1992): _bound_classes groups such vertices, and the tree
+takes a pair within one group as a flow that reached the bound.
 """
 from __future__ import annotations
 
@@ -53,6 +58,83 @@ def certify(g: Graph, side: Iterable[int]) -> CutCertificate:
     return CutCertificate(s, edge_boundary(g, s))
 
 
+def _bound_classes(g: Graph, k: int) -> list[int]:
+    """A class label per vertex, such that two vertices with one label are
+    joined by at least k edge-disjoint paths.
+
+    Each phase runs a maximum-adjacency ordering on the quotient multigraph
+    of the current classes: it scans next an unscanned class with the most
+    edges r(y) to the scanned ones, and scanning x adds the multiplicity of
+    each edge x-y to r(y).  When r(y) reaches k, x and y are k-edge-
+    connected (Nagamochi & Ibaraki 1992: the edges scanned so far hold k
+    edge-disjoint x-y paths), so their classes merge.  A cut below k splits
+    no class, so the quotient keeps every cut below k and the certificate
+    holds for the graph itself.  Phases repeat until one merges nothing;
+    then the phase's last two classes are below k apart (Stoer & Wagner,
+    J. ACM 1997), so when k is at most the edge connectivity, every vertex
+    ends in one class.
+    """
+    label = list(range(g.n))  # each vertex's class, a vertex of the quotient
+    count = g.n
+    edges: dict[tuple[int, int], int] = dict.fromkeys(g.edges, 1)  # multiplicities
+    while count > 1:
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for (u, v), w in edges.items():
+            adjacency[u].append((v, w))
+            adjacency[v].append((u, w))
+        r = [0] * count
+        scanned = [False] * count
+        # bucket i holds the classes pushed when their r was i; r <= m
+        buckets: list[list[int]] = [[] for _ in range(g.m + 1)]
+        buckets[0] = list(range(count - 1, -1, -1))
+        top = 0
+        joins: list[list[int]] = [[] for _ in range(count)]
+        joined = False
+        while top >= 0:
+            if not buckets[top]:
+                top -= 1
+                continue
+            x = buckets[top].pop()
+            if scanned[x] or r[x] != top:  # a stale entry
+                continue
+            scanned[x] = True
+            for y, w in adjacency[x]:
+                if not scanned[y]:
+                    ry = r[y] = r[y] + w
+                    buckets[ry].append(y)
+                    if ry > top:
+                        top = ry
+                    if ry >= k:
+                        joins[x].append(y)
+                        joins[y].append(x)
+                        joined = True
+        if not joined:
+            break
+        # the joined classes merge: the new classes are the join graph's
+        # components, numbered in order of their smallest old class
+        merged = [-1] * count
+        count = 0
+        for x in range(len(merged)):
+            if merged[x] < 0:
+                merged[x] = count
+                stack = [x]
+                while stack:
+                    for y in joins[stack.pop()]:
+                        if merged[y] < 0:
+                            merged[y] = count
+                            stack.append(y)
+                count += 1
+        label = [merged[c] for c in label]
+        quotient: dict[tuple[int, int], int] = {}
+        for (u, v), w in edges.items():
+            a, b = merged[u], merged[v]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                quotient[key] = quotient.get(key, 0) + w
+        edges = quotient
+    return label
+
+
 def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
     """Parent and capacity arrays of Gusfield's cut tree of a connected
     graph, rooted at vertex 0, with every flow stopped at bound.
@@ -67,6 +149,11 @@ def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
     bound means "at least the bound".  No cut reaches n, so with bound g.n
     the tree is the full, exact one.
 
+    A pair in one class of _bound_classes(g, bound) is at least bound-edge-
+    connected, so its flow would reach the bound: the pair takes that branch
+    without the flow.  Only that branch is skipped, so the parent and
+    capacity arrays are the ones every flow would give, tie-breaks included.
+
     Only a flow's value and, below the bound, its source side are read, and
     neither depends on the augmenting paths, so each flow is a pair flow
     that searches from s and t at once.
@@ -74,8 +161,12 @@ def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
     parent = [0] * g.n
     parent[0] = -1
     capacity = [0] * g.n
+    label = _bound_classes(g, bound)
     for s in range(1, g.n):
         t = parent[s]
+        if label[s] == label[t]:
+            capacity[s] = bound
+            continue
         net = FlowNetwork(g)
         value = net.pair_flow(s, t, bound)
         if value >= bound:

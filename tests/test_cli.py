@@ -116,6 +116,7 @@ class TestFind:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["status"] == "circuit" and payload["certified"] is True
+        assert payload["prescribed"] == [0, 3]
 
     def test_certificate_with_oracle_fallback(self, ladder4_file, capsys):
         code = main(
@@ -125,6 +126,7 @@ class TestFind:
         assert code == 2
         assert payload["status"] == "odd-cut" and payload["size"] == 3
         assert payload["oracle_feasible"] is False
+        assert payload["prescribed"] == [0, 1, 2]
 
     def test_oracle_fallback_past_the_guard(self, tmp_path, capsys):
         # ladder(26) has cycle-space dimension 25, past the oracle's guard
@@ -279,6 +281,59 @@ class TestVerifyCut:
         assert payload["reason"] == "side is empty or holds every vertex, so it cuts nothing"
 
 
+class TestVerifyPrescribed:
+    """find records S as `prescribed`, so verify checks the size bound and
+    the coverage without --edges, and rejects a result for another S."""
+
+    @pytest.fixture
+    def k4_file(self, tmp_path):
+        path = tmp_path / "k4.graph"
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        return path
+
+    def _find_then_verify(self, tmp_path, capsys, graph, edges, edit, verify_edges=()):
+        main(["find", str(graph), "--edges", edges])
+        data = json.loads(capsys.readouterr().out)
+        edit(data)
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(data))
+        code = main(["verify", str(graph), "--result", str(result), *verify_edges])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_cut_bound_without_edges(self, k4_file, tmp_path, capsys):
+        # K4's 3-cut answers S = {0, 1, 2}; recorded for S = {0} it is too large
+        code, payload = self._find_then_verify(tmp_path, capsys, k4_file, "0,1,2", lambda d: None)
+        assert code == 0 and payload["verified"] is True
+        code, payload = self._find_then_verify(
+            tmp_path, capsys, k4_file, "0,1,2", lambda d: d.update(prescribed=[0])
+        )
+        assert code == 2 and payload["reason"] == "cut size 3 exceeds |S| = 1"
+
+    def test_circuit_coverage_without_edges(self, c6_file, tmp_path, capsys):
+        code, payload = self._find_then_verify(tmp_path, capsys, c6_file, "1,4", lambda d: None)
+        assert code == 0 and payload["verified"] is True
+        # the trivial walk at vertex 0 is closed but covers neither edge
+        code, payload = self._find_then_verify(
+            tmp_path, capsys, c6_file, "1,4", lambda d: d.update(walk=[0], edge_walk=[])
+        )
+        assert code == 2 and payload["reason"] == "prescribed edges not covered: [1, 4]"
+
+    def test_recorded_ids_must_lie_in_the_graph(self, c6_file, tmp_path, capsys):
+        code, payload = self._find_then_verify(
+            tmp_path, capsys, c6_file, "1,4", lambda d: d.update(prescribed=[1, 9])
+        )
+        assert code == 2 and payload["reason"] == "prescribed edge id out of range"
+
+    @pytest.mark.parametrize("edges", ["0,1,2,3", "1,2,3"])
+    def test_edges_must_match_the_recorded_set(self, k4_file, tmp_path, capsys, edges):
+        # the 3-cut is within either S's bound; only the mismatch is at fault
+        code, payload = self._find_then_verify(
+            tmp_path, capsys, k4_file, "0,1,2", lambda d: None, ("--edges", edges)
+        )
+        assert code == 2 and payload["verified"] is False
+        assert payload["reason"] == f"--edges [{edges.replace(',', ', ')}] differs from the prescribed [0, 1, 2]"
+
+
 class TestVerifyMalformed:
     @pytest.mark.parametrize(
         "text",
@@ -352,6 +407,20 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_result_is_one_error_line(self, c6_file, tmp_path):
+        # the JSON decoder recurses once per level, past Python's limit here
+        result = tmp_path / "deep.json"
+        result.write_text("[" * 200_000 + "]" * 200_000)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "circuitcover.cli", "verify", str(c6_file), "--result", str(result)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: result JSON is nested too deeply\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["find", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):

@@ -278,37 +278,60 @@ def _under_python_optimize(script):
     return proc.stdout
 
 
+def _two_k6(joins=3):
+    """Two K6's joined by the edges (i, 6 + i) for i < joins: degree 5 away
+    from the joins, so with 3 joins the smallest odd degree and the minimum
+    degree are 5, and the 3-edge cut between the halves lies below both."""
+    k6 = list(combinations(range(6), 2))
+    edges = k6 + [(u + 6, v + 6) for u, v in k6] + [(i, 6 + i) for i in range(joins)]
+    return Graph.from_edges(12, edges)
+
+
 class TestGusfieldSelfCheck:
-    # double_clique(5) is 5-regular: its smallest odd degree and its minimum
-    # degree are 5, so min_odd_cut and edge_connectivity both build the tree
+    # the halves of _two_k6() are 5-edge-connected and 3 edges apart, so
+    # the tree's flow across them stops below the bound for all three tools
     @staticmethod
     def _one_unit_short(monkeypatch):
         pair_flow = FlowNetwork.pair_flow
-        monkeypatch.setattr(
-            FlowNetwork, "pair_flow", lambda net, s, t, units: pair_flow(net, s, t, units) - 1
-        )
+        ran = []
+
+        def short(net, s, t, units):
+            ran.append((s, t))
+            return pair_flow(net, s, t, units) - 1
+
+        monkeypatch.setattr(FlowNetwork, "pair_flow", short)
+        return ran
 
     def test_wrong_flow_value_is_caught(self, monkeypatch):
-        self._one_unit_short(monkeypatch)
-        g = double_clique(5).graph
+        ran = self._one_unit_short(monkeypatch)
+        g = _two_k6()
         for tool in (lambda g: _gusfield(g, g.n), min_odd_cut, edge_connectivity):
+            ran.clear()
             with pytest.raises(CoherenceViolated, match="not a maximum flow"):
                 tool(g)
+            assert ran, "a flow must run for the check to be tested"
 
     def test_caught_under_python_optimize(self):
         script = (
+            "from itertools import combinations\n"
             "from circuitcover.cuts import min_odd_cut\n"
             "from circuitcover.errors import CoherenceViolated\n"
-            "from circuitcover.generators import double_clique\n"
-            "from circuitcover.graphs import FlowNetwork\n"
-            "pair_flow = FlowNetwork.pair_flow\n"
-            "FlowNetwork.pair_flow = lambda net, s, t, units: pair_flow(net, s, t, units) - 1\n"
+            "from circuitcover.graphs import FlowNetwork, Graph\n"
+            "k6 = list(combinations(range(6), 2))\n"
+            "g = Graph.from_edges(12, k6 + [(u + 6, v + 6) for u, v in k6] + [(0, 6), (1, 7), (2, 8)])\n"
+            "pair_flow, ran = FlowNetwork.pair_flow, []\n"
+            "def short(net, s, t, units):\n"
+            "    ran.append((s, t))\n"
+            "    return pair_flow(net, s, t, units) - 1\n"
+            "FlowNetwork.pair_flow = short\n"
             "try:\n"
-            "    min_odd_cut(double_clique(5).graph)\n"
+            "    min_odd_cut(g)\n"
             "except CoherenceViolated as exc:\n"
             "    print(exc)\n"
+            "print('flows', len(ran))\n"
         )
-        assert "not a maximum flow" in _under_python_optimize(script)
+        caught, flows = _under_python_optimize(script).splitlines()
+        assert "not a maximum flow" in caught and flows != "flows 0"
 
 
 def _runs_one_short(g, root, _real=cuts.bridge_runs):
@@ -606,6 +629,18 @@ def _tree_odd_cut_below(g, bound):
     return cert
 
 
+def _connected_atlas():
+    """The 995 connected graphs of 2 to 7 vertices in networkx's atlas."""
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() >= 2 and nx.is_connected(a)
+    ]
+    assert len(atlas) == 995
+    return atlas
+
+
 class TestBridgePath:
     """Cuts below 2 are bridges, found by one lowlink DFS and no tree."""
 
@@ -618,13 +653,7 @@ class TestBridgePath:
         assert bridged >= 200, "the corpus must have bridges"
 
     def test_atlas_agrees_with_brute_force(self):
-        nx = pytest.importorskip("networkx")
-        atlas = [
-            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
-            for a in nx.graph_atlas_g()
-            if a.number_of_nodes() >= 2 and nx.is_connected(a)
-        ]
-        assert len(atlas) == 995
+        atlas = _connected_atlas()
         bound_two = bridged = 0
         for g in atlas:
             cert, brute = min_odd_cut(g), brute_force_min_odd_cut(g)
@@ -638,6 +667,93 @@ class TestBridgePath:
                     assert cert.side == brute.side
                     bridged += 1
         assert bound_two >= 480 and bridged >= 6, (bound_two, bridged)
+
+
+def _flow_only_gusfield(g, bound):
+    """_gusfield as it ran before the class step: a flow for every pair."""
+    parent = [0] * g.n
+    parent[0] = -1
+    capacity = [0] * g.n
+    for s in range(1, g.n):
+        t = parent[s]
+        net = FlowNetwork(g)
+        value = net.pair_flow(s, t, bound)
+        if value >= bound:
+            capacity[s] = bound
+            continue
+        capacity[s] = value
+        side = net.source_side(s)
+        assert t not in side and len(edge_boundary(g, side)) == value
+        for i in side:
+            if i != s and parent[i] == t:
+                parent[i] = s
+        if parent[t] in side:
+            parent[s], parent[t] = parent[t], s
+            capacity[s], capacity[t] = capacity[t], value
+    assert parent[0] == -1
+    return parent, capacity
+
+
+class TestBoundClasses:
+    """The class step: pairs a maximum-adjacency ordering certifies to be at
+    least bound-edge-connected take the tree's "reached the bound" branch
+    without a flow, and the tree is the one every flow would give."""
+
+    @staticmethod
+    def _skipped(monkeypatch, cases):
+        """Assert the tree equals the flow-only one in every (g, bound) case;
+        return how many of the cases' pairs ran no flow."""
+        pair_flow = FlowNetwork.pair_flow
+        ran = []
+
+        def counted(net, s, t, units):
+            ran.append(s)
+            return pair_flow(net, s, t, units)
+
+        monkeypatch.setattr(FlowNetwork, "pair_flow", counted)
+        skipped = 0
+        for g, bound in cases:
+            ran.clear()
+            tree = _gusfield(g, bound)
+            skipped += g.n - 1 - len(ran)
+            assert tree == _flow_only_gusfield(g, bound), (g, bound)
+        return skipped
+
+    def test_tree_matches_the_flow_only_tree_on_the_atlas(self, monkeypatch):
+        cases = [(g, bound) for g in _connected_atlas() for bound in range(2, g.n + 1)]
+        assert len(cases) == 5785
+        skipped = self._skipped(monkeypatch, cases)
+        assert skipped >= 8000, skipped  # of 33,907 pairs
+
+    def test_tree_matches_the_flow_only_tree_below_both_bounds(self, monkeypatch):
+        # the bounds min_odd_cut and edge_connectivity pass: d - 1 and the
+        # minimum degree
+        cases = [
+            (g, bound)
+            for g in BLOCK_GRAPHS + HALVES_GRAPHS
+            for bound in (_smallest_odd_degree(g) - 1, min(g.degree(v) for v in range(g.n)))
+        ]
+        skipped = self._skipped(monkeypatch, cases)
+        assert skipped >= 6500, skipped  # of 6,784 pairs
+
+    @given(connected_graphs(max_n=9, max_extra=20), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_class_is_bound_connected(self, g, data):
+        k = data.draw(st.integers(1, g.n))
+        label = cuts._bound_classes(g, k)
+        for s, t in combinations(range(g.n), 2):
+            if label[s] == label[t]:
+                assert _flow_value(g, s, t) >= k, (s, t, k)
+        # a phase that merges nothing has two classes below k apart
+        if all(_flow_value(g, 0, v) >= k for v in range(1, g.n)):
+            assert len(set(label)) == 1
+
+    def test_edge_connectivity_at_the_minimum_degree_runs_no_flow(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(FlowNetwork, "pair_flow", lambda *args: ran.append(args))
+        for g in (complete_graph(7), double_clique(5).graph, _two_k6(6)):
+            assert edge_connectivity(g) == min(g.degree(v) for v in range(g.n))
+        assert ran == []
 
 
 class TestPinnedCutAnswers:
