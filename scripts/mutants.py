@@ -39,6 +39,7 @@ CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_oracle_equivalence"
 DETACHED = "tests/test_finder.py::TestDetachedCase"
 BRIDGE_PATH = "tests/test_cuts.py::TestBridgePath"
 CLASSES = "tests/test_cuts.py::TestBoundClasses"
+FULL_SEARCH = "tests/test_cuts.py::TestFlowNetwork::test_max_flow_matches_the_full_search"
 
 MUTANTS = [
     Mutant(
@@ -94,6 +95,20 @@ MUTANTS = [
             f"{CLASSES}::test_tree_matches_the_flow_only_tree_on_the_atlas",
             f"{CLASSES}::test_tree_matches_the_flow_only_tree_below_both_bounds",
         ),
+    ),
+    Mutant(
+        "near keeps the largest arc id",
+        "src/circuitcover/graphs.py",
+        "near.get(u, e) >= e",
+        "near.get(u, e) <= e",
+        (FULL_SEARCH,),
+    ),
+    Mutant(
+        "a source that is a target in near is stepped past instead of returned",
+        "src/circuitcover/graphs.py",
+        "if demand.get(v):",
+        "if demand.get(v) and v not in near:",
+        (FULL_SEARCH,),
     ),
     Mutant(
         "find_circuit lets a cut of size |S| + 1 through",

@@ -23,6 +23,9 @@ from .errors import CoherenceViolated, DisconnectedInput, TooLarge
 from .graphs import FlowNetwork, Graph, bridge_runs, edge_boundary, is_connected
 
 
+_DISCONNECTED = "min_odd_cut requires a connected graph"
+
+
 @dataclass(frozen=True)
 class CutCertificate:
     """A vertex side together with its recomputed edge boundary."""
@@ -207,11 +210,16 @@ def min_odd_cut(g: Graph) -> CutCertificate | None:
     and its side is the smallest odd vertex of degree d.  No reported side
     contains vertex 0: when vertex 0 is the only such vertex, the side is
     V minus vertex 0.
+
+    A disconnected g raises DisconnectedInput.  For d = 3 the bridge DFS
+    says so, as it visits every vertex anyway; otherwise is_connected does,
+    and it answers a g with fewer than n - 1 edges before g.adjacency
+    builds a row per vertex, so neither do the degrees here.
     """
-    if not is_connected(g):
-        raise DisconnectedInput("min_odd_cut requires a connected graph")
-    degree = [g.degree(v) for v in range(g.n)]
+    degree = [len(row) for row in g.adjacency] if g.n <= g.m + 1 else []
     d = min((x for x in degree if x % 2 == 1), default=None)
+    if d != 3 and not is_connected(g):
+        raise DisconnectedInput(_DISCONNECTED)
     if d is None:
         return None
     cert = _odd_cut_below(g, d - 1)
@@ -238,6 +246,8 @@ def _odd_cut_below(g: Graph, bound: int) -> CutCertificate | None:
         return None
     if bound == 2:
         order, runs = bridge_runs(g, 0)
+        if len(order) < g.n:  # min_odd_cut's connectivity check at d = 3
+            raise DisconnectedInput(_DISCONNECTED)
         side = min((sorted(order[lo:hi]) for lo, hi in runs.values()), default=None)
         return None if side is None else _checked_cut(g, side, 1)
     parent, capacity = _gusfield(g, bound)

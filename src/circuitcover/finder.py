@@ -48,24 +48,30 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
     certificate.
 
     The path back from v to u is a BFS path in G - eid that scans each
-    adjacency in edge-id order.  When u is unreachable, eid is a bridge and
-    v's component is an odd cut of size one.
+    adjacency in edge-id order, and the search ends the moment it discovers
+    u, whose tree edge is then fixed.  When u is unreachable, eid is a
+    bridge and v's component is an odd cut of size one.
     """
     u, v = g.endpoints(eid)
+    adjacency = g.adjacency
     parent = {v: None}  # vertex -> (previous vertex, edge id) on the BFS tree
     queue = deque([v])
-    while queue and u not in parent:
+    while queue:
         x = queue.popleft()
-        for y, e in g.adjacency[x]:
+        for y, e in adjacency[x]:
             if e != eid and y not in parent:
                 parent[y] = (x, e)
+                if y == u:
+                    return _closed_through(parent, u, eid)
                 queue.append(y)
-    if u not in parent:
-        cert = certify(g, parent.keys())
-        if cert.boundary != frozenset({eid}):
-            raise CoherenceViolated("an unreachable endpoint must mean a bridge")
-        return cert
-    # walk the tree from u back to v, then close through eid
+    cert = certify(g, parent.keys())
+    if cert.boundary != frozenset({eid}):
+        raise CoherenceViolated("an unreachable endpoint must mean a bridge")
+    return cert
+
+
+def _closed_through(parent: dict, u: int, eid: int) -> Trail:
+    """The BFS tree's path from v to u, closed through eid = uv."""
     verts = [u]
     edges = []
     x = u

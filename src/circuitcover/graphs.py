@@ -273,10 +273,17 @@ def connected_components(
 
 def is_connected(g: Graph) -> bool:
     """True iff a search from vertex 0 reaches all of g's vertices (or g
-    has at most one)."""
+    has at most one).
+
+    A connected graph has at least n - 1 edges, so with fewer the answer
+    is False before g.adjacency builds a row for every vertex: a header
+    that declares a huge n with few edges costs nothing.
+    """
     n = g.n
     if n <= 1:
         return True
+    if n > g.m + 1:
+        return False
     adjacency = g.adjacency
     seen = [False] * n
     seen[0] = True
@@ -429,14 +436,18 @@ class FlowNetwork:
         per shortest augmenting path, and return how many arrived.
 
         Each search starts from the vertices with supply left, in dict
-        order, and ends at the first vertex reached with demand left.
+        order, and ends at the first vertex reached with demand left.  Once
+        no supply is left, no search runs.
         """
         supply, demand = dict(supply), dict(demand)
         self._check_vertices([*supply, *demand])
         edges, out = self.g.edges, self.out
         value = 0
         while True:
-            parent, end = self._search([v for v, units in supply.items() if units], demand)
+            sources = [v for v, units in supply.items() if units]
+            if not sources:
+                return value
+            parent, end = self._search(sources, demand)
             if end is None:
                 return value
             w = end
@@ -522,28 +533,58 @@ class FlowNetwork:
         order, scanning each adjacency in edge-id order.
 
         Returns the edge each vertex was reached by (-2 at a source, -1 when
-        unreached) and the first vertex reached with demand left, or None; a
-        source with demand left counts at once.  The vertices with demand
-        left are collected once per search, and each arc reads out[e] once.
+        not reached before the search ended) and the first vertex reached
+        with demand left, or None; a source with demand left counts at once.
+
+        The search ends one step short of the targets, the vertices with
+        demand left.  It first maps each vertex u with a residual arc into a
+        target to the smallest id of such an arc, near[u], by scanning the
+        targets' own rows.  Vertices are popped in the order they are
+        discovered, so the first vertex of near to be discovered is the
+        first one a full search would pop, and no vertex popped before it
+        has an arc into a target.  Its row is in edge-id order, so the full
+        search would leave it through near[u].  The path is the same, and
+        the search returns as soon as u is discovered (at once for a
+        source), without scanning the rest of u's level.  A target is never
+        discovered itself, since whoever discovers it is in near.  With no
+        targets, the search floods everything the sources reach.
         """
         adjacency, out = self.g.adjacency, self.out
         parent = [-1] * self.g.n
         for v in sources:
             parent[v] = -2
-        targets = {v for v, units in demand.items() if units}
-        end = next((v for v in sources if v in targets), None)
+        near: dict[int, int] = {}
+        for t, units in demand.items():
+            if units:
+                for u, e in adjacency[t]:
+                    o = out[e]
+                    if (o == -1 or o == t) and near.get(u, e) >= e:
+                        near[u] = e
+        for v in sources:
+            if demand.get(v):
+                return parent, v
+        for v in sources:
+            if v in near:
+                return self._step(parent, v, near[v])
         queue = deque(sources)
-        while end is None and queue:
+        while queue:
             v = queue.popleft()
             for w, e in adjacency[v]:
                 if parent[w] == -1:
                     o = out[e]
                     if o == -1 or o == w:
                         parent[w] = e
-                        if w in targets:
-                            return parent, w
+                        if w in near:
+                            return self._step(parent, w, near[w])
                         queue.append(w)
-        return parent, end
+        return parent, None
+
+    def _step(self, parent: list[int], u: int, e: int) -> tuple[list[int], int]:
+        """The search's end: the target across e from u, reached by e."""
+        a, b = self.g.edges[e]
+        t = a + b - u
+        parent[t] = e
+        return parent, t
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,17 @@ class TestGenerate:
         assert (tmp_path / "random-n8-m12-c1-s5.graph").exists()
 
 
+def _run_cli(argv, **kwargs):
+    """The CLI in a fresh process, with this checkout's src/ on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "circuitcover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, **kwargs,
+    )
+
+
 class TestOneLineErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -412,15 +423,34 @@ class TestOneLineErrors:
         # the JSON decoder recurses once per level, past Python's limit here
         result = tmp_path / "deep.json"
         result.write_text("[" * 200_000 + "]" * 200_000)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "circuitcover.cli", "verify", str(c6_file), "--result", str(result)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli(["verify", str(c6_file), "--result", str(result)])
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: result JSON is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text, argv, tool",
+        [
+            ("100000000000 0\n", ["check"], "min_odd_cut"),
+            ("100000000000 1\n0 1\n", ["check"], "min_odd_cut"),
+            ("100000000000 1\n0 1\n", ["find", "--edges", "0"], "find_circuit"),
+        ],
+        ids=["check-no-edges", "check-one-edge", "find-one-edge"],
+    )
+    def test_a_huge_vertex_count_with_few_edges_is_one_error_line(self, tmp_path, text, argv, tool):
+        # 10^11 vertices and at most one edge cannot be connected; the
+        # process's address space is capped, so building a row per vertex
+        # fails the test with a MemoryError instead of taking the host's memory
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        graph = tmp_path / "huge.graph"
+        graph.write_text(text)
+        proc = _run_cli([argv[0], str(graph), *argv[1:]], preexec_fn=capped)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: {tool} requires a connected graph\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["find", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -57,6 +58,45 @@ def _check_flow(g, net, edges, supply, demand, value):
     for v in range(g.n):
         assert -demand.get(v, 0) <= excess[v] <= supply.get(v, 0)
     assert sum(x for x in excess if x > 0) == value
+
+
+def _full_search(net, sources, demand):
+    """FlowNetwork._search as it ran before it ended one step short of the
+    targets: a breadth-first search that returns when it discovers a vertex
+    with demand left, after every vertex popped before."""
+    adjacency, out = net.g.adjacency, net.out
+    parent = [-1] * net.g.n
+    for v in sources:
+        parent[v] = -2
+    targets = {v for v, units in demand.items() if units}
+    end = next((v for v in sources if v in targets), None)
+    queue = deque(sources)
+    while end is None and queue:
+        v = queue.popleft()
+        for w, e in adjacency[v]:
+            if parent[w] == -1:
+                o = out[e]
+                if o == -1 or o == w:
+                    parent[w] = e
+                    if w in targets:
+                        return parent, w
+                    queue.append(w)
+    return parent, end
+
+
+class _FullSearchNetwork(FlowNetwork):
+    _search = _full_search
+
+
+# supply and demand around the edge eid = xy and the vertices a, b
+FLOW_SHAPES = {
+    "splice": lambda x, y, a, b: ({x: 1, y: 1}, {a: 2}),
+    "two targets": lambda x, y, a, b: ({x: 1, y: 1}, {a: 1, b: 1} if a != b else {a: 2}),
+    "adjacent targets": lambda x, y, a, b: ({a: 2}, {x: 1, y: 1}),
+    "source next to a target": lambda x, y, a, b: ({x: 1, a: 1}, {y: 1, b: 1}),
+    "source is a target": lambda x, y, a, b: ({a: 1, x: 1}, {x: 1, y: 1}),
+    "demand of zero": lambda x, y, a, b: ({a: 2}, {x: 0, y: 2, b: 0}),
+}
 
 
 class TestFlowNetwork:
@@ -134,6 +174,31 @@ class TestFlowNetwork:
             for walk, want in zip(walks, _two_walks(ref, (x, y), (s, t))):
                 assert walk.vertices == want.vertices
                 assert walk.edges == tuple(rest[e] for e in want.edges)
+
+    @given(connected_graphs(max_n=8, max_extra=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_max_flow_matches_the_full_search(self, g, data):
+        # every flow, and so every walk, equals the one a search that floods
+        # the whole last level would give
+        vertex = st.integers(0, g.n - 1)
+        barred = data.draw(st.sets(st.integers(0, g.m - 1)))
+        eid = data.draw(st.integers(0, g.m - 1))
+        x, y = g.endpoints(eid)
+        shape = data.draw(st.sampled_from([*FLOW_SHAPES, "any"]))
+        if shape == "any":
+            units = st.dictionaries(vertex, st.integers(0, 3), max_size=3)
+            supply, demand = data.draw(units), data.draw(units)
+        else:
+            supply, demand = FLOW_SHAPES[shape](x, y, data.draw(vertex), data.draw(vertex))
+            # the splice bars the edge it routes through; the others need it
+            barred = barred | {eid} if shape in ("splice", "two targets") else barred - {eid}
+        net, ref = FlowNetwork(g, barred), _FullSearchNetwork(g, barred)
+        value = net.max_flow(supply, demand)
+        assert value == ref.max_flow(supply, demand)
+        assert net.out == ref.out, shape
+        if shape in ("splice", "two targets") and value == 2:
+            ends = (*demand, *demand)[:2]
+            assert _two_walks(net, (x, y), ends) == _two_walks(ref, (x, y), ends)
 
     @pytest.mark.parametrize("eid", [-1, 3])
     def test_rejects_an_edge_id_out_of_range_from_a_generator(self, eid):
