@@ -12,8 +12,10 @@ checked: a circuit must pass `verify_circuit`, a cut must be a valid odd cut
 of size at most |S|, and a cut may come only when the brute-force minimum
 odd cut is at most |S|.  The script prints the calls, the detached cases
 (`contract_subgraph` calls), the descent's reroutes (`_reroute` calls,
-A and B steps alike) and a SHA-256 over the answers, each hashed
-by `scripts/answer_digest.py`'s `answer_key`.  It exits 1 when a check fails.
+A and B steps alike), the cut answers for a set that some circuit covers
+(`cut_feasible`, by `feasible_by_bruteforce`, whose witness is verified)
+and a SHA-256 over the answers, each hashed by `scripts/answer_digest.py`'s
+`answer_key`.  It exits 1 when a check fails.
 Run it from the root of a source checkout: the program comes from `src/`.
 It makes 707,981 calls and takes a few minutes.
 """
@@ -30,6 +32,7 @@ from answer_digest import answer_key  # noqa: E402
 from circuitcover import Trail, find_circuit, finder, hopping  # noqa: E402
 from circuitcover.cuts import brute_force_min_odd_cut  # noqa: E402
 from circuitcover.graphs import Graph, verify_circuit  # noqa: E402
+from circuitcover.oracle import feasible_by_bruteforce  # noqa: E402
 
 
 def atlas_graphs() -> list[Graph]:
@@ -56,9 +59,10 @@ def _fault(g: Graph, s: tuple, out, min_cut) -> str | None:
 
 
 def sweep(max_size: int) -> dict:
-    """Calls, detached cases, reroutes and the answers' SHA-256 of the sweep
-    up to max_size; raises RuntimeError on the first failed check."""
-    counts = {"calls": 0, "detached": 0, "reroutes": 0}
+    """Calls, detached cases, reroutes, cuts for feasible sets and the
+    answers' SHA-256 of the sweep up to max_size; raises RuntimeError on the
+    first failed check."""
+    counts = {"calls": 0, "detached": 0, "reroutes": 0, "cut_feasible": 0}
     wrapped = [(finder, "contract_subgraph", "detached"), (hopping, "_reroute", "reroutes")]
     saved = [getattr(module, name) for module, name, _ in wrapped]
 
@@ -78,6 +82,11 @@ def sweep(max_size: int) -> dict:
                 for s in combinations(range(g.m), k):
                     out = find_circuit(g, s)
                     fault = _fault(g, s, out, min_cut)
+                    if fault is None and not isinstance(out, Trail):
+                        witness = feasible_by_bruteforce(g, s)
+                        if witness is not None and not verify_circuit(g, witness, s):
+                            fault = "the oracle's witness fails verification"
+                        counts["cut_feasible"] += witness is not None
                     if fault is not None:
                         raise RuntimeError(f"graph {gi}, S = {s}: {fault}")
                     sha.update(repr(answer_key(out)).encode())

@@ -97,6 +97,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the tree's flow supplies one unit short of the bound",
+        "src/circuitcover/cuts.py",
+        "net.max_flow({s: bound}, {t: bound})",
+        "net.max_flow({s: bound - 1}, {t: bound})",
+        (
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_on_the_atlas",
+            "tests/test_cuts.py::TestPinnedCutAnswers::test_answers_match_the_pinned_digest",
+        ),
+    ),
+    Mutant(
         "near keeps the largest arc id",
         "src/circuitcover/graphs.py",
         "near.get(u, e) >= e",

@@ -157,9 +157,10 @@ def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
     without the flow.  Only that branch is skipped, so the parent and
     capacity arrays are the ones every flow would give, tie-breaks included.
 
-    Only a flow's value and, below the bound, its source side are read, and
-    neither depends on the augmenting paths, so each flow is a pair flow
-    that searches from s and t at once.
+    Only a flow's value and, below the bound, its source side are read.
+    Any maximum flow has the same value, and its residual reach from s is
+    the same smallest minimum s-t cut, so the paths max_flow happens to
+    augment along cannot change the tree.
     """
     parent = [0] * g.n
     parent[0] = -1
@@ -171,7 +172,7 @@ def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
             capacity[s] = bound
             continue
         net = FlowNetwork(g)
-        value = net.pair_flow(s, t, bound)
+        value = net.max_flow({s: bound}, {t: bound})
         if value >= bound:
             capacity[s] = bound
             continue

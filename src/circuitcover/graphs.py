@@ -461,67 +461,6 @@ class FlowNetwork:
             demand[end] -= 1
             value += 1
 
-    def pair_flow(self, s: int, t: int, units: int) -> int:
-        """Send up to `units` units from s to t and return how many arrived.
-
-        Each augmenting path is found by two breadth-first searches at once,
-        one from s and one backwards from t, each round growing the smaller
-        frontier by one level, until they meet.  The paths differ from
-        max_flow's, so the flow may too, but not its value, nor, once it
-        stops below `units`, source_side(s): the residual reach of any
-        maximum flow is the same smallest minimum s-t cut.  Whoever reads
-        the flow itself, like the splice's walks, needs max_flow.
-        """
-        self._check_vertices((s, t))
-        if s == t:
-            raise BadParam(f"a pair flow needs two distinct vertices, got {s} twice")
-        adjacency, edges, out = self.g.adjacency, self.g.edges, self.out
-        value = 0
-        while value < units:
-            # mark[v]: 1 when reached from s, 2 when it reaches t; via[v] is
-            # the edge it was reached by, -2 at s and t
-            mark = [0] * self.g.n
-            via = [-1] * self.g.n
-            mark[s], mark[t] = 1, 2
-            via[s] = via[t] = -2
-            front_s, front_t = [s], [t]
-            meet = None
-            while meet is None and front_s and front_t:
-                grow_s = len(front_s) <= len(front_t)
-                grown = []
-                for v in front_s if grow_s else front_t:
-                    for w, e in adjacency[v]:
-                        # from s, cross v -> w; towards t, w -> v
-                        o = out[e]
-                        if o == -1 or o == (w if grow_s else v):
-                            if mark[w] == 0:
-                                mark[w] = mark[v]
-                                via[w] = e
-                                grown.append(w)
-                            elif mark[w] != mark[v]:
-                                meet = (v, w, e) if grow_s else (w, v, e)
-                                break
-                    if meet is not None:
-                        break
-                if grow_s:
-                    front_s = grown
-                else:
-                    front_t = grown
-            if meet is None:
-                return value
-            a, b, e = meet  # the path runs s ... a, e, b ... t
-            out[e] = a if out[e] == -1 else -1
-            for w in (a, b):
-                while via[w] != -2:
-                    e = via[w]
-                    x, y = edges[e]
-                    v = x + y - w  # w's neighbour on the path, nearer its root
-                    tail = v if mark[w] == 1 else w  # the unit crosses e from tail
-                    out[e] = tail if out[e] == -1 else -1
-                    w = v
-            value += 1
-        return value
-
     def source_side(self, s: int) -> frozenset:
         """Vertices reachable from s in the residual graph."""
         self._check_vertices((s,))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitcover import cli
 from circuitcover.cli import main
@@ -387,6 +391,19 @@ class TestGenerate:
         assert (tmp_path / "random-n8-m12-c1-s5.graph").exists()
 
 
+def _capped_address_space():
+    """A preexec_fn that caps a child's address space at 1 GB, so building a
+    row per vertex of a huge graph fails the test with a MemoryError instead
+    of taking the host's memory."""
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return capped
+
+
 def _run_cli(argv, **kwargs):
     """The CLI in a fresh process, with this checkout's src/ on its path."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -437,20 +454,29 @@ class TestOneLineErrors:
         ids=["check-no-edges", "check-one-edge", "find-one-edge"],
     )
     def test_a_huge_vertex_count_with_few_edges_is_one_error_line(self, tmp_path, text, argv, tool):
-        # 10^11 vertices and at most one edge cannot be connected; the
-        # process's address space is capped, so building a row per vertex
-        # fails the test with a MemoryError instead of taking the host's memory
-        resource = pytest.importorskip("resource")
-        cap = 1 << 30
-
-        def capped():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
+        # 10^11 vertices and at most one edge cannot be connected
         graph = tmp_path / "huge.graph"
         graph.write_text(text)
-        proc = _run_cli([argv[0], str(graph), *argv[1:]], preexec_fn=capped)
+        proc = _run_cli([argv[0], str(graph), *argv[1:]], preexec_fn=_capped_address_space())
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"error: {tool} requires a connected graph\n"
+
+    @pytest.mark.parametrize(
+        "boundary, code, reason",
+        [([0], 0, ""), ([], 2, "boundary mismatch")],
+        ids=["valid-cut", "wrong-boundary"],
+    )
+    def test_verify_a_cut_on_a_huge_vertex_count(self, tmp_path, boundary, code, reason):
+        # the cut's boundary is recomputed from the edge list alone
+        graph = tmp_path / "huge.graph"
+        graph.write_text("100000000000 1\n0 1\n")
+        result = tmp_path / "cut.json"
+        cut = {"status": "odd-cut", "side": [0], "boundary": boundary, "size": 1, "odd": True}
+        result.write_text(json.dumps(cut))
+        argv = ["verify", str(graph), "--result", str(result)]
+        proc = _run_cli(argv, preexec_fn=_capped_address_space())
+        assert proc.returncode == code and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"verified": code == 0, "reason": reason}
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["find", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -509,3 +535,64 @@ class TestExperiments:
         code = main(["experiment", "corollary", "--graphs", str(c6_file), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["verdicts"]["checked"] == 1
+
+
+# JSON values of every kind, small enough to stay fast
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_INTS = st.lists(st.integers(-2, 9), max_size=6)
+# result objects whose fields are often, but not always, well typed
+_RESULTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "status": st.sampled_from(["circuit", "odd-cut", "infeasible"]) | _JSON,
+        "walk": _INTS | _JSON,
+        "edge_walk": _INTS | _JSON,
+        "side": _INTS | _JSON,
+        "boundary": _INTS | _JSON,
+        "size": st.integers(-1, 7) | _JSON,
+        "odd": st.booleans() | _JSON,
+        "prescribed": _INTS | _JSON,
+    },
+)
+
+
+class TestFuzzedInput:
+    """Whatever a user feeds the CLI ends in an exit code, never a traceback."""
+
+    @given(
+        st.text(alphabet=st.sampled_from("0123456789 -#\n\tx"), max_size=40)
+        | st.text(max_size=40)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_parse_graph_raises_only_parse_errors(self, text):
+        try:
+            parse_graph(text)
+        except ParseError:
+            pass
+
+    @pytest.fixture(scope="class")
+    def k4_dir(self, tmp_path_factory):
+        # every degree is 3, so the side [0] is an odd cut with boundary [0, 1, 2]
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "k4.graph").write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        return path
+
+    @given(data=_RESULTS, edges=st.sampled_from([None, "0", "0,1,2", "9", "1,x"]))
+    @settings(max_examples=150, deadline=None)
+    def test_verify_exits_with_a_code(self, k4_dir, data, edges):
+        result = k4_dir / "result.json"
+        result.write_text(json.dumps(data))
+        argv = ["verify", str(k4_dir / "k4.graph"), "--result", str(result)]
+        argv += [] if edges is None else ["--edges", edges]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert json.loads(out.getvalue())["verified"] is (code == 0)

@@ -215,13 +215,23 @@ class TestFlowNetwork:
             # the whole graph, then restricted edge sets
             edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
             s, t = rng.sample(range(g.n), 2)
+            want = nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
             net = FlowNetwork(g, g.all_edges() - edges)
             value = net.max_flow({s: g.m}, {t: g.m})
-            assert value == nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
+            assert value == want
             _check_flow(g, net, edges, {s: g.m}, {t: g.m}, value)
             side = net.source_side(s)
             assert s in side and t not in side
             assert len(edge_boundary(g, side) & edges) == value
+            # capped as the tree caps its flows at the bound: below the cap,
+            # the residual reach is the uncapped flow's
+            for units in (1, 2, 3, g.m):
+                capped = FlowNetwork(g, g.all_edges() - edges)
+                value = capped.max_flow({s: units}, {t: units})
+                assert value == min(units, want)
+                _check_flow(g, capped, edges, {s: units}, {t: units}, value)
+                if value < units:
+                    assert capped.source_side(s) == side
             # two sources and two sinks: a super source and sink for networkx
             s1, s2, t1, t2 = rng.sample(range(g.n), 4)
             supply = {s1: rng.randint(1, 4), s2: rng.randint(1, 4)}
@@ -234,34 +244,6 @@ class TestFlowNetwork:
             assert value == nx.maximum_flow_value(h, "S", "T")
             _check_flow(g, net, edges, supply, demand, value)
 
-    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")
-    def test_pair_flow_against_networkx_and_max_flow(self, g):
-        nx = pytest.importorskip("networkx")
-        rng = random.Random(g.n)
-        for trial in range(12):
-            edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
-            s, t = rng.sample(range(g.n), 2)
-            want = nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
-            for units in (1, 2, 3, g.m):
-                net = FlowNetwork(g, g.all_edges() - edges)
-                value = net.pair_flow(s, t, units)
-                assert value == min(units, want)
-                _check_flow(g, net, edges, {s: units}, {t: units}, value)
-            # a maximum flow's residual reach does not depend on its paths
-            forward = FlowNetwork(g, g.all_edges() - edges)
-            forward.max_flow({s: g.m}, {t: g.m})
-            assert net.source_side(s) == forward.source_side(s)
-
-    def test_pair_flow_of_zero_units(self):
-        g = complete_graph(4)
-        net = FlowNetwork(g)
-        assert net.pair_flow(0, 1, 0) == 0
-        assert net.out == [-1] * g.m
-
-    def test_pair_flow_needs_two_vertices(self):
-        with pytest.raises(BadParam):
-            FlowNetwork(cycle_graph(4)).pair_flow(2, 2, 1)
-
     @pytest.mark.parametrize("eid", [-1, 3, 99])
     def test_rejects_an_edge_id_out_of_range(self, eid):
         with pytest.raises(BadEdgeId):
@@ -272,11 +254,9 @@ class TestFlowNetwork:
         [
             lambda net: net.max_flow({9: 1}, {0: 1}),
             lambda net: net.max_flow({0: 1}, {-1: 1}),
-            lambda net: net.pair_flow(0, 9, 1),
-            lambda net: net.pair_flow(-1, 0, 1),
             lambda net: net.source_side(9),
         ],
-        ids=["supply", "demand", "pair-target", "pair-source", "source-side"],
+        ids=["supply", "demand", "source-side"],
     )
     def test_rejects_a_vertex_out_of_range(self, call):
         net = FlowNetwork(cycle_graph(3))
@@ -357,14 +337,14 @@ class TestGusfieldSelfCheck:
     # the tree's flow across them stops below the bound for all three tools
     @staticmethod
     def _one_unit_short(monkeypatch):
-        pair_flow = FlowNetwork.pair_flow
+        max_flow = FlowNetwork.max_flow
         ran = []
 
-        def short(net, s, t, units):
-            ran.append((s, t))
-            return pair_flow(net, s, t, units) - 1
+        def short(net, supply, demand):
+            ran.append((supply, demand))
+            return max_flow(net, supply, demand) - 1
 
-        monkeypatch.setattr(FlowNetwork, "pair_flow", short)
+        monkeypatch.setattr(FlowNetwork, "max_flow", short)
         return ran
 
     def test_wrong_flow_value_is_caught(self, monkeypatch):
@@ -384,11 +364,11 @@ class TestGusfieldSelfCheck:
             "from circuitcover.graphs import FlowNetwork, Graph\n"
             "k6 = list(combinations(range(6), 2))\n"
             "g = Graph.from_edges(12, k6 + [(u + 6, v + 6) for u, v in k6] + [(0, 6), (1, 7), (2, 8)])\n"
-            "pair_flow, ran = FlowNetwork.pair_flow, []\n"
-            "def short(net, s, t, units):\n"
-            "    ran.append((s, t))\n"
-            "    return pair_flow(net, s, t, units) - 1\n"
-            "FlowNetwork.pair_flow = short\n"
+            "max_flow, ran = FlowNetwork.max_flow, []\n"
+            "def short(net, supply, demand):\n"
+            "    ran.append((supply, demand))\n"
+            "    return max_flow(net, supply, demand) - 1\n"
+            "FlowNetwork.max_flow = short\n"
             "try:\n"
             "    min_odd_cut(g)\n"
             "except CoherenceViolated as exc:\n"
@@ -742,7 +722,7 @@ def _flow_only_gusfield(g, bound):
     for s in range(1, g.n):
         t = parent[s]
         net = FlowNetwork(g)
-        value = net.pair_flow(s, t, bound)
+        value = net.max_flow({s: bound}, {t: bound})
         if value >= bound:
             capacity[s] = bound
             continue
@@ -768,20 +748,23 @@ class TestBoundClasses:
     def _skipped(monkeypatch, cases):
         """Assert the tree equals the flow-only one in every (g, bound) case;
         return how many of the cases' pairs ran no flow."""
-        pair_flow = FlowNetwork.pair_flow
+        max_flow = FlowNetwork.max_flow
         ran = []
 
-        def counted(net, s, t, units):
-            ran.append(s)
-            return pair_flow(net, s, t, units)
+        def counted(net, supply, demand):
+            ran.append(supply)
+            return max_flow(net, supply, demand)
 
-        monkeypatch.setattr(FlowNetwork, "pair_flow", counted)
+        monkeypatch.setattr(FlowNetwork, "max_flow", counted)
         skipped = 0
         for g, bound in cases:
             ran.clear()
             tree = _gusfield(g, bound)
-            skipped += g.n - 1 - len(ran)
+            flows = len(ran)
+            skipped += g.n - 1 - flows
             assert tree == _flow_only_gusfield(g, bound), (g, bound)
+            # the flow-only tree runs a flow per pair, through the counter
+            assert len(ran) == flows + g.n - 1, "the counted max_flow must be the one that runs"
         return skipped
 
     def test_tree_matches_the_flow_only_tree_on_the_atlas(self, monkeypatch):
@@ -814,11 +797,19 @@ class TestBoundClasses:
             assert len(set(label)) == 1
 
     def test_edge_connectivity_at_the_minimum_degree_runs_no_flow(self, monkeypatch):
+        max_flow = FlowNetwork.max_flow
         ran = []
-        monkeypatch.setattr(FlowNetwork, "pair_flow", lambda *args: ran.append(args))
+
+        def counted(net, supply, demand):
+            ran.append(supply)
+            return max_flow(net, supply, demand)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", counted)
         for g in (complete_graph(7), double_clique(5).graph, _two_k6(6)):
             assert edge_connectivity(g) == min(g.degree(v) for v in range(g.n))
         assert ran == []
+        # below the minimum degree a flow runs, through the counter
+        assert edge_connectivity(_two_k6()) == 3 and ran
 
 
 class TestPinnedCutAnswers:

@@ -580,4 +580,6 @@ class TestAtlas:
         spec.loader.exec_module(atlas_sweep)
         out = atlas_sweep.sweep(2)
         assert out["calls"] == 66125 and out["detached"] > 0, out
+        # cut answers for a set that some circuit covers
+        assert out["cut_feasible"] == 3, out
         assert out["sha256"] == self.PINNED
