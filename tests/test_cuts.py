@@ -223,15 +223,6 @@ class TestFlowNetwork:
             side = net.source_side(s)
             assert s in side and t not in side
             assert len(edge_boundary(g, side) & edges) == value
-            # capped as the tree caps its flows at the bound: below the cap,
-            # the residual reach is the uncapped flow's
-            for units in (1, 2, 3, g.m):
-                capped = FlowNetwork(g, g.all_edges() - edges)
-                value = capped.max_flow({s: units}, {t: units})
-                assert value == min(units, want)
-                _check_flow(g, capped, edges, {s: units}, {t: units}, value)
-                if value < units:
-                    assert capped.source_side(s) == side
             # two sources and two sinks: a super source and sink for networkx
             s1, s2, t1, t2 = rng.sample(range(g.n), 4)
             supply = {s1: rng.randint(1, 4), s2: rng.randint(1, 4)}
@@ -243,6 +234,27 @@ class TestFlowNetwork:
             value = net.max_flow(supply, demand)
             assert value == nx.maximum_flow_value(h, "S", "T")
             _check_flow(g, net, edges, supply, demand, value)
+
+    # the Gomory-Hu tree's pair flow: max_flow({s: units}, {t: units}) capped at the bound
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_pair_flow_against_networkx_and_max_flow(self, g):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(g.n)
+        for trial in range(12):
+            edges = set(range(g.m)) if trial == 0 else set(rng.sample(range(g.m), 2 * g.m // 3))
+            s, t = rng.sample(range(g.n), 2)
+            want = nx.maximum_flow_value(_nx_graph(nx, g, edges), s, t)
+            uncapped = FlowNetwork(g, g.all_edges() - edges)
+            uncapped.max_flow({s: g.m}, {t: g.m})
+            for units in (1, 2, 3, g.m):
+                net = FlowNetwork(g, g.all_edges() - edges)
+                value = net.max_flow({s: units}, {t: units})
+                assert value == min(units, want)
+                _check_flow(g, net, edges, {s: units}, {t: units}, value)
+                # below the cap the flow is maximum, and a maximum flow's
+                # residual reach does not depend on its paths
+                if value < units:
+                    assert net.source_side(s) == uncapped.source_side(s)
 
     @pytest.mark.parametrize("eid", [-1, 3, 99])
     def test_rejects_an_edge_id_out_of_range(self, eid):
