@@ -40,6 +40,7 @@ DETACHED = "tests/test_finder.py::TestDetachedCase"
 BRIDGE_PATH = "tests/test_cuts.py::TestBridgePath"
 CLASSES = "tests/test_cuts.py::TestBoundClasses"
 FULL_SEARCH = "tests/test_cuts.py::TestFlowNetwork::test_max_flow_matches_the_full_search"
+VERIFY_CUT = "tests/test_cli.py::TestVerifyCut"
 
 MUTANTS = [
     Mutant(
@@ -195,6 +196,37 @@ MUTANTS = [
         "b_next = state.b.level(q.m + 1)",
         "b_next = state.a.level(q.m + 1)",
         ("tests/test_hopping.py::TestInitialCoherentTrail",),
+    ),
+    Mutant(
+        "verify takes an even boundary",
+        "src/circuitcover/certificates.py",
+        "if len(boundary) % 2 == 0:",
+        "if False:",
+        (f"{VERIFY_CUT}::test_even_boundary_claimed_odd_rejected",),
+    ),
+    Mutant(
+        "verify lets a cut of size |S| + 1 through",
+        "src/circuitcover/certificates.py",
+        "len(boundary) > bound:",
+        "len(boundary) > bound + 1:",
+        (f"{VERIFY_CUT}::test_cut_one_edge_past_the_bound_rejected",),
+    ),
+    Mutant(
+        "the checker takes an open walk",
+        "src/circuitcover/certificates.py",
+        "if walk[0] != a:",
+        "if False:",
+        (
+            "tests/test_certificates.py::"
+            "test_agrees_with_the_library_on_every_answer_and_its_corruptions",
+        ),
+    ),
+    Mutant(
+        "the brute-force minimum odd cut takes an even cut",
+        "src/circuitcover/cuts.py",
+        "if size % 2 == 0:",
+        "if False:",
+        ("tests/test_oracle.py::TestAtlasTheorem",),
     ),
 ]
 

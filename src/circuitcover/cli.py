@@ -15,6 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
+from .certificates import ints, result_fault
 from .cuts import CutCertificate, edge_connectivity, min_odd_cut
 from .errors import BadEdgeId, BadParam, Exhausted, TooLarge
 from .finder import find_circuit
@@ -31,11 +32,8 @@ from .graphio import (
     cut_result,
     infeasible_result,
     read_graph,
-    result_ints,
-    trail_from_result,
     write_instance,
 )
-from .graphs import verify_circuit
 from .jaeger import EvenExtension, extend_to_even_subgraph
 from .oracle import (
     check_parity_monotonicity,
@@ -109,26 +107,20 @@ def cmd_find(args) -> int:
     t0 = time.perf_counter()
     outcome = find_circuit(g, s)
     elapsed = round(time.perf_counter() - t0, 6)
-    if isinstance(outcome, CutCertificate):
-        payload = cut_result(outcome)
-        payload["prescribed"] = sorted(s)
-        if args.certify:
-            payload["certified"] = not _cut_fault(g, payload, len(s))
-        if args.oracle_fallback:
-            try:
-                payload["oracle_feasible"] = feasible_by_bruteforce(g, s) is not None
-            except TooLarge:
-                pass  # past the oracle's guard: the certificate stands alone
-        payload["timings"] = {"find_s": elapsed}
-        _print_json(args, payload)
-        return EXIT_CERTIFICATE
-    payload = circuit_result(outcome)
+    is_cut = isinstance(outcome, CutCertificate)
+    payload = cut_result(outcome) if is_cut else circuit_result(outcome)
     payload["prescribed"] = sorted(s)
     if args.certify:
-        payload["certified"] = bool(verify_circuit(g, outcome, s))
+        # the payload as printed, so this checks exactly what verify reads
+        payload["certified"] = not result_fault(g.n, g.edges, payload, s)
+    if is_cut and args.oracle_fallback:
+        try:
+            payload["oracle_feasible"] = feasible_by_bruteforce(g, s) is not None
+        except TooLarge:
+            pass  # past the oracle's guard: the certificate stands alone
     payload["timings"] = {"find_s": elapsed}
     _print_json(args, payload)
-    return EXIT_OK
+    return EXIT_CERTIFICATE if is_cut else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
@@ -153,13 +145,7 @@ def cmd_verify(args) -> int:
     if not isinstance(data, dict):
         raise ValueError("result must be a JSON object")
     s, mismatch = _prescribed(g, s, data)
-    if data.get("status") == "odd-cut":
-        fault = _cut_fault(g, data, None if s is None else len(s))
-    elif data.get("status") == "circuit":
-        fault = verify_circuit(g, trail_from_result(data), s or frozenset()).reason
-    else:
-        raise ValueError("nothing to verify: status is not circuit/odd-cut")
-    reason = fault or mismatch
+    reason = result_fault(g.n, g.edges, data, s) or mismatch
     _print_json(args, {"verified": not reason, "reason": reason})
     return EXIT_CERTIFICATE if reason else EXIT_OK
 
@@ -174,42 +160,12 @@ def _prescribed(g, edges: frozenset | None, data: dict) -> tuple[frozenset | Non
     """
     if "prescribed" not in data:
         return edges, ""
-    recorded = frozenset(result_ints(data, "prescribed"))
+    recorded = frozenset(ints(data, "prescribed"))
     if not all(0 <= e < g.m for e in recorded):
         return edges, "prescribed edge id out of range"
     if edges is not None and edges != recorded:
         return edges, f"--edges {sorted(edges)} differs from the prescribed {sorted(recorded)}"
     return recorded, ""
-
-
-def _cut_fault(g, data: dict, bound: int | None) -> str:
-    """Why an odd-cut result certifies nothing, or "" when it holds.
-
-    Everything the result claims is recomputed from the graph: that the
-    side is a proper nonempty vertex set, its boundary, its odd size, the
-    stated `size` and `odd`, and, when the prescribed set is known,
-    size <= |S|.  The boundary is recomputed in one pass over the edge
-    list, with no adjacency, so a graph with few edges and a huge vertex
-    count costs its edges only.
-    """
-    side = frozenset(result_ints(data, "side"))
-    boundary = frozenset(result_ints(data, "boundary"))
-    size, odd = data.get("size"), data.get("odd")
-    if type(size) is not int or type(odd) is not bool:
-        raise ValueError("result fields 'size' and 'odd' must be an integer and a boolean")
-    if not all(0 <= v < g.n for v in side):
-        return "side has a vertex out of range"
-    if not 0 < len(side) < g.n:
-        return "side is empty or holds every vertex, so it cuts nothing"
-    if boundary != {e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side)}:
-        return "boundary mismatch"
-    if len(boundary) % 2 == 0:
-        return "boundary is not odd"
-    if size != len(boundary) or not odd:
-        return f"claimed size {size} / odd {odd} do not match the boundary"
-    if bound is not None and len(boundary) > bound:
-        return f"cut size {len(boundary)} exceeds |S| = {bound}"
-    return ""
 
 
 def cmd_generate(args) -> int:

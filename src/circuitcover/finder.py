@@ -36,6 +36,7 @@ from .graphs import (
     euler_circuit,
     is_connected,
     trail_concat,
+    tree_path,
     validate_trail,
     verify_circuit,
 )
@@ -62,26 +63,13 @@ def _base_circuit(g: Graph, eid: int) -> Trail | CutCertificate:
             if e != eid and y not in parent:
                 parent[y] = (x, e)
                 if y == u:
-                    return _closed_through(parent, u, eid)
+                    p = tree_path(parent, u)
+                    return Trail((u,) + p.vertices, (eid,) + p.edges)
                 queue.append(y)
     cert = certify(g, parent.keys())
     if cert.boundary != frozenset({eid}):
         raise CoherenceViolated("an unreachable endpoint must mean a bridge")
     return cert
-
-
-def _closed_through(parent: dict, u: int, eid: int) -> Trail:
-    """The BFS tree's path from v to u, closed through eid = uv."""
-    verts = [u]
-    edges = []
-    x = u
-    while parent[x] is not None:
-        x, e = parent[x]
-        verts.append(x)
-        edges.append(e)
-    edges.append(eid)
-    verts.append(u)
-    return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
 def _trail_through_edge(

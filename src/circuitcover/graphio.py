@@ -95,14 +95,3 @@ def cut_result(cert: CutCertificate) -> dict:
 def infeasible_result(method: str) -> dict:
     return {"status": "infeasible", "method": method}
 
-
-def result_ints(data: dict, key: str) -> tuple[int, ...]:
-    """A result field that must hold a list of integers; ValueError otherwise."""
-    value = data.get(key)
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
-        raise ValueError(f"result field {key!r} must be a list of integers")
-    return tuple(value)
-
-
-def trail_from_result(data: dict) -> Trail:
-    return Trail(result_ints(data, "walk"), result_ints(data, "edge_walk"))

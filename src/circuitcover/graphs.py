@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from .certificates import circuit_fault
 from .errors import BadEdgeId, BadParam, NotConnected, NotEven
 
 EdgeIds = frozenset  # edge sets are frozensets of edge ids
@@ -141,6 +142,17 @@ def trail_concat(*parts: Trail) -> Trail:
     if len(set(edges)) != len(edges):
         raise ValueError("trail concatenation repeats an edge")
     return Trail(tuple(verts), tuple(edges))
+
+
+def tree_path(parent: dict[int, tuple[int, int] | None], v: int) -> Trail:
+    """Path to v from the source (parent None) along a search's parent map."""
+    verts = [v]
+    edges = []
+    while parent[v] is not None:
+        v, eid = parent[v]
+        verts.append(v)
+        edges.append(eid)
+    return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +678,5 @@ class VerifyResult:
 
 def verify_circuit(g: Graph, t: Trail, s: Iterable[int]) -> VerifyResult:
     """Check that t is a closed trail of g covering every edge of s."""
-    want = frozenset(s)
-    if len(set(t.edges)) != len(t.edges):
-        return VerifyResult(False, "duplicate edge in walk")
-    # each step below matches its two vertices to an edge of g, so only a
-    # walk without edges can hold a vertex that does not exist
-    if not t.edges and not (0 <= t.start < g.n):
-        return VerifyResult(False, f"vertex {t.start} out of range")
-    for i, eid in enumerate(t.edges):
-        if not (0 <= eid < g.m):
-            return VerifyResult(False, f"edge id {eid} out of range")
-        u, v = g.edges[eid]
-        if {t.vertices[i], t.vertices[i + 1]} != {u, v}:
-            return VerifyResult(False, f"step {i} does not follow edge {eid}")
-    if not t.is_closed:
-        return VerifyResult(False, "walk is not closed")
-    missing = want - set(t.edges)
-    if missing:
-        return VerifyResult(False, f"prescribed edges not covered: {sorted(missing)}")
-    return VerifyResult(True)
+    reason = circuit_fault(g.n, g.edges, t.vertices, t.edges, s)
+    return VerifyResult(not reason, reason)

@@ -50,7 +50,7 @@ from typing import Iterable, NamedTuple
 
 from .cuts import CutCertificate, certify
 from .errors import BadParam, CoherenceViolated
-from .graphs import Graph, Trail, trail_concat, validate_trail
+from .graphs import Graph, Trail, trail_concat, tree_path, validate_trail
 from .segments import SegmentedCircuit
 
 
@@ -71,7 +71,7 @@ class Reach(NamedTuple):
         return self.spans[min(i, len(self.spans) - 1)]
 
     def witness(self, v: int) -> Trail:
-        return _tree_path(self.trees[v], v)
+        return tree_path(self.trees[v], v)
 
     def first_hit(self, j: int) -> int | None:
         return next((i for i, s in enumerate(self.spans) if i and s[j]), None)
@@ -107,17 +107,6 @@ def _admissible_search(
                 parent[w] = (v, eid)
                 queue.append(w)
     return parent
-
-
-def _tree_path(parent: dict[int, tuple[int, int] | None], v: int) -> Trail:
-    """Path from the search's source to v along the parent map."""
-    verts = [v]
-    edges = []
-    while parent[v] is not None:
-        v, eid = parent[v]
-        verts.append(v)
-        edges.append(eid)
-    return Trail(tuple(reversed(verts)), tuple(reversed(edges)))
 
 
 def hopping_fixpoint(

@@ -138,6 +138,11 @@ def test_criterion_1_oracle_equivalence(corpus, finder_sweep):
 
 
 def test_criterion_2_characterisation_both_directions(corpus):
+    """Both directions of the theorem on the corpus graphs with at most 12
+    edges: with min_odd_cut above k every k-set lies in a connected even
+    edge set, and otherwise the cut padded to k edges lies in none.  Every
+    graph with 2 to 7 vertices is covered for k <= 4 by
+    tests/test_oracle.py::TestAtlasTheorem, on the brute-force cut."""
     t0 = time.perf_counter()
     checked = 0
     for label, g in corpus:

@@ -276,6 +276,21 @@ class TestVerifyCut:
         code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0,1,2")
         assert code == 2 and payload["verified"] is False
 
+    def test_even_boundary_claimed_odd_rejected(self, ladder4_file, tmp_path, capsys):
+        # vertex 0 of the ladder has degree 2: its boundary is the even [0, 4]
+        data = {"status": "odd-cut", "side": [0], "boundary": [0, 4], "size": 2, "odd": True}
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, data, "0,1,2")
+        assert code == 2 and payload["verified"] is False
+        assert payload["reason"] == "boundary is not odd"
+
+    def test_cut_one_edge_past_the_bound_rejected(
+        self, ladder4_file, tmp_path, capsys, cut_result
+    ):
+        del cut_result["prescribed"]  # the bound comes from --edges alone
+        code, payload = self._verify(ladder4_file, tmp_path, capsys, cut_result, "0,1")
+        assert code == 2 and payload["verified"] is False
+        assert payload["reason"] == "cut size 3 exceeds |S| = 2"
+
     @pytest.mark.parametrize("side", [[], list(range(8))], ids=["empty", "whole"])
     def test_side_must_cut_the_graph(self, ladder4_file, tmp_path, capsys, side):
         # either side has the empty boundary, so only the side itself is at fault

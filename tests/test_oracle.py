@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitcover.cuts import brute_force_min_odd_cut
 from circuitcover.errors import BadEdgeId, TooLarge
 from circuitcover.generators import double_clique, ladder, two_cycles_bridge
-from circuitcover.graphs import verify_circuit
+from circuitcover.graphs import Graph, verify_circuit
 from circuitcover.oracle import (
     check_parity_monotonicity,
     cycle_space_basis,
@@ -109,3 +112,30 @@ class TestParityMonotonicity:
             return
         for k in (1, 2):
             assert check_parity_monotonicity(g, k)
+
+
+class TestAtlasTheorem:
+    def test_every_set_of_size_at_most_four(self):
+        # the theorem on every connected graph with 2 to 7 vertices: every
+        # k-set lies in a connected even edge set exactly when no odd cut has
+        # k edges or fewer; each k stops at the first set that lies in none
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+            for a in nx.graph_atlas_g()
+            if a.number_of_nodes() >= 2 and nx.is_connected(a)
+        ]
+        scanned = 0
+        for g in graphs:
+            masks = enumerate_connected_even_sets(g)
+            cut = brute_force_min_odd_cut(g)
+            for k in range(1, min(4, g.m) + 1):
+                all_feasible = True
+                for combo in combinations(range(g.m), k):
+                    scanned += 1
+                    s_mask = sum(1 << e for e in combo)
+                    if not any(s_mask & ~f == 0 for f in masks):
+                        all_feasible = False
+                        break
+                assert all_feasible == (cut is None or cut.size > k), (g, k)
+        assert (len(graphs), scanned) == (995, 253268)

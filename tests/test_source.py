@@ -88,6 +88,23 @@ def test_public_surface_is_pinned():
     ]
 
 
+def test_certificates_imports_nothing_from_the_package():
+    # the checker of every answer shares no code with the program that made it
+    tree = ast.parse((SOURCE / "certificates.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "circuitcover":
+                found.append(f"line {node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}"
+                for alias in node.names
+                if alias.name.split(".")[0] == "circuitcover"
+            ]
+    assert found == []
+
+
 def test_imports_sit_at_module_level():
     # every module names what it depends on at its head, so an import cycle
     # cannot hide inside a function body
