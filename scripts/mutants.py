@@ -88,6 +88,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the class step counts each row entry twice",
+        "src/circuitcover/cuts.py",
+        "ry = r[y] = r[y] + 1",
+        "ry = r[y] = r[y] + 2",
+        (
+            f"{CLASSES}::test_tree_matches_the_flow_only_tree_on_the_atlas",
+            f"{CLASSES}::test_one_class_is_bound_connected",
+        ),
+    ),
+    Mutant(
+        "the class step's second-start test misses a second component at vertex 1",
+        "src/circuitcover/cuts.py",
+        "if not top and x:",
+        "if not top and x > 1:",
+        ("tests/test_cuts.py::TestConnectivityFromTheClassStep",),
+    ),
+    Mutant(
         "the tree skips a pair whose classes differ",
         "src/circuitcover/cuts.py",
         "if label[s] == label[t]:",

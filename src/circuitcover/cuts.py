@@ -66,33 +66,39 @@ def _bound_classes(g: Graph, k: int) -> list[int]:
     joined by at least k edge-disjoint paths.
 
     Each phase runs a maximum-adjacency ordering on the quotient multigraph
-    of the current classes: it scans next an unscanned class with the most
-    edges r(y) to the scanned ones, and scanning x adds the multiplicity of
-    each edge x-y to r(y).  When r(y) reaches k, x and y are k-edge-
-    connected (Nagamochi & Ibaraki 1992: the edges scanned so far hold k
-    edge-disjoint x-y paths), so their classes merge.  A cut below k splits
-    no class, so the quotient keeps every cut below k and the certificate
-    holds for the graph itself.  Phases repeat until one merges nothing;
-    then the phase's last two classes are below k apart (Stoer & Wagner,
-    J. ACM 1997), so when k is at most the edge connectivity, every vertex
-    ends in one class.
+    of the current classes, with a bucket queue: it scans next an unscanned
+    class with the most edges r(y) to the scanned ones.  A class's row lists
+    the other class once per edge between them (g's own rows in the first
+    phase, rebuilt from g's edges in each later one), so scanning x adds 1
+    to r(y) per entry, and no r(y) exceeds the longest row.  When r(y)
+    reaches k, x and y are k-edge-connected (Nagamochi & Ibaraki 1992: the
+    edges scanned so far hold k edge-disjoint x-y paths), so their classes
+    merge.  A cut below k splits no class, so the quotient keeps every cut
+    below k and the certificate holds for the graph itself.  Phases repeat
+    until one merges nothing; then the phase's last two classes are below
+    k apart (Stoer & Wagner, J. ACM 1997), so when k is at most the edge
+    connectivity, every vertex ends in one class.  The first phase scans
+    vertex 0 first, and a later vertex scanned with r = 0 has no edge to
+    those before it, so a disconnected g raises DisconnectedInput there.
     """
     label = list(range(g.n))  # each vertex's class, a vertex of the quotient
     count = g.n
-    edges: dict[tuple[int, int], int] = dict.fromkeys(g.edges, 1)  # multiplicities
+    rows = g.adjacency  # per class, (other class, edge id) for each edge
     while count > 1:
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for (u, v), w in edges.items():
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
+        if len(rows) > count:  # classes merged: the quotient's rows
+            rows = [[] for _ in range(count)]
+            for e, (u, v) in enumerate(g.edges):
+                a, b = label[u], label[v]
+                if a != b:
+                    rows[a].append((b, e))
+                    rows[b].append((a, e))
         r = [0] * count
         scanned = [False] * count
-        # bucket i holds the classes pushed when their r was i; r <= m
-        buckets: list[list[int]] = [[] for _ in range(g.m + 1)]
+        # bucket i holds the classes pushed when their r was i
+        buckets: list[list[int]] = [[] for _ in range(max(map(len, rows)) + 1)]
         buckets[0] = list(range(count - 1, -1, -1))
         top = 0
         joins: list[list[int]] = [[] for _ in range(count)]
-        joined = False
         while top >= 0:
             if not buckets[top]:
                 top -= 1
@@ -100,18 +106,19 @@ def _bound_classes(g: Graph, k: int) -> list[int]:
             x = buckets[top].pop()
             if scanned[x] or r[x] != top:  # a stale entry
                 continue
+            if not top and x:  # a second start: g is disconnected
+                raise DisconnectedInput(_DISCONNECTED)
             scanned[x] = True
-            for y, w in adjacency[x]:
+            for y, _ in rows[x]:
                 if not scanned[y]:
-                    ry = r[y] = r[y] + w
+                    ry = r[y] = r[y] + 1
                     buckets[ry].append(y)
                     if ry > top:
                         top = ry
                     if ry >= k:
                         joins[x].append(y)
                         joins[y].append(x)
-                        joined = True
-        if not joined:
+        if not any(joins):
             break
         # the joined classes merge: the new classes are the join graph's
         # components, numbered in order of their smallest old class
@@ -128,13 +135,6 @@ def _bound_classes(g: Graph, k: int) -> list[int]:
                             stack.append(y)
                 count += 1
         label = [merged[c] for c in label]
-        quotient: dict[tuple[int, int], int] = {}
-        for (u, v), w in edges.items():
-            a, b = merged[u], merged[v]
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                quotient[key] = quotient.get(key, 0) + w
-        edges = quotient
     return label
 
 
@@ -192,10 +192,6 @@ def _gusfield(g: Graph, bound: int) -> tuple[list[int], list[int]]:
     return parent, capacity
 
 
-def _odd_degree_vertices(g: Graph) -> frozenset:
-    return frozenset(v for v in range(g.n) if g.degree(v) % 2 == 1)
-
-
 def min_odd_cut(g: Graph) -> CutCertificate | None:
     """A minimum-cardinality odd cut, or None when all vertex degrees are even.
 
@@ -212,14 +208,15 @@ def min_odd_cut(g: Graph) -> CutCertificate | None:
     contains vertex 0: when vertex 0 is the only such vertex, the side is
     V minus vertex 0.
 
-    A disconnected g raises DisconnectedInput.  For d = 3 the bridge DFS
-    says so, as it visits every vertex anyway; otherwise is_connected does,
-    and it answers a g with fewer than n - 1 edges before g.adjacency
-    builds a row per vertex, so neither do the degrees here.
+    A disconnected g raises DisconnectedInput.  The bridge DFS (d = 3) and
+    the class step's first phase (d >= 5) scan every vertex anyway and say
+    so; otherwise is_connected does, and it answers a g with fewer than
+    n - 1 edges before g.adjacency builds a row per vertex, so neither do
+    the degrees here.
     """
     degree = [len(row) for row in g.adjacency] if g.n <= g.m + 1 else []
     d = min((x for x in degree if x % 2 == 1), default=None)
-    if d != 3 and not is_connected(g):
+    if d in (None, 1) and not is_connected(g):
         raise DisconnectedInput(_DISCONNECTED)
     if d is None:
         return None
@@ -291,7 +288,7 @@ def brute_force_min_odd_cut(g: Graph) -> CutCertificate | None:
         raise TooLarge(f"brute force guard: n={g.n} > 24")
     if not is_connected(g):
         raise DisconnectedInput("brute_force_min_odd_cut requires a connected graph")
-    if not _odd_degree_vertices(g):
+    if all(g.degree(v) % 2 == 0 for v in range(g.n)):
         return None
     masks = [(1 << u, 1 << v) for u, v in g.edges]
     best: tuple[int, tuple, int] | None = None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from circuitcover.cli import main
 from circuitcover.errors import TooLarge
 from circuitcover.generators import ladder
 from circuitcover.graphio import format_graph, parse_graph, read_graph, write_instance
+from circuitcover.graphs import Graph
 from circuitcover.errors import ParseError
 
 from conftest import cycle_graph
@@ -450,6 +452,15 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_on_two_disjoint_k6_is_one_error_line(self, tmp_path, capsys):
+        # every degree is 5, so the class step, not is_connected, refuses it
+        k6 = list(combinations(range(6), 2))
+        path = tmp_path / "two-k6.graph"
+        path.write_text(format_graph(Graph.from_edges(12, k6 + [(u + 6, v + 6) for u, v in k6])))
+        code = main(["check", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: min_odd_cut requires a connected graph\n"
 
     def test_deeply_nested_result_is_one_error_line(self, c6_file, tmp_path):
         # the JSON decoder recurses once per level, past Python's limit here

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuitcover import cuts
@@ -469,6 +469,84 @@ class TestMinOddCut:
             assert fast is not None and fast.size == brute.size
             assert fast.is_valid_for(g) and fast.odd
             assert brute.is_valid_for(g) and brute.odd
+
+
+@st.composite
+def disconnected_graphs_of_odd_degree_five_or_more(draw):
+    """Two or three components, each a K_c (6 <= c <= 8) less some edges of
+    a matching, with shuffled vertex numbers: every odd degree is 5 or 7."""
+    sizes = draw(st.lists(st.integers(6, 8), min_size=2, max_size=3))
+    perm = draw(st.permutations(range(sum(sizes))))
+    edges, base = [], 0
+    for c in sizes:
+        block = range(base, base + c)
+        matching = [(u, u + 1) for u in block[:-1:2]]
+        dropped = set(draw(st.lists(st.sampled_from(matching), unique=True)))
+        edges += [(perm[u], perm[v]) for u, v in combinations(block, 2) if (u, v) not in dropped]
+        base += c
+    g = Graph.from_edges(len(perm), edges)
+    assume(any(g.degree(v) % 2 for v in range(g.n)))
+    return g
+
+
+def _two_k6_apart():
+    """Two disjoint K6's, one on the even vertices and one on the odd, so the
+    second starts at vertex 1."""
+    return Graph.from_edges(12, [(2 * u + b, 2 * v + b) for b in (0, 1) for u, v in combinations(range(6), 2)])
+
+
+class TestConnectivityFromTheClassStep:
+    """With smallest odd degree d >= 5 the class step's first phase says
+    whether g is connected; is_connected runs only with no odd degree or
+    d = 1."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("is_connected must not run")
+
+    @pytest.mark.parametrize("g", [_two_k6(0), _two_k6_apart()], ids=["blocks", "alternating"])
+    def test_two_disjoint_k6(self, monkeypatch, g):
+        monkeypatch.setattr(cuts, "is_connected", self._refuse)
+        with pytest.raises(DisconnectedInput, match="requires a connected graph"):
+            min_odd_cut(g)
+
+    @given(disconnected_graphs_of_odd_degree_five_or_more())
+    @settings(max_examples=60, deadline=None)
+    def test_disconnected_with_odd_degree_five_or_more(self, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cuts, "is_connected", self._refuse)
+            with pytest.raises(DisconnectedInput):
+                min_odd_cut(g)
+
+    def test_connected_with_odd_degree_five_or_more(self, monkeypatch):
+        graphs = [complete_graph(6), complete_graph(8), _two_k6(), _two_k6(5)]
+        expected = [brute_force_min_odd_cut(g) for g in graphs]
+        monkeypatch.setattr(cuts, "is_connected", self._refuse)
+        for g, brute in zip(graphs, expected):
+            cert = min_odd_cut(g)
+            assert cert.size == brute.size and cert.is_valid_for(g) and cert.odd
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(8, [(b + i, b + (i + 1) % 4) for b in (0, 4) for i in range(4)]),
+            Graph.from_edges(10, [*combinations(range(5), 2), *combinations(range(5, 10), 2)]),
+            Graph.from_edges(8, list(combinations(range(6), 2)) + [(6, 7)]),
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+        ],
+        ids=["two-c4", "two-k5", "k6-and-k2", "two-k2"],
+    )
+    def test_no_odd_degree_or_d_one_goes_through_is_connected(self, monkeypatch, g):
+        ran = []
+
+        def counted(h):
+            ran.append(h)
+            return is_connected(h)
+
+        monkeypatch.setattr(cuts, "is_connected", counted)
+        with pytest.raises(DisconnectedInput):
+            min_odd_cut(g)
+        assert ran == [g]
 
 
 class TestBruteForce:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitcover import finder, hopping
-from circuitcover.cuts import CutCertificate, certify, min_odd_cut
+from circuitcover import certificates, finder, hopping
+from circuitcover.cuts import CutCertificate, brute_force_min_odd_cut, certify, min_odd_cut
 from circuitcover.errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from circuitcover.finder import (
     _trail_through_edge,
@@ -583,3 +583,38 @@ class TestAtlas:
         # cut answers for a set that some circuit covers
         assert out["cut_feasible"] == 3, out
         assert out["sha256"] == self.PINNED
+
+    # every 25th graph of the atlas from G209, the first on seven vertices,
+    # fixed before any run; its connected graphs reach both descent steps
+    SLICE = slice(209, None, 25)
+
+    def test_every_set_of_size_three_on_a_slice(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        reached = {"_reroute": 0, "_mirror": 0}
+        for name in reached:
+            def counted(*args, _name=name, _fn=getattr(hopping, name)):
+                reached[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(hopping, name, counted)
+        graphs = [
+            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+            for a in nx.graph_atlas_g()[self.SLICE]
+            if nx.is_connected(a)
+        ]
+        calls = cuts = 0
+        for g in graphs:
+            brute = brute_force_min_odd_cut(g)
+            for s in combinations(range(g.m), 3):
+                out = find_circuit(g, s)
+                calls += 1
+                if isinstance(out, Trail):
+                    assert certificates.circuit_fault(g.n, g.edges, out.vertices, out.edges, s) == ""
+                    continue
+                cuts += 1
+                fault = certificates.cut_fault(
+                    g.n, g.edges, out.side, out.boundary, out.size, out.odd, 3
+                )
+                assert fault == "", (g, s, fault)
+                assert brute is not None and out.size >= brute.size, (g, s)
+        assert (len(graphs), calls) == (34, 6844) and cuts > 0, (len(graphs), calls, cuts)
+        assert all(reached.values()), reached
