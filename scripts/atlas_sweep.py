@@ -8,9 +8,9 @@ networkx ships as `networkx.graph_atlas_g()`, holds all 1,253 graphs on 0-7
 vertices.  The 995 connected ones with at least two vertices are swept in
 atlas order, edge ids taken from `sorted(G.edges())`, with every prescribed
 set of size 1..4 in `itertools.combinations` order.  Each answer is
-checked: a circuit must pass `verify_circuit`, a cut must be a valid odd cut
-of size at most |S|, and a cut may come only when the brute-force minimum
-odd cut is at most |S|.  The script prints the calls, the detached cases
+checked: a circuit must pass `certificates.circuit_fault`, a cut must be a
+valid odd cut of size at most |S|, and a cut may come only when the
+brute-force minimum odd cut is at most |S|.  The script prints the calls, the detached cases
 (`contract_subgraph` calls), the descent's reroutes (`_reroute` calls,
 A and B steps alike), the cut answers for a set that some circuit covers
 (`cut_feasible`, by `feasible_by_bruteforce`, whose witness is verified)
@@ -30,6 +30,7 @@ sys.path.insert(0, str(ROOT / "scripts"))  # also when loaded as a module
 
 from answer_digest import answer_key  # noqa: E402
 from circuitcover import Trail, find_circuit, finder, hopping  # noqa: E402
+from circuitcover.certificates import circuit_fault  # noqa: E402
 from circuitcover.cuts import brute_force_min_odd_cut  # noqa: E402
 from circuitcover.graphs import Graph, verify_circuit  # noqa: E402
 from circuitcover.oracle import feasible_by_bruteforce  # noqa: E402
@@ -49,8 +50,8 @@ def atlas_graphs() -> list[Graph]:
 def _fault(g: Graph, s: tuple, out, min_cut) -> str | None:
     """What is wrong with the answer out for the set s, or None."""
     if isinstance(out, Trail):
-        check = verify_circuit(g, out, s)
-        return None if check else f"circuit fails verification: {check.reason}"
+        fault = circuit_fault(g.n, g.edges, out.vertices, out.edges, s)
+        return f"circuit fails verification: {fault}" if fault else None
     if not (out.odd and out.size <= len(s) and out.is_valid_for(g)):
         return f"certificate is not an odd cut of size <= {len(s)}"
     if min_cut is None or min_cut.size > len(s):

@@ -41,6 +41,7 @@ BRIDGE_PATH = "tests/test_cuts.py::TestBridgePath"
 CLASSES = "tests/test_cuts.py::TestBoundClasses"
 FULL_SEARCH = "tests/test_cuts.py::TestFlowNetwork::test_max_flow_matches_the_full_search"
 VERIFY_CUT = "tests/test_cli.py::TestVerifyCut"
+TRAIL_FAULTS = "tests/test_finder.py::TestTrailFaultsAreCoherenceFaults"
 
 MUTANTS = [
     Mutant(
@@ -231,11 +232,35 @@ MUTANTS = [
     Mutant(
         "the checker takes an open walk",
         "src/circuitcover/certificates.py",
-        "if walk[0] != a:",
+        "if walk[0] != walk[-1]:",
         "if False:",
         (
             "tests/test_certificates.py::"
             "test_agrees_with_the_library_on_every_answer_and_its_corruptions",
+        ),
+    ),
+    Mutant(
+        "the trail check takes a step that only leaves from its edge",
+        "src/circuitcover/certificates.py",
+        "if not ((a == u and b == v) or (a == v and b == u)):",
+        "if not (a == u or a == v):",
+        ("tests/test_graphs.py::TestValidateTrail::test_table",),
+    ),
+    Mutant(
+        "the flow's trail goes unchecked",
+        "src/circuitcover/finder.py",
+        "fault = trail_fault(g.n, g.edges, walk.vertices, walk.edges)",
+        'fault = ""',
+        (f"{TRAIL_FAULTS}::test_flow_walks_off_the_graph",),
+    ),
+    Mutant(
+        "bridge_case returns its circuit unchecked",
+        "src/circuitcover/hopping.py",
+        "fault = circuit_fault(g.n, g.edges, circuit.vertices, circuit.edges, ())",
+        'fault = ""',
+        (
+            "tests/test_hopping.py::TestBridgeCase::"
+            "test_a_circuit_off_the_graph_is_a_coherence_fault",
         ),
     ),
     Mutant(

@@ -6,7 +6,9 @@ edge list and the answer as a result's fields, and says why the answer
 certifies nothing, or "" when it holds; it raises ValueError only for a
 field of the wrong shape.  The module imports nothing from the package, so
 `verify`, `find --certify` and `graphs.verify_circuit` share no code with
-the construction they check.
+the construction they check.  The finder calls it in turn: each trail it
+builds passes `trail_fault` or `circuit_fault` before it is used, and a
+fault there is the finder's own.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ def ints(data: dict, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def circuit_fault(n: int, edges, walk, edge_walk, prescribed: Iterable[int]) -> str:
-    """Why walk/edge_walk is no closed trail through every prescribed edge."""
+def trail_fault(n: int, edges, walk, edge_walk) -> str:
+    """Why walk/edge_walk is no trail of the graph, open or closed."""
     if len(walk) != len(edge_walk) + 1:
         raise ValueError("trail needs exactly one more vertex than edges")
     if len(set(edge_walk)) != len(edge_walk):
@@ -41,7 +43,15 @@ def circuit_fault(n: int, edges, walk, edge_walk, prescribed: Iterable[int]) -> 
         if not ((a == u and b == v) or (a == v and b == u)):
             return f"step {i} does not follow edge {eid}"
         a = b
-    if walk[0] != a:
+    return ""
+
+
+def circuit_fault(n: int, edges, walk, edge_walk, prescribed: Iterable[int]) -> str:
+    """Why walk/edge_walk is no closed trail through every prescribed edge."""
+    fault = trail_fault(n, edges, walk, edge_walk)
+    if fault:
+        return fault
+    if walk[0] != walk[-1]:
         return "walk is not closed"
     missing = frozenset(prescribed).difference(edge_walk)
     if missing:

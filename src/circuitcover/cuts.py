@@ -42,6 +42,7 @@ class CutCertificate:
         return self.size % 2 == 1
 
     def is_valid_for(self, g: Graph) -> bool:
+        # not certificates.cut_fault: edge_boundary scans the smaller side, not all m edges
         return (
             0 < len(self.side) < g.n
             and edge_boundary(g, self.side) == self.boundary

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Iterable
 
+from .certificates import circuit_fault, trail_fault
 from .cuts import CutCertificate, certify
 from .errors import CoherenceViolated, DisconnectedInput, EmptyPrescribed
 from .graphs import (
@@ -37,8 +38,6 @@ from .graphs import (
     is_connected,
     trail_concat,
     tree_path,
-    validate_trail,
-    verify_circuit,
 )
 from .hopping import bridge_case
 from .segments import SegmentedCircuit, rotate_closed, segment
@@ -99,7 +98,9 @@ def _trail_through_edge(
     walk = trail_concat(p1.reverse(), Trail((x, y), (eid,)), p2)
     if walk.start != s:
         walk = walk.reverse()
-    validate_trail(g, walk)
+    fault = trail_fault(g.n, g.edges, walk.vertices, walk.edges)
+    if fault:
+        raise CoherenceViolated(f"flow walks make no trail: {fault}")
     if walk.start != s or walk.end != t:
         raise CoherenceViolated("flow walks do not end at the requested targets")
     return walk
@@ -248,9 +249,9 @@ def _open_contracted_vertex(g, circuit_c, comp, barred, e_next) -> Trail:
     if inner is None:
         raise CoherenceViolated("2-edge-connected edge set must route to both targets")
     out = trail_concat(outer, inner)
-    validate_trail(g, out)
-    if not out.is_closed:
-        raise CoherenceViolated("opened circuit is not closed")
+    fault = circuit_fault(g.n, g.edges, out.vertices, out.edges, ())
+    if fault:
+        raise CoherenceViolated(f"opened circuit fails: {fault}")
     return out
 
 
@@ -279,7 +280,7 @@ def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:
                 raise CoherenceViolated("certificate is not an odd cut of size <= |S|")
             return result
         placed.add(e_next)
-    check = verify_circuit(g, result, s_list)
-    if not check:
-        raise CoherenceViolated(f"circuit fails verification: {check.reason}")
+    fault = circuit_fault(g.n, g.edges, result.vertices, result.edges, s_list)
+    if fault:
+        raise CoherenceViolated(f"circuit fails verification: {fault}")
     return result

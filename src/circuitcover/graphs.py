@@ -104,32 +104,6 @@ class Trail:
         return len(self.edges)
 
 
-def validate_trail(g: Graph, t: Trail) -> None:
-    """Raise ValueError unless t is a genuine trail of g: BadEdgeId for an
-    edge id out of range, ValueError for a repeated edge, a step that does
-    not follow its edge or a vertex out of range.
-
-    Every vertex of a trail with edges is an end of one of its edges, so
-    only a trail with no edges needs its vertex range checked.
-    """
-    edges, verts = t.edges, t.vertices
-    if len(set(edges)) != len(edges):
-        raise ValueError("trail repeats an edge")
-    g_edges = g.edges
-    m = len(g_edges)
-    a = verts[0]
-    for i, eid in enumerate(edges):
-        if not 0 <= eid < m:
-            raise BadEdgeId(f"edge id {eid} out of range (m={m})")
-        u, v = g_edges[eid]
-        b = verts[i + 1]
-        if not ((a == u and b == v) or (a == v and b == u)):
-            raise ValueError(f"step {i} does not follow edge {eid}")
-        a = b
-    if not edges and not 0 <= a < g.n:
-        raise ValueError(f"vertex {a} out of range")
-
-
 def trail_concat(*parts: Trail) -> Trail:
     """Concatenate trails end-to-start; the pieces must be edge-disjoint."""
     verts = list(parts[0].vertices)
@@ -667,16 +641,6 @@ def contract_subgraph(g: Graph, w: Iterable[int], boundary: Iterable[int]) -> Gr
 # circuit verification
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_circuit(g: Graph, t: Trail, s: Iterable[int]) -> VerifyResult:
-    """Check that t is a closed trail of g covering every edge of s."""
-    reason = circuit_fault(g.n, g.edges, t.vertices, t.edges, s)
-    return VerifyResult(not reason, reason)
+def verify_circuit(g: Graph, t: Trail, s: Iterable[int]) -> bool:
+    """Whether t is a closed trail of g covering every edge of s."""
+    return not circuit_fault(g.n, g.edges, t.vertices, t.edges, s)

@@ -48,9 +48,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple
 
+from .certificates import circuit_fault, trail_fault
 from .cuts import CutCertificate, certify
 from .errors import BadParam, CoherenceViolated
-from .graphs import Graph, Trail, trail_concat, tree_path, validate_trail
+from .graphs import Graph, Trail, trail_concat, tree_path
 from .segments import SegmentedCircuit
 
 
@@ -191,8 +192,9 @@ def _positions(q: CoherentTrail) -> dict[int, int]:
 def check_coherent(q: CoherentTrail, state: ReachState, seg: SegmentedCircuit) -> None:
     """Assert the three coherence conditions, C3 read from the tags."""
     g = state.graph
-    t = q.trail()
-    validate_trail(g, t)
+    fault = trail_fault(g.n, g.edges, q.vertices, q.edges)
+    if fault:
+        raise CoherenceViolated(f"coherent trail fails: {fault}")
     if state.excluded in q.edges:
         raise CoherenceViolated("trail uses the excluded edge")
     # C1: all separators covered, endpoints at the next levels
@@ -423,7 +425,7 @@ def bridge_case(
     circuit = trail_concat(
         Trail((b, a), (e_next,)), p_a, q.trail(), p_b.reverse()
     )
-    validate_trail(g, circuit)
-    if not circuit.is_closed:
-        raise CoherenceViolated("rerouted circuit is not closed")
+    fault = circuit_fault(g.n, g.edges, circuit.vertices, circuit.edges, ())
+    if fault:
+        raise CoherenceViolated(f"rerouted circuit fails: {fault}")
     return circuit

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .certificates import circuit_fault
 from .errors import CoherenceViolated
-from .graphs import Graph, Trail, validate_trail
+from .graphs import Graph, Trail
 
 
 def rotate_closed(h: Trail, cut: int) -> Trail:
@@ -116,13 +117,11 @@ def segment(g: Graph, h: Trail, s_prefix: Iterable[int]) -> SegmentedCircuit:
     s_set = frozenset(s_prefix)
     if not s_set:
         raise ValueError("need at least one separator edge")
-    validate_trail(g, h)
-    if not h.is_closed:
-        raise ValueError("h must be a closed trail")
+    fault = circuit_fault(g.n, g.edges, h.vertices, h.edges, s_set)
+    if fault:
+        raise ValueError(f"h is no circuit through the separators: {fault}")
     edges = h.edges
     slots = [i for i, eid in enumerate(edges) if eid in s_set]
-    if len(slots) != len(s_set):  # h's edges are distinct
-        raise ValueError(f"circuit is missing prescribed edges {sorted(s_set.difference(edges))}")
     # rotating moves each slot back by the cut, cyclically
     idx = slots.index(edges.index(min(s_set)))
     size = len(edges)

@@ -29,6 +29,19 @@ def triangles_with_bridge() -> Graph:
     return Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)])
 
 
+def atlas_slice() -> list[Graph]:
+    """The connected graphs among every 25th graph of the networkx atlas from
+    G209, the first on seven vertices, with edge ids in sorted order: a slice
+    fixed before any run, whose graphs reach both descent steps.  Skips the
+    test without networkx."""
+    nx = pytest.importorskip("networkx")
+    return [
+        Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+        for a in nx.graph_atlas_g()[209::25]
+        if nx.is_connected(a)
+    ]
+
+
 def sparse_random_graphs(count=30):
     """Seeded connected graphs with m between n - 1 and 2n, so that many
     have bridges and several 2-edge-connected components."""

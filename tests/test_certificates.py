@@ -1,8 +1,10 @@
-"""The plain-data checker against the library's own object checks.
+"""The plain-data checker against a second opinion.
 
-`certificates` shares no code with the finder; the second opinion here is
-the library's: `validate_trail` plus closure and coverage for a circuit, and
-`edge_boundary` plus parity, the stated claims and the size bound for a cut.
+The finder checks its own trails with `certificates`, so the second opinion
+on a circuit is written here and shares no code with it: each step's two
+vertices are its edge's two ends, the edges are distinct ids in range, and
+the walk is closed and covers S.  On a cut it is the library's
+`edge_boundary` plus parity, the stated claims and the size bound.
 """
 from itertools import combinations
 
@@ -12,19 +14,23 @@ from circuitcover.certificates import circuit_fault, cut_fault, ints, result_fau
 from circuitcover.cuts import CutCertificate
 from circuitcover.finder import find_circuit
 from circuitcover.graphio import circuit_result, cut_result
-from circuitcover.graphs import Trail, edge_boundary, validate_trail
+from circuitcover.graphs import edge_boundary
 
-from conftest import cycle_graph, sparse_random_graphs
+from conftest import atlas_slice, cycle_graph, sparse_random_graphs
 
 
 def _library_accepts(g, data, s) -> bool:
     if data["status"] == "circuit":
-        t = Trail(tuple(data["walk"]), tuple(data["edge_walk"]))
-        try:
-            validate_trail(g, t)
-        except ValueError:
-            return False
-        return t.is_closed and set(s) <= set(t.edges)
+        walk, edge_walk = data["walk"], data["edge_walk"]
+        return (
+            len(walk) == len(edge_walk) + 1
+            and len(set(edge_walk)) == len(edge_walk)
+            and all(0 <= e < g.m for e in edge_walk)
+            and all({walk[i], walk[i + 1]} == set(g.edges[e]) for i, e in enumerate(edge_walk))
+            and 0 <= walk[0] < g.n
+            and walk[0] == walk[-1]
+            and set(s) <= set(edge_walk)
+        )
     side, boundary = frozenset(data["side"]), frozenset(data["boundary"])
     try:
         recomputed = edge_boundary(g, side)
@@ -58,10 +64,12 @@ def _corrupted(g, data):
         yield {**data, "odd": not data["odd"]}
 
 
-def test_agrees_with_the_library_on_every_answer_and_its_corruptions():
+def _agreements(graphs, sizes) -> tuple[int, int]:
+    """Answers and rejected corruptions over every set of the given sizes;
+    asserts that the two checks agree on each."""
     answers = rejected = 0
-    for g in sparse_random_graphs():
-        for k in (1, 2):
+    for g in graphs:
+        for k in sizes:
             for s in combinations(range(g.m), k):
                 out = find_circuit(g, s)
                 data = cut_result(out) if isinstance(out, CutCertificate) else circuit_result(out)
@@ -72,7 +80,15 @@ def test_agrees_with_the_library_on_every_answer_and_its_corruptions():
                     fault = result_fault(g.n, g.edges, bad, s)
                     assert (not fault) == _library_accepts(g, bad, s), (g, s, bad, fault)
                     rejected += bool(fault)
-    assert (answers, rejected) == (16622, 4 * 16622)
+    return answers, rejected
+
+
+def test_agrees_with_the_library_on_every_answer_and_its_corruptions():
+    assert _agreements(sparse_random_graphs(), (1, 2)) == (16622, 4 * 16622)
+
+
+def test_agrees_on_the_atlas_slice():
+    assert _agreements(atlas_slice(), (1, 2, 3)) == (9235, 4 * 9235)
 
 
 class TestShapes:

@@ -23,13 +23,13 @@ from circuitcover.graphs import (
     bridges_and_2ec_components,
     edge_boundary,
     euler_circuit,
-    validate_trail,
     verify_circuit,
 )
 from circuitcover.oracle import feasible_by_bruteforce
 from circuitcover.segments import segment
 
 from conftest import (
+    atlas_slice,
     bowtie,
     complete_graph,
     connected_graphs,
@@ -69,9 +69,52 @@ class TestTrailThroughEdge:
                     # the finder's flow runs over the whole leftover: with
                     # no circuit yet, no edge is barred
                     out = _trail_through_edge(g, (), eid, s, t)
-                    validate_trail(g, out)
+                    assert certificates.trail_fault(g.n, g.edges, out.vertices, out.edges) == ""
                     assert (out.start, out.end) == (s, t) and eid in out.edges
                     assert set(out.edges) <= inner
+
+
+def _swap_first_two(t: Trail) -> Trail:
+    """t with its first two edge ids swapped: the same edge set and ends,
+    but step 0 no longer follows its edge."""
+    return Trail(t.vertices, (t.edges[1], t.edges[0]) + t.edges[2:])
+
+
+class TestTrailFaultsAreCoherenceFaults:
+    # a trail the finder builds that is no trail of g is the finder's own
+    # fault: it must surface as CoherenceViolated, not as the ValueError
+    # that reports bad input
+
+    def test_flow_walks_off_the_graph(self, monkeypatch):
+        g = Graph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+        )
+        real = finder._two_walks
+
+        def corrupt(net, starts, ends):
+            return tuple(_swap_first_two(w) if len(w) > 1 else w for w in real(net, starts, ends))
+
+        monkeypatch.setattr(finder, "_two_walks", corrupt)
+        with pytest.raises(CoherenceViolated, match="flow walks make no trail: step 0 does not"):
+            find_circuit(g, {0, 5})
+
+    def test_opened_circuit_off_the_graph(self, monkeypatch):
+        # H = triangle {0,1,2}; a disjoint triangle joined by two bridges, so
+        # edge 4 = (3,5) takes the detached case, and the open trail through
+        # it inside the triangle, the only call with two distinct targets,
+        # passes its own check before it is corrupted
+        g = Graph.from_edges(
+            6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 3), (2, 4)]
+        )
+        real = finder._trail_through_edge
+
+        def corrupt(g_, barred, eid, s, t):
+            out = real(g_, barred, eid, s, t)
+            return out if s == t else _swap_first_two(out)
+
+        monkeypatch.setattr(finder, "_trail_through_edge", corrupt)
+        with pytest.raises(CoherenceViolated, match="opened circuit fails: .* does not follow"):
+            find_circuit(g, {0, 4})
 
 
 class TestExtendCircuit:
@@ -584,23 +627,14 @@ class TestAtlas:
         assert out["cut_feasible"] == 3, out
         assert out["sha256"] == self.PINNED
 
-    # every 25th graph of the atlas from G209, the first on seven vertices,
-    # fixed before any run; its connected graphs reach both descent steps
-    SLICE = slice(209, None, 25)
-
     def test_every_set_of_size_three_on_a_slice(self, monkeypatch):
-        nx = pytest.importorskip("networkx")
+        graphs = atlas_slice()
         reached = {"_reroute": 0, "_mirror": 0}
         for name in reached:
             def counted(*args, _name=name, _fn=getattr(hopping, name)):
                 reached[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(hopping, name, counted)
-        graphs = [
-            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
-            for a in nx.graph_atlas_g()[self.SLICE]
-            if nx.is_connected(a)
-        ]
         calls = cuts = 0
         for g in graphs:
             brute = brute_force_min_odd_cut(g)

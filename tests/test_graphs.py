@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitcover.certificates import circuit_fault, trail_fault
 from circuitcover.errors import BadEdgeId, BadParam, NotConnected, NotEven
 from circuitcover.graphs import (
     Graph,
@@ -19,7 +20,6 @@ from circuitcover.graphs import (
     is_even_subgraph,
     spanning_forest,
     trail_concat,
-    validate_trail,
     verify_circuit,
 )
 
@@ -526,31 +526,28 @@ class TestEulerCircuit:
 
 
 class TestValidateTrail:
+    # the check of a trail, open or closed, is certificates.trail_fault.
     # cycle_graph(4): edge i joins i and i + 1 mod 4, so edge m - 1 = 3 is (3, 0)
     @pytest.mark.parametrize(
-        "trail, error",
+        "walk, edge_walk, fault",
         [
-            (Trail((0, 1, 2, 3, 0), (0, 1, 2, 3)), None),
-            (Trail((2,), ()), None),
-            (Trail((0, 1, 0), (0, 0)), ValueError),  # a repeated edge
-            (Trail((0, 2), (0,)), ValueError),  # step 0 does not follow edge 0
-            (Trail((0, 1, 3), (0, 1)), ValueError),  # step 1 does not follow edge 1
-            (Trail((3, 0), (-1,)), BadEdgeId),  # not edge m - 1
-            (Trail((0, 1), (4,)), BadEdgeId),  # id m
-            (Trail((4,), ()), ValueError),  # a one-vertex trail at vertex n
-            (Trail((-1,), ()), ValueError),
+            ((0, 1, 2, 3, 0), (0, 1, 2, 3), ""),
+            ((1, 2, 3), (1, 2), ""),
+            ((2,), (), ""),
+            ((0, 1, 0), (0, 0), "duplicate edge in walk"),
+            ((0, 2), (0,), "step 0 does not follow edge 0"),
+            ((0, 1, 3), (0, 1), "step 1 does not follow edge 1"),
+            ((3, 0), (-1,), "edge id -1 out of range"),  # not edge m - 1
+            ((0, 1), (4,), "edge id 4 out of range"),  # id m
+            ((4,), (), "vertex 4 out of range"),  # a one-vertex trail at vertex n
+            ((-1,), (), "vertex -1 out of range"),
         ],
-        ids=["closed", "one-vertex", "repeat", "mismatch", "later-mismatch",
+        ids=["closed", "open", "one-vertex", "repeat", "mismatch", "later-mismatch",
              "id-minus-one", "id-m", "vertex-n", "vertex-minus-one"],
     )
-    def test_table(self, trail, error):
+    def test_table(self, walk, edge_walk, fault):
         g = cycle_graph(4)
-        if error is None:
-            validate_trail(g, trail)
-            return
-        with pytest.raises(ValueError) as exc:
-            validate_trail(g, trail)
-        assert type(exc.value) is error
+        assert trail_fault(g.n, g.edges, walk, edge_walk) == fault
 
 
 def _ball(g, v0, radius):
@@ -653,30 +650,32 @@ class TestContraction:
 
 
 class TestVerifyCircuit:
+    # verify_circuit is a bool; the reasons it reads are circuit_fault's
     def test_full_cycle_passes(self):
         g = cycle_graph(6)
         t = euler_circuit(g, range(6))
-        assert verify_circuit(g, t, {0, 3})
+        assert verify_circuit(g, t, {0, 3}) is True
 
     def test_duplicate_edge_rejected(self):
         g = path_graph(3)
         t = Trail((0, 1, 0), (0, 0))
-        res = verify_circuit(g, t, set())
-        assert not res and "duplicate" in res.reason
+        assert verify_circuit(g, t, set()) is False
+        assert circuit_fault(g.n, g.edges, t.vertices, t.edges, ()) == "duplicate edge in walk"
 
     def test_uncovered_edge_reported(self):
         g = bowtie()
         t = Trail((0, 1, 2, 0), (0, 2, 1))
-        res = verify_circuit(g, t, {5})
-        assert not res and "not covered" in res.reason
+        assert verify_circuit(g, t, {5}) is False
+        fault = circuit_fault(g.n, g.edges, t.vertices, t.edges, {5})
+        assert fault == "prescribed edges not covered: [5]"
 
     def test_vertex_out_of_range_rejected(self):
         g = cycle_graph(4)
         for v in (99, -1):
-            res = verify_circuit(g, Trail((v,)), set())
-            assert not res and "out of range" in res.reason
+            assert verify_circuit(g, Trail((v,)), set()) is False
+            assert circuit_fault(g.n, g.edges, (v,), (), ()) == f"vertex {v} out of range"
 
     def test_open_walk_rejected(self):
         g = path_graph(3)
-        res = verify_circuit(g, Trail((0, 1), (0,)), set())
-        assert not res and "closed" in res.reason
+        assert verify_circuit(g, Trail((0, 1), (0,)), set()) is False
+        assert circuit_fault(g.n, g.edges, (0, 1), (0,), ()) == "walk is not closed"

@@ -189,6 +189,14 @@ class TestCheckCoherentRejects:
         with pytest.raises(CoherenceViolated, match=match):
             check_coherent(q, state, seg)
 
+    def test_a_trail_off_the_graph(self):
+        # two edges swapped: the edge set, ends and tags still hold, but step
+        # 0 no longer follows its edge.  That is the finder's own fault, not
+        # the ValueError that reports bad input
+        _, _, initial, _ = self._initial_and_spliced()
+        edges = (initial.edges[1], initial.edges[0]) + initial.edges[2:]
+        self._rejects(initial._replace(edges=edges), "coherent trail fails: step 0 does not")
+
     def test_c2_stretch_with_both_ends_in_one_level(self):
         _, _, _, spliced = self._initial_and_spliced()
         assert spliced.vertices == (1, 2, 3, 4, 5, 10, 1, 0, 7, 6)
@@ -508,6 +516,21 @@ class TestBridgeCase:
         out = bridge_case(g, seg, excluded)
         for v in (8, 9):  # both endpoints of the excluded edge are off H
             assert out.vertices[:-1].count(v) == 1
+
+    def test_a_circuit_off_the_graph_is_a_coherence_fault(self, monkeypatch):
+        # the descent's trail with two edges swapped keeps its ends, its
+        # edge set and so the witness checks: only the check of the
+        # assembled circuit sees it
+        descent = hopping.reroute_descent
+
+        def corrupt(q, state, seg):
+            out = descent(q, state, seg)
+            return out._replace(edges=(out.edges[1], out.edges[0]) + out.edges[2:])
+
+        monkeypatch.setattr(hopping, "reroute_descent", corrupt)
+        g, h, seg, excluded = two_level_fixture()
+        with pytest.raises(CoherenceViolated, match="rerouted circuit fails: .* does not follow"):
+            bridge_case(g, seg, excluded)
 
     def test_certificate_propagates(self):
         g = triangles_with_bridge()
