@@ -247,6 +247,13 @@ MUTANTS = [
         ("tests/test_graphs.py::TestValidateTrail::test_table",),
     ),
     Mutant(
+        "the trail check lets a repeated edge through",
+        "src/circuitcover/certificates.py",
+        "if len(set(edge_walk)) != len(edge_walk):",
+        "if False:",
+        (f"{TRAIL_FAULTS}::test_flow_walks_that_repeat_an_edge",),
+    ),
+    Mutant(
         "the flow's trail goes unchecked",
         "src/circuitcover/finder.py",
         "fault = trail_fault(g.n, g.edges, walk.vertices, walk.edges)",

@@ -57,23 +57,18 @@ def _parse_edges(raw: str, m: int) -> frozenset:
     return ids
 
 
-def _report(args, payload: dict) -> None:
+def _report(args, payload: dict, lines=None) -> None:
+    """Print a command's report unless --quiet: with --json, the payload on
+    one line; else the text lines, by default `key: value` for each field
+    but the command and its timings."""
+    if args.quiet:
+        return
     if args.json:
-        _print_json(args, payload)
-    elif not args.quiet:
-        for key, value in payload.items():
-            if key not in ("command", "timings"):
-                print(f"{key}: {value}")
-
-
-def _print_json(args, payload: dict) -> None:
-    """A command's JSON output, on one stdout line; --quiet drops it."""
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _run_report(command: str, label: str) -> dict:
-    return {"command": command, "label": label, "verdicts": {}, "timings": {}}
+        lines = [json.dumps(payload, sort_keys=True)]
+    elif lines is None:
+        lines = [f"{k}: {v}" for k, v in payload.items() if k not in ("command", "timings")]
+    for line in lines:
+        print(line)
 
 
 def cmd_check(args) -> int:
@@ -82,22 +77,22 @@ def cmd_check(args) -> int:
     g = read_graph(args.graph)
     t0 = time.perf_counter()
     cert = min_odd_cut(g)
-    report = _run_report("check", Path(args.graph).stem)
-    report["timings"]["min_odd_cut_s"] = round(time.perf_counter() - t0, 6)
     universal = cert is None or cert.size > args.k
-    report["min_odd_cut"] = None if cert is None else cert.to_json()
-    report["verdicts"]["universal_up_to_k"] = universal
-    if args.json:
-        _print_json(args, report)
-    elif not args.quiet:
-        if cert is None:
-            print("min odd cut: none; circuit-universal for every k")
-        else:
-            print(f"min odd cut: size {cert.size}, side {sorted(cert.side)}")
-            print(
-                f"circuit-universal up to k={args.k}: "
-                f"{'holds' if universal else 'fails'}"
-            )
+    report = {
+        "command": "check",
+        "label": Path(args.graph).stem,
+        "verdicts": {"universal_up_to_k": universal},
+        "timings": {"min_odd_cut_s": round(time.perf_counter() - t0, 6)},
+        "min_odd_cut": None if cert is None else cert.to_json(),
+    }
+    if cert is None:
+        lines = ["min odd cut: none; circuit-universal for every k"]
+    else:
+        lines = [
+            f"min odd cut: size {cert.size}, side {sorted(cert.side)}",
+            f"circuit-universal up to k={args.k}: {'holds' if universal else 'fails'}",
+        ]
+    _report(args, report, lines)
     return EXIT_OK if universal else EXIT_CERTIFICATE
 
 
@@ -119,7 +114,7 @@ def cmd_find(args) -> int:
         except TooLarge:
             pass  # past the oracle's guard: the certificate stands alone
     payload["timings"] = {"find_s": elapsed}
-    _print_json(args, payload)
+    _report(args, payload)
     return EXIT_CERTIFICATE if is_cut else EXIT_OK
 
 
@@ -128,9 +123,9 @@ def cmd_oracle(args) -> int:
     s = _parse_edges(args.edges, g.m)
     witness = feasible_by_bruteforce(g, s)
     if witness is None:
-        _print_json(args, infeasible_result("oracle"))
+        _report(args, infeasible_result("oracle"))
         return EXIT_CERTIFICATE
-    _print_json(args, circuit_result(witness, method="oracle"))
+    _report(args, circuit_result(witness, method="oracle"))
     return EXIT_OK
 
 
@@ -146,7 +141,7 @@ def cmd_verify(args) -> int:
         raise ValueError("result must be a JSON object")
     s, mismatch = _prescribed(g, s, data)
     reason = result_fault(g.n, g.edges, data, s) or mismatch
-    _print_json(args, {"verified": not reason, "reason": reason})
+    _report(args, {"verified": not reason, "reason": reason})
     return EXIT_CERTIFICATE if reason else EXIT_OK
 
 
@@ -198,20 +193,10 @@ def _build_instance(args) -> NamedInstance:
     return make(*args.params)
 
 
-def cmd_experiment(args) -> int:
-    if args.name == "ladder":
-        return _experiment_ladder(args)
-    if args.name == "gk-witness":
-        return _experiment_gk(args)
-    if args.name == "corollary":
-        return _experiment_corollary(args)
-    raise BadParam(f"unknown experiment {args.name}")
-
-
-def _experiment_ladder(args) -> int:
+def _experiment_ladder(args) -> dict:
     """Rung sets of the ladder extend to even subgraphs whose component
     count is exactly ceil(|S|/2), yet no circuit covers them."""
-    report = _run_report("experiment", "ladder")
+    verdicts = {}
     failures = 0
     for r in args.r:
         inst = ladder(r)
@@ -232,17 +217,16 @@ def _experiment_ladder(args) -> int:
                 )
                 if not ok:
                     failures_r += 1
-        report["verdicts"][f"r={r}"] = "ok" if failures_r == 0 else "FAIL"
+        verdicts[f"r={r}"] = "ok" if failures_r == 0 else "FAIL"
         failures += failures_r
-    report["verdicts"]["failures"] = failures
-    _report(args, report)
-    return EXIT_OK if failures == 0 else EXIT_CERTIFICATE
+    verdicts["failures"] = failures
+    return verdicts
 
 
-def _experiment_gk(args) -> int:
+def _experiment_gk(args) -> dict:
     """The three small witnesses: extendable to an even subgraph, yet
     circuit-infeasible, at their stated edge connectivity."""
-    report = _run_report("experiment", "gk-witness")
+    verdicts = {}
     cases = [
         ("g(2)>1", two_cycles_bridge(3, 3), 1),
         ("g(3)>2", NamedInstance(ladder(4).graph, frozenset({0, 1, 2}), "ladder-4-three-rungs"), 2),
@@ -255,7 +239,7 @@ def _experiment_gk(args) -> int:
         extendable = isinstance(extend_to_even_subgraph(g, s), EvenExtension)
         feasible = feasible_by_bruteforce(g, s) is not None
         ok = conn == want_conn and extendable and not feasible
-        report["verdicts"][name] = {
+        verdicts[name] = {
             "edge_connectivity": conn,
             "jaeger_extendable": extendable,
             "oracle_feasible": feasible,
@@ -263,14 +247,13 @@ def _experiment_gk(args) -> int:
         }
         if not ok:
             failures += 1
-    report["verdicts"]["failures"] = failures
-    _report(args, report)
-    return EXIT_OK if failures == 0 else EXIT_CERTIFICATE
+    verdicts["failures"] = failures
+    return verdicts
 
 
-def _experiment_corollary(args) -> int:
+def _experiment_corollary(args) -> dict:
     """Feasibility for every (2k-1)-set implies it for every 2k-set."""
-    report = _run_report("experiment", "corollary")
+    verdicts = {}
     failures = 0
     checked = 0
     for path in args.graphs:
@@ -285,11 +268,26 @@ def _experiment_corollary(args) -> int:
             checked += 1
             if not ok:
                 failures += 1
-                report["verdicts"][f"{Path(path).stem}-k{k}"] = "FAIL"
-    report["verdicts"]["checked"] = checked
-    report["verdicts"]["failures"] = failures
+                verdicts[f"{Path(path).stem}-k{k}"] = "FAIL"
+    verdicts["checked"] = checked
+    verdicts["failures"] = failures
+    return verdicts
+
+
+# experiment name -> the function that runs it and returns its verdicts,
+# a "failures" count among them
+_EXPERIMENTS = {
+    "ladder": _experiment_ladder,
+    "gk-witness": _experiment_gk,
+    "corollary": _experiment_corollary,
+}
+
+
+def cmd_experiment(args) -> int:
+    verdicts = _EXPERIMENTS[args.name](args)
+    report = {"command": "experiment", "label": args.name, "verdicts": verdicts, "timings": {}}
     _report(args, report)
-    return EXIT_OK if failures == 0 else EXIT_CERTIFICATE
+    return EXIT_OK if verdicts["failures"] == 0 else EXIT_CERTIFICATE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--min-odd-cut", type=int, default=1)
-    _output_flags(p)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("experiment", help="reproduce the witness experiments")
-    p.add_argument("name", choices=["ladder", "gk-witness", "corollary"])
+    p.add_argument("name", choices=list(_EXPERIMENTS))
     p.add_argument("--r", type=int, nargs="*", default=[4, 5, 6])
     p.add_argument("--graphs", nargs="*", default=[], help="graph files for corollary")
     _output_flags(p, with_json=True)
@@ -363,11 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output_flags(p, with_json: bool = False) -> None:
-    """--quiet for every command; --json for those with a text and a JSON
-    report (check, experiment): find, oracle and verify print only JSON and
-    generate only text."""
+    """--quiet, and --json for the commands with a text and a JSON report
+    (check, experiment); find, oracle and verify print only JSON, so their
+    `json` is always on.  generate prints only text and takes just --quiet."""
     if with_json:
         p.add_argument("--json", action="store_true", help="machine-readable output only")
+    else:
+        p.set_defaults(json=True)
     p.add_argument("--quiet", action="store_true")
 
 

@@ -221,11 +221,9 @@ def extend_circuit(
 
 def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
     """H merged with the closed trail star through e_next, which shares a
-    vertex with H, by an Euler tour of the union from H's start."""
-    out = euler_circuit(g, seg.h_edges | star.edge_set(), start=seg.trail.vertices[0])
-    if not out.edge_set().issuperset(seg.sep_ids) or e_next not in out.edges:
-        raise CoherenceViolated("splice lost a prescribed edge")
-    return out
+    vertex with H, by an Euler tour of the union from H's start: it holds
+    every edge of the union, separators and e_next among them, or raises."""
+    return euler_circuit(g, seg.h_edges | star.edge_set(), start=seg.trail.vertices[0])
 
 
 def _open_contracted_vertex(g, circuit_c, comp, barred, e_next) -> Trail:

@@ -347,8 +347,6 @@ def _reroute(
         raise CoherenceViolated(f"anchor level {n_prime} does not drop below {n}")
     if far.span(m)[j] is not None or x in far.level(m + 1):
         raise CoherenceViolated(f"segment {j} is shared below the initial level sum")
-    if set(p.edges) & set(q.edges):
-        raise CoherenceViolated("witness trail shares an edge with the trail")
     if not all(eid in seg.h_edges for eid in q.edges[c:d]):
         raise CoherenceViolated("removed stretch has a non-H edge")
     # tags of the witness after the start: inner vertices are off H, and x
@@ -420,8 +418,6 @@ def bridge_case(
         raise CoherenceViolated("entry witnesses do not start at the edge endpoints")
     if set(p_a.vertices) & set(p_b.vertices):
         raise CoherenceViolated("entry witnesses are not vertex-disjoint")
-    if (set(p_a.edges) | set(p_b.edges)) & set(q.edges):
-        raise CoherenceViolated("entry witness shares an edge with the trail")
     circuit = trail_concat(
         Trail((b, a), (e_next,)), p_a, q.trail(), p_b.reverse()
     )

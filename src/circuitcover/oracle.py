@@ -74,17 +74,22 @@ def _is_connected_edge_set(g: Graph, edges: frozenset) -> bool:
     return len(connected_components(g, edges)) <= 1
 
 
-def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
-    """Euler tour of the first connected even superset of s in Gray-code
-    order, or None when no such edge set exists."""
+def _even_supersets(g: Graph, s: Iterable[int] = ()) -> Iterator[tuple[int, frozenset]]:
+    """Every even edge set that contains s, as (bitmask, edge ids), in
+    Gray-code order from the empty set.  The guards run at the call, before
+    the first set: a cycle space past the guard raises TooLarge, then an id
+    g lacks BadEdgeId."""
     basis = cycle_space_basis(g)
     if basis.dim > _DIM_GUARD:
         raise TooLarge(f"cycle-space dimension {basis.dim} exceeds guard {_DIM_GUARD}")
     s_mask = _edge_mask(g, s)
-    for f in even_set_masks(basis):
-        if s_mask & ~f:
-            continue
-        edges = _mask_to_edges(f)
+    return ((f, _mask_to_edges(f)) for f in even_set_masks(basis) if not s_mask & ~f)
+
+
+def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
+    """Euler tour of the first connected even superset of s in Gray-code
+    order, or None when no such edge set exists."""
+    for _, edges in _even_supersets(g, s):
         if _is_connected_edge_set(g, edges):
             return euler_circuit(g, edges)
     return None
@@ -93,18 +98,13 @@ def feasible_by_bruteforce(g: Graph, s: Iterable[int]) -> Trail | None:
 def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
     """Minimum component count over all even supersets of s, by enumerating
     the cycle space (desk-scale guard)."""
-    basis = cycle_space_basis(g)
-    if g.n > 20 or basis.dim > _DIM_GUARD:
-        raise TooLarge(f"guard: n={g.n}, cycle-space dim={basis.dim}")
-    s_mask = _edge_mask(g, s)
-    best: int | None = None
-    for f in even_set_masks(basis):
-        if s_mask & ~f:
-            continue
-        edges = _mask_to_edges(f)
-        comps = len(connected_components(g, edges)) if edges else 0
-        if best is None or comps < best:
-            best = comps
+    if g.n > 20:
+        dim = g.m - g.n + len(connected_components(g))  # the cycle space's
+        raise TooLarge(f"guard: n={g.n}, cycle-space dim={dim}")
+    best = min(
+        (len(connected_components(g, edges)) if edges else 0 for _, edges in _even_supersets(g, s)),
+        default=None,
+    )
     if best is None:
         raise NotExtendable("no even edge set contains the prescribed edges")
     return best
@@ -112,13 +112,7 @@ def min_components_even_extension(g: Graph, s: Iterable[int]) -> int:
 
 def enumerate_connected_even_sets(g: Graph) -> list[int]:
     """All nonempty connected even edge sets, as bitmasks, largest first."""
-    basis = cycle_space_basis(g)
-    if basis.dim > _DIM_GUARD:
-        raise TooLarge(f"cycle-space dimension {basis.dim} exceeds guard {_DIM_GUARD}")
-    out = []
-    for f in even_set_masks(basis):
-        if f and _is_connected_edge_set(g, _mask_to_edges(f)):
-            out.append(f)
+    out = [f for f, edges in _even_supersets(g) if f and _is_connected_edge_set(g, edges)]
     out.sort(key=lambda mask: -mask.bit_count())
     return out
 

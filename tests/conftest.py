@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -27,6 +31,19 @@ def bowtie() -> Graph:
 def triangles_with_bridge() -> Graph:
     # triangles {0,1,2} and {3,4,5} joined by edge (0,3) = id 6
     return Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3)])
+
+
+def under_python_optimize(script: str) -> str:
+    """stdout of script run by a python -O that imports this checkout's src."""
+    # -O strips assert statements; the checks must not depend on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def atlas_slice() -> list[Graph]:

@@ -72,6 +72,31 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0 and "none" in out
 
+    # the exact text of check in each of its three cases
+    @pytest.mark.parametrize(
+        "graph, k, code, text",
+        [
+            ("c6", 100, 0, "min odd cut: none; circuit-universal for every k\n"),
+            (
+                "ladder4",
+                2,
+                0,
+                "min odd cut: size 3, side [1]\ncircuit-universal up to k=2: holds\n",
+            ),
+            (
+                "ladder4",
+                3,
+                2,
+                "min odd cut: size 3, side [1]\ncircuit-universal up to k=3: fails\n",
+            ),
+        ],
+    )
+    def test_text(self, request, capsys, graph, k, code, text):
+        path = request.getfixturevalue(f"{graph}_file")
+        assert main(["check", str(path), "--k", str(k)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == text and captured.err == ""
+
     def test_ladder_k3_fails(self, ladder4_file, capsys):
         code = main(["check", str(ladder4_file), "--k", "3", "--json"])
         report = json.loads(capsys.readouterr().out)
@@ -512,6 +537,21 @@ class TestOneLineErrors:
 
 
 class TestExperiments:
+    def test_gk_witness_text(self, capsys):
+        code = main(["experiment", "gk-witness"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "label: gk-witness\n"
+            "verdicts: {"
+            "'g(2)>1': {'edge_connectivity': 1, 'jaeger_extendable': True, "
+            "'oracle_feasible': False, 'confirmed': True}, "
+            "'g(3)>2': {'edge_connectivity': 2, 'jaeger_extendable': True, "
+            "'oracle_feasible': False, 'confirmed': True}, "
+            "'g(4)>3': {'edge_connectivity': 3, 'jaeger_extendable': True, "
+            "'oracle_feasible': False, 'confirmed': True}, "
+            "'failures': 0}\n"
+        )
+
     def test_gk_witness(self, capsys):
         code = main(["experiment", "gk-witness", "--json"])
         report = json.loads(capsys.readouterr().out)

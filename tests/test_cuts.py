@@ -1,12 +1,8 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import deque
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +23,13 @@ from circuitcover.generators import double_clique, ladder, random_connected, two
 from circuitcover.graphs import FlowNetwork, Graph, edge_boundary, is_connected
 from circuitcover.jaeger import odd_cut_within
 
-from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
+from conftest import (
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    triangles_with_bridge,
+    under_python_optimize,
+)
 
 
 def _nx_graph(nx, g, edges=None):
@@ -322,19 +324,6 @@ class TestGomoryHu:
             assert len(edge_boundary(g, side)) == capacity[v]
 
 
-def _under_python_optimize(script):
-    """stdout of script run by a python -O that imports this checkout's src."""
-    # -O strips assert statements; the checks must not depend on them
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def _two_k6(joins=3):
     """Two K6's joined by the edges (i, 6 + i) for i < joins: degree 5 away
     from the joins, so with 3 joins the smallest odd degree and the minimum
@@ -387,7 +376,7 @@ class TestGusfieldSelfCheck:
             "    print(exc)\n"
             "print('flows', len(ran))\n"
         )
-        caught, flows = _under_python_optimize(script).splitlines()
+        caught, flows = under_python_optimize(script).splitlines()
         assert "not a maximum flow" in caught and flows != "flows 0"
 
 
@@ -420,7 +409,7 @@ class TestBridgeSelfCheck:
             "except CoherenceViolated as exc:\n"
             "    print(exc)\n"
         )
-        assert "not an odd cut" in _under_python_optimize(script)
+        assert "not an odd cut" in under_python_optimize(script)
 
 
 class TestMinOddCut:

@@ -35,6 +35,7 @@ from conftest import (
     connected_graphs,
     cycle_graph,
     sparse_random_graphs,
+    under_python_optimize,
 )
 
 
@@ -80,15 +81,54 @@ def _swap_first_two(t: Trail) -> Trail:
     return Trail(t.vertices, (t.edges[1], t.edges[0]) + t.edges[2:])
 
 
+# two triangles joined by a perfect matching; with S = {0, 5} the flow of
+# the first extension splits into the walks 4-3-2 and 5-2
+TWO_TRIANGLES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+
+
 class TestTrailFaultsAreCoherenceFaults:
     # a trail the finder builds that is no trail of g is the finder's own
     # fault: it must surface as CoherenceViolated, not as the ValueError
     # that reports bad input
 
-    def test_flow_walks_off_the_graph(self, monkeypatch):
-        g = Graph.from_edges(
-            6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    def test_flow_walks_that_repeat_an_edge(self, monkeypatch):
+        # the y-walk steps back along its first edge and out along it again,
+        # a walk of g that repeats an edge; the joined trail goes unchecked
+        # until trail_fault reads it
+        real = finder._two_walks
+
+        def corrupt(net, starts, ends):
+            p1, p2 = real(net, starts, ends)
+            v, e = p2.vertices, p2.edges
+            return p1, Trail(v[:2] + v[:2] + v[2:], e[:1] * 3 + e[1:])
+
+        monkeypatch.setattr(finder, "_two_walks", corrupt)
+        with pytest.raises(
+            CoherenceViolated, match="^flow walks make no trail: duplicate edge in walk$"
+        ):
+            find_circuit(Graph.from_edges(6, TWO_TRIANGLES), {0, 5})
+
+    def test_flow_walks_that_repeat_an_edge_under_python_optimize(self):
+        script = (
+            "from circuitcover import finder\n"
+            "from circuitcover.errors import CoherenceViolated\n"
+            "from circuitcover.graphs import Graph, Trail\n"
+            "real = finder._two_walks\n"
+            "def corrupt(net, starts, ends):\n"
+            "    p1, p2 = real(net, starts, ends)\n"
+            "    v, e = p2.vertices, p2.edges\n"
+            "    return p1, Trail(v[:2] + v[:2] + v[2:], e[:1] * 3 + e[1:])\n"
+            "finder._two_walks = corrupt\n"
+            f"g = Graph.from_edges(6, {TWO_TRIANGLES})\n"
+            "try:\n"
+            "    finder.find_circuit(g, {0, 5})\n"
+            "except CoherenceViolated as exc:\n"
+            "    print(exc)\n"
         )
+        assert under_python_optimize(script) == "flow walks make no trail: duplicate edge in walk\n"
+
+    def test_flow_walks_off_the_graph(self, monkeypatch):
+        g = Graph.from_edges(6, TWO_TRIANGLES)
         real = finder._two_walks
 
         def corrupt(net, starts, ends):

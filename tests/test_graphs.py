@@ -19,7 +19,6 @@ from circuitcover.graphs import (
     is_connected,
     is_even_subgraph,
     spanning_forest,
-    trail_concat,
     verify_circuit,
 )
 

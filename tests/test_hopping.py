@@ -472,6 +472,26 @@ class TestRerouteDescent:
         q = reroute_descent(initial_coherent_trail(state, seg), state, seg)
         assert q.vertices == (2, 3, 1, 0, 4) and q.at == (5, 0, 1, 3, 2)
 
+    def test_a_witness_sharing_an_edge_with_the_trail_is_caught(self, monkeypatch):
+        # the A step of the two-level fixture splices the witness of the
+        # start 5 into the trail 5-4-3-2-1-0-7-6; this one from 1 detours
+        # over the trail's edge 1 = (1,2), and the step's trail, checked
+        # next, repeats that edge
+        witness = hopping.Reach.witness
+
+        def detour(reach, v):
+            if v == 5:
+                return Trail((1, 2, 8, 1, 10, 5), (1, 9, 8, 11, 12))
+            return witness(reach, v)
+
+        monkeypatch.setattr(hopping.Reach, "witness", detour)
+        g, h, seg, excluded = two_level_fixture()
+        state = hopping_fixpoint(g, seg, excluded, 8, 9)
+        with pytest.raises(
+            CoherenceViolated, match="^coherent trail fails: duplicate edge in walk$"
+        ):
+            reroute_descent(initial_coherent_trail(state, seg), state, seg)
+
     def test_mirrored_descent_when_levels_swap(self):
         # same gadget, but grown from the other endpoint: B needs two levels
         edges = [(i, i + 1) for i in range(7)] + [(7, 0)]
@@ -530,6 +550,21 @@ class TestBridgeCase:
         monkeypatch.setattr(hopping, "reroute_descent", corrupt)
         g, h, seg, excluded = two_level_fixture()
         with pytest.raises(CoherenceViolated, match="rerouted circuit fails: .* does not follow"):
+            bridge_case(g, seg, excluded)
+
+    def test_an_entry_witness_sharing_an_edge_with_the_trail_is_caught(self, monkeypatch):
+        # the descent ends on 1-2-3-4-5-10-1-0-7-6, entered from 8 at 1;
+        # this entry witness reaches 1 over the trail's edge 1 = (1,2)
+        witness = hopping.Reach.witness
+
+        def detour(reach, v):
+            return Trail((8, 2, 1), (9, 1)) if v == 1 else witness(reach, v)
+
+        monkeypatch.setattr(hopping.Reach, "witness", detour)
+        g, h, seg, excluded = two_level_fixture()
+        with pytest.raises(
+            CoherenceViolated, match="^rerouted circuit fails: duplicate edge in walk$"
+        ):
             bridge_case(g, seg, excluded)
 
     def test_certificate_propagates(self):
