@@ -42,6 +42,7 @@ CLASSES = "tests/test_cuts.py::TestBoundClasses"
 FULL_SEARCH = "tests/test_cuts.py::TestFlowNetwork::test_max_flow_matches_the_full_search"
 VERIFY_CUT = "tests/test_cli.py::TestVerifyCut"
 TRAIL_FAULTS = "tests/test_finder.py::TestTrailFaultsAreCoherenceFaults"
+INPUT_RULES = "tests/test_graphs.py::TestInputRules"
 
 MUTANTS = [
     Mutant(
@@ -276,6 +277,20 @@ MUTANTS = [
         "if size % 2 == 0:",
         "if False:",
         ("tests/test_oracle.py::TestAtlasTheorem",),
+    ),
+    Mutant(
+        "edge_ids lets id m through",
+        "src/circuitcover/graphs.py",
+        "max(ids) >= g.m",
+        "max(ids) > g.m",
+        (f"{INPUT_RULES}::test_every_edge_id_caller_names_the_smallest_bad_id",),
+    ),
+    Mutant(
+        "parse_graph names the first edge's line",
+        "src/circuitcover/graphio.py",
+        "lines[eid]",
+        "lines[0]",
+        ("tests/test_cli.py::TestGraphFormat::test_each_fault_names_its_own_line",),
     ),
 ]
 

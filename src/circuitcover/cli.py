@@ -34,6 +34,7 @@ from .graphio import (
     read_graph,
     write_instance,
 )
+from .graphs import Graph, edge_ids
 from .jaeger import EvenExtension, extend_to_even_subgraph
 from .oracle import (
     check_parity_monotonicity,
@@ -46,15 +47,12 @@ EXIT_ERROR = 1
 EXIT_CERTIFICATE = 2
 
 
-def _parse_edges(raw: str, m: int) -> frozenset:
+def _parse_edges(raw: str, g: Graph) -> frozenset:
     try:
-        ids = frozenset(int(part) for part in raw.split(",") if part != "")
+        ids = [int(part) for part in raw.split(",") if part != ""]
     except ValueError:
         raise BadEdgeId(f"cannot parse edge list {raw!r}") from None
-    for eid in ids:
-        if not (0 <= eid < m):
-            raise BadEdgeId(f"edge id {eid} out of range (m={m})")
-    return ids
+    return edge_ids(g, ids)
 
 
 def _report(args, payload: dict, lines=None) -> None:
@@ -98,7 +96,7 @@ def cmd_check(args) -> int:
 
 def cmd_find(args) -> int:
     g = read_graph(args.graph)
-    s = _parse_edges(args.edges, g.m)
+    s = _parse_edges(args.edges, g)
     t0 = time.perf_counter()
     outcome = find_circuit(g, s)
     elapsed = round(time.perf_counter() - t0, 6)
@@ -120,7 +118,7 @@ def cmd_find(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = read_graph(args.graph)
-    s = _parse_edges(args.edges, g.m)
+    s = _parse_edges(args.edges, g)
     witness = feasible_by_bruteforce(g, s)
     if witness is None:
         _report(args, infeasible_result("oracle"))
@@ -131,7 +129,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_graph(args.graph)
-    s = _parse_edges(args.edges, g.m) if args.edges else None
+    s = _parse_edges(args.edges, g) if args.edges else None
     raw = sys.stdin.read() if args.result == "-" else Path(args.result).read_text()
     try:
         data = json.loads(raw)

@@ -34,6 +34,7 @@ from .graphs import (
     Trail,
     bridges_and_2ec_components,
     contract_subgraph,
+    edge_ids,
     euler_circuit,
     is_connected,
     trail_concat,
@@ -184,7 +185,7 @@ def extend_circuit(
     if v is not None:
         star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is not None:
-            return _splice(g, seg, e_next, star)
+            return _splice(g, seg, star)
     bridges, comp, boundary = bridges_and_2ec_components(g, seg.h_edges, e_next)
     if comp is None:
         return bridge_case(g, seg, e_next)
@@ -194,7 +195,7 @@ def extend_circuit(
         star = _trail_through_edge(g, seg.h_edges, e_next, v, v)
         if star is None:
             raise CoherenceViolated("2-edge-connected edge set must route to both targets")
-        return _splice(g, seg, e_next, star)
+        return _splice(g, seg, star)
     # detached component: contract it, extend through its smallest boundary
     # bridge, then open the contracted vertex into a trail through e_next.
     # H shares no vertex with comp, so seg is H's canonical form in the
@@ -216,10 +217,10 @@ def extend_circuit(
         if cert.boundary != outcome.boundary or not cert.odd:
             raise CoherenceViolated("contracted certificate did not lift cleanly")
         return cert
-    return _open_contracted_vertex(g, outcome, comp, seg.h_edges.union(boundary), e_next)
+    return _open_contracted_vertex(g, outcome, comp, boundary, e_next)
 
 
-def _splice(g: Graph, seg: SegmentedCircuit, e_next: int, star: Trail) -> Trail:
+def _splice(g: Graph, seg: SegmentedCircuit, star: Trail) -> Trail:
     """H merged with the closed trail star through e_next, which shares a
     vertex with H, by an Euler tour of the union from H's start: it holds
     every edge of the union, separators and e_next among them, or raises."""
@@ -230,10 +231,11 @@ def _open_contracted_vertex(g, circuit_c, comp, barred, e_next) -> Trail:
     """Replace the single visit of the contracted vertex g.n by a trail
     through e_next inside comp, a 2-edge-connected component of g - barred.
 
-    circuit_c is a circuit of the contraction, in g's own ids.  barred holds
-    H's edges and comp's boundary bridges: a search that left comp through a
-    bridge could never come back, so barring them keeps the flow in comp
-    and changes neither it nor its walks.
+    circuit_c is a circuit of the contraction, in g's own ids.  barred is
+    comp's boundary: a search that left comp through a bridge could never
+    come back, so barring it keeps the flow in comp and changes neither the
+    flow nor its walks.  H shares no vertex with comp, so none of H's edges
+    lies on a row the flow or its walks read, and they need no barring.
     """
     occurrences = [i for i, v in enumerate(circuit_c.vertices[:-1]) if v == g.n]
     if len(occurrences) != 1:
@@ -260,11 +262,9 @@ def find_circuit(g: Graph, s: Iterable[int]) -> Trail | CutCertificate:
     size at most |S|); the particular set s may still be feasible, which the
     exhaustive oracle can decide on small instances.
     """
-    s_list = sorted(frozenset(s))
+    s_list = sorted(edge_ids(g, s))
     if not s_list:
         raise EmptyPrescribed("need at least one prescribed edge")
-    for eid in s_list:
-        g.endpoints(eid)  # raises BadEdgeId
     if not is_connected(g):
         raise DisconnectedInput("find_circuit requires a connected graph")
     result = _base_circuit(g, s_list[0])

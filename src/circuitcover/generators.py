@@ -77,9 +77,7 @@ def two_cycles_bridge(p: int, q: int) -> NamedInstance:
 def _greatest_odd_ell(k: int) -> int:
     # greatest odd l with (2l - 1)^2 <= 8k - 7, i.e. l <= (sqrt(8k-7)+1)/2
     bound = 8 * k - 7
-    ell = (math.isqrt(bound) + 1) // 2
-    while (2 * ell - 1) ** 2 > bound:
-        ell -= 1
+    ell = (math.isqrt(bound) + 1) // 2  # so 2l - 1 <= isqrt(8k - 7): the bound holds
     if ell % 2 == 0:
         ell -= 1
     return ell

@@ -11,12 +11,13 @@ from pathlib import Path
 from .cuts import CutCertificate
 from .errors import ParseError
 from .generators import NamedInstance
-from .graphs import Graph, Trail
+from .graphs import Graph, Trail, edge_list_fault
 
 
 def parse_graph(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
+    lines: list[int] = []  # each edge's line, by edge id
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -40,19 +41,17 @@ def parse_graph(text: str) -> Graph:
             raise ParseError("edge endpoints must be integers", lineno) from None
         if len(edges) >= header[1]:
             raise ParseError("more edge lines than declared", lineno)
-        if u == v:
-            raise ParseError("self-loops are not allowed", lineno)
-        if not (0 <= u < header[0] and 0 <= v < header[0]):
-            raise ParseError("endpoint out of range", lineno)
         edges.append((u, v))
+        lines.append(lineno)
     if header is None:
         raise ParseError("empty file", 1)
     if len(edges) != header[1]:
         raise ParseError(f"declared {header[1]} edges, found {len(edges)}", 1)
     try:
-        return Graph.from_edges(header[0], edges)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
+        return Graph(header[0], tuple(edges))
+    except ValueError:  # Graph's own rules refuse the list: name the edge's line
+        eid, reason = edge_list_fault(header[0], edges)
+        raise ParseError(reason, lines[eid]) from None
 
 
 def read_graph(path: str | Path) -> Graph:

@@ -18,6 +18,22 @@ from .errors import BadEdgeId, BadParam, NotConnected, NotEven
 EdgeIds = frozenset  # edge sets are frozensets of edge ids
 
 
+def edge_list_fault(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] | None:
+    """(id, reason) for the first edge that keeps `edges` from being a
+    simple graph on the vertices 0..n-1, or None when there is none."""
+    seen = set()
+    for eid, (u, v) in enumerate(edges):
+        if u == v:
+            return eid, f"edge {eid} is a self-loop at {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return eid, f"edge {eid}=({u},{v}) has endpoint out of range"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return eid, f"edge {eid}=({u},{v}) duplicates an earlier edge"
+        seen.add(key)
+    return None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph with indexed edges."""
@@ -28,16 +44,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is negative")
-        seen = set()
-        for eid, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise ValueError(f"edge {eid} is a self-loop at {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {eid}=({u},{v}) has endpoint out of range")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"edge {eid}=({u},{v}) duplicates an earlier edge")
-            seen.add(key)
+        if fault := edge_list_fault(self.n, self.edges):
+            raise ValueError(fault[1])
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -66,6 +74,24 @@ class Graph:
 
     def all_edges(self) -> EdgeIds:
         return frozenset(range(self.m))
+
+
+def edge_ids(g: Graph, ids: Iterable[int]) -> EdgeIds:
+    """ids as a frozenset (a frozenset is not copied); an id that g lacks
+    raises BadEdgeId, which names the smallest such id."""
+    ids = frozenset(ids)
+    if ids and (min(ids) < 0 or max(ids) >= g.m):
+        bad = min(e for e in ids if not 0 <= e < g.m)
+        raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
+    return ids
+
+
+def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    """Raise BadParam unless every vertex is one of g's."""
+    n = g.n
+    for v in vertices:
+        if not 0 <= v < n:
+            raise BadParam(f"vertex {v} out of range (n={n})")
 
 
 @dataclass(frozen=True)
@@ -137,10 +163,8 @@ def edge_boundary(g: Graph, side: Iterable[int]) -> EdgeIds:
     one end in it crosses exactly when its other end is not in it.
     """
     a = set(side)
+    check_vertices(g, a)
     n = g.n
-    for v in a:
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range")
     adjacency = g.adjacency
     if 2 * len(a) <= n:
         return frozenset([e for v in a for w, e in adjacency[v] if w not in a])
@@ -209,13 +233,8 @@ def spanning_forest(g: Graph, edges: Iterable[int] | None = None) -> SpanningFor
     Each vertex is marked, and joins `order`, when it is pushed; a vertex's
     unmarked neighbours are pushed in reverse edge-id order.
     """
-    if edges is None:
-        allowed = range(g.m)  # every edge id, with a constant-time `in`
-    else:
-        allowed = frozenset(edges)
-        if allowed and (min(allowed) < 0 or max(allowed) >= g.m):
-            bad = min(allowed) if min(allowed) < 0 else max(allowed)
-            raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
+    # every edge id, with a constant-time `in`, when edges is None
+    allowed = range(g.m) if edges is None else edge_ids(g, edges)
     adjacency = g.adjacency
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
@@ -352,10 +371,7 @@ def bridges_and_2ec_components(
     discovery order with the outermost runs cut out, and the boundary is
     their bridges, found without a second search over comp.
     """
-    barred = frozenset(barred)
-    if barred and (min(barred) < 0 or max(barred) >= g.m):
-        bad = min(barred) if min(barred) < 0 else max(barred)
-        raise BadEdgeId(f"edge id {bad} out of range (m={g.m})")
+    barred = edge_ids(g, barred)
     root = g.endpoints(eid)[0]
     if eid in barred:
         raise BadParam(f"edge {eid} is barred")
@@ -394,25 +410,8 @@ class FlowNetwork:
     def __init__(self, g: Graph, barred: Iterable[int] = ()):
         self.g = g
         out = self.out = [-1] * g.m
-        if iter(barred) is barred:  # an iterator is read once, here
-            barred = list(barred)
-        # a negative id would index from the end, so min rules them out;
-        # an id of m or more raises IndexError in the loop
-        low = min(barred, default=0)
-        if low < 0:
-            raise BadEdgeId(f"edge id {low} out of range (m={g.m})")
-        try:
-            for e in barred:
-                out[e] = -2
-        except IndexError:
-            raise BadEdgeId(f"edge id {e} out of range (m={g.m})") from None
-
-    def _check_vertices(self, vertices: Iterable[int]) -> None:
-        """Raise BadParam unless every vertex is one of g's."""
-        n = self.g.n
-        for v in vertices:
-            if not 0 <= v < n:
-                raise BadParam(f"vertex {v} out of range (n={n})")
+        for e in edge_ids(g, barred):
+            out[e] = -2
 
     def max_flow(self, supply: dict[int, int], demand: dict[int, int]) -> int:
         """Send units from the supply vertices to the demand vertices, one
@@ -423,7 +422,7 @@ class FlowNetwork:
         no supply is left, no search runs.
         """
         supply, demand = dict(supply), dict(demand)
-        self._check_vertices([*supply, *demand])
+        check_vertices(self.g, [*supply, *demand])
         edges, out = self.g.edges, self.out
         value = 0
         while True:
@@ -446,7 +445,7 @@ class FlowNetwork:
 
     def source_side(self, s: int) -> frozenset:
         """Vertices reachable from s in the residual graph."""
-        self._check_vertices((s,))
+        check_vertices(self.g, (s,))
         parent, _ = self._search([s], {})
         return frozenset(v for v, e in enumerate(parent) if e != -1)
 
@@ -524,18 +523,16 @@ def euler_circuit(g: Graph, f: Iterable[int], start: int | None = None) -> Trail
     NotEven, and a start that f does not touch, or an f whose edges do not
     all lie on the tour, NotConnected.
     """
-    if start is not None and not (0 <= start < g.n):
-        raise BadParam(f"start vertex {start} out of range (n={g.n})")
+    if start is not None:
+        check_vertices(g, (start,))
     ids = sorted(frozenset(f))  # a frozenset is not copied
     if not ids:
         if start is None and g.n == 0:
             raise BadParam("a graph with no vertices has no closed trail")
         return Trail((start if start is not None else 0,), ())
+    if ids[0] < 0 or ids[-1] >= g.m:  # the sorted ends decide, without a min or max
+        edge_ids(g, ids)  # raises BadEdgeId
     edges = g.edges
-    m = len(edges)
-    if ids[0] < 0 or ids[-1] >= m:
-        bad = ids[0] if ids[0] < 0 else next(e for e in ids if e >= m)
-        raise BadEdgeId(f"edge id {bad} out of range (m={m})")
     adj: dict[int, list[tuple[int, int]]] = {}
     get = adj.get
     for eid in ids:
@@ -606,13 +603,11 @@ def contract_subgraph(g: Graph, w: Iterable[int], boundary: Iterable[int]) -> Gr
     wset = frozenset(w)
     if not wset:
         raise BadParam("cannot contract an empty vertex set")
-    n, m = g.n, g.m
+    n = g.n
     edges = list(g.edges)
     rows = list(g.adjacency)
     ends = {}  # outside end -> boundary edge, in edge-id order
-    for e in sorted(boundary):
-        if not 0 <= e < m:
-            raise BadEdgeId(f"edge id {e} out of range (m={m})")
+    for e in sorted(edge_ids(g, boundary)):
         a, b = edges[e]
         if (a in wset) == (b in wset):
             raise ValueError(f"edge {e} does not have exactly one end in the set")

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .cuts import CutCertificate, certify
 from .errors import CoherenceViolated
-from .graphs import Graph, connected_components, is_even_subgraph, spanning_forest
+from .graphs import Graph, connected_components, edge_ids, is_even_subgraph, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,10 @@ class EvenExtension:
 
 def extend_to_even_subgraph(g: Graph, s: Iterable[int]) -> EvenExtension | CutCertificate:
     """Even superset of s, or the witness odd cut inside s."""
-    s_set = frozenset(s)
+    s_set = edge_ids(g, s)
     t_deg = [0] * g.n
     for eid in s_set:
-        u, v = g.endpoints(eid)
+        u, v = g.edges[eid]
         t_deg[u] += 1
         t_deg[v] += 1
     forest = spanning_forest(g, g.all_edges() - s_set)

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import NotExtendable, TooLarge
-from .graphs import Graph, Trail, connected_components, euler_circuit, spanning_forest
+from .graphs import Graph, Trail, connected_components, edge_ids, euler_circuit, spanning_forest
 
 _DIM_GUARD = 24
 
@@ -64,8 +64,7 @@ def _mask_to_edges(mask: int) -> frozenset:
 def _edge_mask(g: Graph, s: Iterable[int]) -> int:
     """The edge ids of s as a bitmask; an id g lacks raises BadEdgeId."""
     mask = 0
-    for eid in s:
-        g.endpoints(eid)  # raises BadEdgeId
+    for eid in edge_ids(g, s):
         mask |= 1 << eid
     return mask
 

@@ -59,6 +59,19 @@ def atlas_slice() -> list[Graph]:
     ]
 
 
+def connected_atlas() -> list[Graph]:
+    """The 995 connected graphs of 2 to 7 vertices in networkx's atlas, with
+    edge ids in sorted order.  Skips the test without networkx."""
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() >= 2 and nx.is_connected(a)
+    ]
+    assert len(atlas) == 995
+    return atlas
+
+
 def sparse_random_graphs(count=30):
     """Seeded connected graphs with m between n - 1 and 2n, so that many
     have bridges and several 2-edge-connected components."""

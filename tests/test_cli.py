@@ -55,6 +55,37 @@ class TestGraphFormat:
             parse_graph("# no vertices\n-1 0\n")
         assert exc.value.line == 2
 
+    # every rule of the file format, each at the line at fault
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            # the fifth line repeats the first edge, past a comment line
+            (
+                "4 3\n0 1\n# a comment\n1 2\n1 0\n",
+                "line 5: edge 2=(1,0) duplicates an earlier edge",
+            ),
+            ("3 2\n0 1\n2 2\n", "line 3: edge 1 is a self-loop at 2"),
+            ("3 2\n0 1\n1 3\n", "line 3: edge 1=(1,3) has endpoint out of range"),
+            ("3 1\n\n-1 0\n", "line 3: edge 0=(-1,0) has endpoint out of range"),
+            (
+                "100000000000 1\n0 100000000001\n",
+                "line 2: edge 0=(0,100000000001) has endpoint out of range",
+            ),
+            ("3 1\n0 1\n1 2\n", "line 3: more edge lines than declared"),
+            ("3 2\n0 1\n", "line 1: declared 2 edges, found 1"),
+        ],
+        ids=[
+            "duplicate", "self-loop", "endpoint", "negative", "huge-header", "more-lines", "count"
+        ],
+    )
+    def test_each_fault_names_its_own_line(self, tmp_path, capsys, text, err):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_instance_sidecar_round_trip(self, tmp_path):
         inst = ladder(4)
         gpath, jpath = write_instance(inst, tmp_path)
@@ -416,6 +447,11 @@ class TestGenerate:
         # regenerating produces identical bytes
         main(["generate", "ladder", "4", "--out", str(tmp_path), "--quiet"])
         assert (tmp_path / "ladder-4.graph").read_text() == text
+
+    def test_text_names_the_two_files(self, tmp_path, capsys):
+        assert main(["generate", "ladder", "3", "--out", str(tmp_path)]) == 0
+        paths = [tmp_path / "ladder-3.graph", tmp_path / "ladder-3.json"]
+        assert capsys.readouterr().out == "".join(f"{path}\n" for path in paths)
 
     def test_random_requires_seed(self, tmp_path, capsys):
         code = main(["generate", "random", "8", "12", "--out", str(tmp_path)])

@@ -25,6 +25,7 @@ from circuitcover.jaeger import odd_cut_within
 
 from conftest import (
     complete_graph,
+    connected_atlas,
     connected_graphs,
     cycle_graph,
     triangles_with_bridge,
@@ -753,18 +754,6 @@ def _tree_odd_cut_below(g, bound):
     return cert
 
 
-def _connected_atlas():
-    """The 995 connected graphs of 2 to 7 vertices in networkx's atlas."""
-    nx = pytest.importorskip("networkx")
-    atlas = [
-        Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
-        for a in nx.graph_atlas_g()
-        if a.number_of_nodes() >= 2 and nx.is_connected(a)
-    ]
-    assert len(atlas) == 995
-    return atlas
-
-
 class TestBridgePath:
     """Cuts below 2 are bridges, found by one lowlink DFS and no tree."""
 
@@ -777,7 +766,7 @@ class TestBridgePath:
         assert bridged >= 200, "the corpus must have bridges"
 
     def test_atlas_agrees_with_brute_force(self):
-        atlas = _connected_atlas()
+        atlas = connected_atlas()
         bound_two = bridged = 0
         for g in atlas:
             cert, brute = min_odd_cut(g), brute_force_min_odd_cut(g)
@@ -847,7 +836,7 @@ class TestBoundClasses:
         return skipped
 
     def test_tree_matches_the_flow_only_tree_on_the_atlas(self, monkeypatch):
-        cases = [(g, bound) for g in _connected_atlas() for bound in range(2, g.n + 1)]
+        cases = [(g, bound) for g in connected_atlas() for bound in range(2, g.n + 1)]
         assert len(cases) == 5785
         skipped = self._skipped(monkeypatch, cases)
         assert skipped >= 8000, skipped  # of 33,907 pairs

@@ -371,14 +371,19 @@ def _cubic_graph(n, rng):
 
 class TestDetachedCase:
     def test_barring_the_boundary_keeps_the_opening_trail(self, monkeypatch):
-        # the opening flow bars comp's boundary bridges with H's edges; a
-        # search that left comp through a bridge could never come back, so
-        # the trail must be the one the flow gives without them barred
-        opening = []  # comp of the opening under way
+        # the opening flow bars comp's boundary bridges and nothing else: H
+        # shares no vertex with comp, so the trail must be the one the flow
+        # gives with H's edges barred as well
+        segmented = []  # the canonical form of each extension's H
+        opening = []  # (comp, H's edges) of the opening under way
         compared = []
 
+        def segment_(g, h, s_prefix, _real=finder.segment):
+            segmented.append(_real(g, h, s_prefix))
+            return segmented[-1]
+
         def open_(g, circuit_c, comp, barred, e_next, _real=finder._open_contracted_vertex):
-            opening.append(comp)
+            opening.append((comp, segmented[-1].h_edges))
             try:
                 return _real(g, circuit_c, comp, barred, e_next)
             finally:
@@ -387,12 +392,15 @@ class TestDetachedCase:
         def flow(g, barred, eid, s, t, _real=finder._trail_through_edge):
             out = _real(g, barred, eid, s, t)
             if opening:
-                boundary = edge_boundary(g, opening[-1])
-                assert boundary and boundary <= barred
-                assert _real(g, barred - boundary, eid, s, t) == out
+                comp, h_edges = opening[-1]
+                boundary = edge_boundary(g, comp)
+                assert boundary and frozenset(barred) == boundary
+                assert h_edges and not h_edges & boundary
+                assert _real(g, h_edges | boundary, eid, s, t) == out
                 compared.append(eid)
             return out
 
+        monkeypatch.setattr(finder, "segment", segment_)
         monkeypatch.setattr(finder, "_open_contracted_vertex", open_)
         monkeypatch.setattr(finder, "_trail_through_edge", flow)
         # on a cubic graph each vertex of H has one edge left, so most

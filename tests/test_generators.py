@@ -91,6 +91,16 @@ class TestWitness:
         assert f"ell-{ell}" in inst.label
         assert len(inst.prescribed) == prescribed <= k
 
+    def test_even_ell_steps_down_to_the_odd_one(self):
+        # 8k - 7 = 57 gives l = 4, which is even: the witness takes l = 3
+        assert gk_lower_witness(8).label == "gk-witness-8-ell-3"
+
+    @pytest.mark.parametrize("k", range(4, 41))
+    def test_ell_is_the_greatest_odd_one_within_k(self, k):
+        ell = int(gk_lower_witness(k).label.rsplit("-", 1)[1])
+        assert ell % 2 == 1
+        assert ell * (ell - 1) // 2 + 1 <= k < (ell + 2) * (ell + 1) // 2 + 1
+
     def test_k4_is_the_prism(self):
         assert gk_lower_witness(4).graph == double_clique(3).graph
 

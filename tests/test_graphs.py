@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitcover import cli
 from circuitcover.certificates import circuit_fault, trail_fault
 from circuitcover.errors import BadEdgeId, BadParam, NotConnected, NotEven
+from circuitcover.finder import find_circuit
 from circuitcover.graphs import (
+    FlowNetwork,
     Graph,
     Trail,
     bridge_runs,
@@ -15,12 +18,16 @@ from circuitcover.graphs import (
     connected_components,
     contract_subgraph,
     edge_boundary,
+    edge_ids,
+    edge_list_fault,
     euler_circuit,
     is_connected,
     is_even_subgraph,
     spanning_forest,
     verify_circuit,
 )
+from circuitcover.jaeger import extend_to_even_subgraph
+from circuitcover.oracle import feasible_by_bruteforce
 
 from conftest import (
     bowtie,
@@ -61,6 +68,76 @@ class TestGraphInvariants:
         for v in range(4):
             for w, eid in g.adjacency[v]:
                 assert set(g.edges[eid]) == {v, w}
+
+
+class TestInputRules:
+    """Each input rule has one owner in graphs, and every caller gives its
+    error: edge_ids for edge ids, check_vertices for vertices and
+    edge_list_fault for edge lists."""
+
+    # every caller of edge_ids, on the triangle (m = 3)
+    ID_CALLERS = {
+        "edge_ids": lambda g, ids: edge_ids(g, ids),
+        "spanning_forest": lambda g, ids: spanning_forest(g, ids),
+        "connected_components": lambda g, ids: connected_components(g, ids),
+        "bridges_and_2ec_components": lambda g, ids: bridges_and_2ec_components(g, ids, 0),
+        "FlowNetwork": lambda g, ids: FlowNetwork(g, ids),
+        "euler_circuit": lambda g, ids: euler_circuit(g, ids),
+        "contract_subgraph": lambda g, ids: contract_subgraph(g, {0}, ids),
+        "find_circuit": lambda g, ids: find_circuit(g, ids),
+        "oracle": lambda g, ids: feasible_by_bruteforce(g, ids),
+        "jaeger": lambda g, ids: extend_to_even_subgraph(g, ids),
+        "cli": lambda g, ids: cli._parse_edges(",".join(map(str, ids)), g),
+    }
+
+    # the smallest bad id is named, whatever the order: id m alone, and a
+    # negative id below a large one
+    @pytest.mark.parametrize("ids, bad", [((99, 3), 3), ((3,), 3), ((99, -1), -1)])
+    @pytest.mark.parametrize("caller", list(ID_CALLERS))
+    def test_every_edge_id_caller_names_the_smallest_bad_id(self, caller, ids, bad):
+        with pytest.raises(BadEdgeId, match=rf"^edge id {bad} out of range \(m=3\)$"):
+            self.ID_CALLERS[caller](cycle_graph(3), list(ids))
+
+    def test_edge_ids_returns_a_frozenset_without_copying_one(self):
+        ids = frozenset({0, 2})
+        assert edge_ids(cycle_graph(3), ids) is ids
+        assert edge_ids(cycle_graph(3), iter([2, 0, 2])) == ids
+        assert edge_ids(Graph(0, ()), ()) == frozenset()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: edge_boundary(g, {0, 5}),
+            lambda g: FlowNetwork(g).max_flow({0: 1}, {5: 1}),
+            lambda g: FlowNetwork(g).source_side(5),
+            lambda g: euler_circuit(g, range(3), start=5),
+        ],
+        ids=["edge_boundary", "max_flow", "source_side", "euler_circuit"],
+    )
+    def test_every_vertex_caller_gives_one_error(self, call):
+        with pytest.raises(BadParam, match=r"^vertex 5 out of range \(n=3\)$"):
+            call(cycle_graph(3))
+
+    @pytest.mark.parametrize(
+        "n, edges, fault",
+        [
+            (3, [(0, 1), (1, 2)], None),
+            (3, [(0, 1), (2, 2)], (1, "edge 1 is a self-loop at 2")),
+            (3, [(0, 1), (1, 3)], (1, "edge 1=(1,3) has endpoint out of range")),
+            (3, [(-1, 0)], (0, "edge 0=(-1,0) has endpoint out of range")),
+            (3, [(0, 1), (1, 2), (1, 0)], (2, "edge 2=(1,0) duplicates an earlier edge")),
+            # the first fault in edge order, not the first kind of fault
+            (3, [(0, 1), (0, 1), (2, 2)], (1, "edge 1=(0,1) duplicates an earlier edge")),
+        ],
+    )
+    def test_edge_list_fault_is_graphs_rule(self, n, edges, fault):
+        assert edge_list_fault(n, edges) == fault
+        if fault is None:
+            Graph(n, tuple(edges))
+        else:
+            with pytest.raises(ValueError) as exc:
+                Graph(n, tuple(edges))
+            assert str(exc.value) == fault[1]
 
 
 class TestEdgeBoundary:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from circuitcover.cuts import brute_force_min_odd_cut
 from circuitcover.errors import BadEdgeId, TooLarge
 from circuitcover.generators import double_clique, ladder, two_cycles_bridge
-from circuitcover.graphs import Graph, verify_circuit
+from circuitcover.graphs import verify_circuit
 from circuitcover.oracle import (
     check_parity_monotonicity,
     cycle_space_basis,
@@ -15,7 +15,13 @@ from circuitcover.oracle import (
     feasible_by_bruteforce,
 )
 
-from conftest import complete_graph, connected_graphs, cycle_graph, triangles_with_bridge
+from conftest import (
+    complete_graph,
+    connected_atlas,
+    connected_graphs,
+    cycle_graph,
+    triangles_with_bridge,
+)
 
 
 class TestCycleSpace:
@@ -119,12 +125,7 @@ class TestAtlasTheorem:
         # the theorem on every connected graph with 2 to 7 vertices: every
         # k-set lies in a connected even edge set exactly when no odd cut has
         # k edges or fewer; each k stops at the first set that lies in none
-        nx = pytest.importorskip("networkx")
-        graphs = [
-            Graph.from_edges(a.number_of_nodes(), sorted(a.edges()))
-            for a in nx.graph_atlas_g()
-            if a.number_of_nodes() >= 2 and nx.is_connected(a)
-        ]
+        graphs = connected_atlas()
         scanned = 0
         for g in graphs:
             masks = enumerate_connected_even_sets(g)
